@@ -61,18 +61,20 @@ func (o *GuardOptions) fill() {
 // internal/dynamic.
 // A Guard is single-writer THROUGH the guard: once wrapped, all mutation
 // must go through the Guard's Insert/Retrain (mutating the inner backend
-// directly would stale the guard's content cache).
+// directly would leave the guard's content copy behind it).
 type Guard struct {
 	backend  index.Backend
 	policies []Policy
 	flagged  int
-	// content caches backend.Keys() (plus the lazily built loss oracle)
-	// between mutations so the policy chain costs O(log n) per offered
-	// insert instead of re-materializing the full content (O(n)) every time
-	// — a poison storm is exactly many rejected inserts in a row against
-	// unchanged content.
-	content      *Content
-	contentValid bool
+	// content is the guard's own copy of backend.Keys() (plus the lazily
+	// built loss oracle), built once on the first screened insert and then
+	// kept current in place: an accepted insert adds its key in O(log n)
+	// plus one memmove, so no offer re-materializes the backend's content
+	// (O(n); per-shard unions plus a concatenation on a sharded backend).
+	// Retrains leave the content unchanged and keep the copy. nil until
+	// first use, and again after the copy refuses a key the backend
+	// accepted, so the next offer rebuilds it from the backend.
+	content *Content
 }
 
 // NewGuard wraps a backend with the detector chain (the single density
@@ -93,12 +95,11 @@ func (g *Guard) Policies() []Policy { return g.policies }
 // Unwrap returns the guarded backend.
 func (g *Guard) Unwrap() index.Backend { return g.backend }
 
-// suspicious refreshes the content cache and runs the policy chain; any
-// policy flagging k rejects it.
+// suspicious builds the content copy on first use and runs the policy
+// chain; any policy flagging k rejects it.
 func (g *Guard) suspicious(k int64) bool {
-	if !g.contentValid {
-		g.content = NewContent(g.backend.Keys())
-		g.contentValid = true
+	if g.content == nil {
+		g.content = newMirroredContent(g.backend.Keys())
 	}
 	for _, p := range g.policies {
 		if p.Suspicious(g.content, k) {
@@ -110,15 +111,15 @@ func (g *Guard) suspicious(k int64) bool {
 
 // Insert screens k and forwards it only when its neighbourhood density is
 // unsuspicious; a rejected key reports (false, false) without touching the
-// backend.
+// backend. An accepted key joins the guard's content copy.
 func (g *Guard) Insert(k int64) (accepted, retrained bool) {
 	if k >= 0 && g.suspicious(k) {
 		g.flagged++
 		return false, false
 	}
 	accepted, retrained = g.backend.Insert(k)
-	if accepted {
-		g.contentValid = false
+	if accepted && g.content != nil && !g.content.add(k) {
+		g.content = nil // the copy disagrees with the backend: rebuild on next offer
 	}
 	return accepted, retrained
 }
@@ -127,20 +128,16 @@ func (g *Guard) Insert(k int64) (accepted, retrained bool) {
 
 func (g *Guard) Lookup(k int64) index.LookupResult { return g.backend.Lookup(k) }
 
-// Retrain delegates and drops the content cache (a retrain does not change
-// the content, but keeping the invalidation tied to every mutation entry
-// point is cheaper to reason about than proving it unnecessary).
-func (g *Guard) Retrain() {
-	g.backend.Retrain()
-	g.contentValid = false
-}
+// Retrain delegates. A retrain refits models over the same keys, so the
+// guard's content copy stays valid (TestGuardMirrorMatchesReference pins
+// this on every backend).
+func (g *Guard) Retrain() { g.backend.Retrain() }
 
 // RetrainParallel forwards the pooled rebuild when the wrapped backend
 // supports it and falls back to the sequential Retrain otherwise, so a
 // guard never hides the inner backend's parallel rebuild path from the
 // retrain pipeline (index.ParallelRetrainer).
 func (g *Guard) RetrainParallel(ctx context.Context, pool *engine.Pool) error {
-	defer func() { g.contentValid = false }()
 	if pr, ok := g.backend.(index.ParallelRetrainer); ok {
 		return pr.RetrainParallel(ctx, pool)
 	}

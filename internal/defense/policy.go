@@ -30,19 +30,55 @@ import (
 )
 
 // Content is the screened backend's current content plus the lazily built
-// loss oracle the lossspike policy consults. A Guard caches one Content
-// between mutations, so a poison storm (many rejected inserts against
-// unchanged content) prices each offer at O(log n).
+// loss oracle the lossspike policy consults.
+//
+// A Guard keeps one Content for its whole life and updates it in place on
+// every accepted insert, so Keys aliases the Guard's private mutable copy:
+// it is valid only for the duration of one Suspicious call, and policies
+// must not retain it (the next accepted insert shifts keys underneath it).
 type Content struct {
 	Keys keys.Set
 
+	// mirror backs Keys for a Guard's incrementally maintained content;
+	// nil for a Content built by NewContent.
+	mirror     *keys.MutableSet
 	prefix     *regression.Prefix
 	prefixInit bool
 }
 
-// NewContent wraps a key set for policy evaluation (the Guard builds these
-// internally; tests and offline screening can too).
+// NewContent wraps a key set for policy evaluation (tests and offline
+// screening; the Guard builds its own mutable copy).
 func NewContent(ks keys.Set) *Content { return &Content{Keys: ks} }
+
+// newMirroredContent copies ks into a private mutable set with a small
+// growth reserve. It must copy: backends may return their live storage
+// from Keys.
+func newMirroredContent(ks keys.Set) *Content {
+	m := keys.NewMutable(ks, mirrorReserve(ks.Len()))
+	return &Content{Keys: m.View(), mirror: m}
+}
+
+// mirrorReserve is the spare capacity a mirror of n keys carries: 1/32 of
+// n, so the copy's slack stays under 4% of its size while a regrowth (one
+// O(n) copy) is amortized over n/32 inserts.
+func mirrorReserve(n int) int { return n/32 + 8 }
+
+// add records an accepted insert of k: k joins the mirror (one binary
+// search and one memmove within the reserve), Keys is re-pointed at the new
+// view, and the loss oracle is dropped so it is rebuilt on next use. It
+// reports false, leaving the content unchanged, when the mirror refuses k
+// (negative or already present).
+func (c *Content) add(k int64) bool {
+	if c.mirror.Len() == c.mirror.Cap() {
+		c.mirror = keys.NewMutable(c.mirror.View(), mirrorReserve(c.mirror.Len()))
+	}
+	if _, ok := c.mirror.Insert(k); !ok {
+		return false
+	}
+	c.Keys = c.mirror.View()
+	c.prefix, c.prefixInit = nil, false
+	return true
+}
 
 // LossOracle returns the exact-moment loss oracle over the content, built
 // on first use; nil when the content cannot support one (fewer than two

@@ -45,9 +45,10 @@ func (v *view) ProbeSumSorted(sorted []int64) (probes int64, notFound int) {
 	// An unclamped window's size is a pure function of the envelope span
 	// and the prediction's fractional part: with f = frac(pred+eLo),
 	// s = ceil(f + span) + 1 ∈ {ceil(span)+1, ceil(span)+2}. Prefetch both
-	// tables once so the hot loop selects by arithmetic, not by lock; only
-	// windows clamped at the array edges fall back to the shared cache,
-	// through a 2-entry MRU so a run of edge keys pays the lock once.
+	// tables once so the hot loop selects by arithmetic, not by lock.
+	// Windows clamped at the array edges take unboundedly many sizes, so
+	// they replay the descent arithmetically (index.DescentProbes) instead
+	// of caching a table per size.
 	eLo, eHi := v.eLo, v.eHi
 	s0 := int(math.Ceil(eHi-eLo)) + 1
 	var pair [2]*index.SearchDepths
@@ -55,8 +56,6 @@ func (v *view) ProbeSumSorted(sorted []int64) (probes int64, notFound int) {
 		pair[0] = index.ProbeDepths(s0)
 		pair[1] = index.ProbeDepths(s0 + 1)
 	}
-	var mruTabs [2]*index.SearchDepths
-	mruSizes := [2]int{-1, -1}
 	posB, posU := 0, 0
 	for _, k := range sorted {
 		// Gallop fast path: over a dense sorted batch the cursor advances
@@ -81,32 +80,20 @@ func (v *view) ProbeSumSorted(sorted []int64) (probes int64, notFound int) {
 		found := false
 		if lo <= hi {
 			s := hi - lo + 1
-			var baseTab *index.SearchDepths
-			if !clamped {
-				baseTab = pair[s-s0]
-			} else {
-				switch s {
-				case mruSizes[0]:
-					baseTab = mruTabs[0]
-				case mruSizes[1]:
-					baseTab = mruTabs[1]
-				default:
-					baseTab = index.ProbeDepths(s)
-					mruSizes[1], mruTabs[1] = mruSizes[0], mruTabs[0]
-					mruSizes[0], mruTabs[0] = s, baseTab
-				}
+			t := posB - lo
+			found = foundBase && t >= 0 && t < s
+			if t < 0 {
+				t = 0
+			} else if t > s {
+				t = s
 			}
-			if foundBase && posB >= lo && posB <= hi {
-				probes += int64(baseTab.Hit[posB-lo])
-				found = true
-			} else {
-				g := posB - lo
-				if g < 0 {
-					g = 0
-				} else if g > s {
-					g = s
-				}
-				probes += int64(baseTab.Gap[g])
+			switch {
+			case clamped:
+				probes += int64(index.DescentProbes(s, t, found))
+			case found:
+				probes += int64(pair[s-s0].Hit[t])
+			default:
+				probes += int64(pair[s-s0].Gap[t])
 			}
 		}
 		if !found && bufTab != nil {

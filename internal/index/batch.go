@@ -47,16 +47,6 @@ func ProbeSumSorted(r PointReader, sorted []int64) (probes int64, notFound int) 
 	return ProbeSum(r, sorted)
 }
 
-// GallopLower returns the smallest i in [from, len(a)) with a[i] >= k,
-// assuming a is sorted ascending and a[j] < k for all j < from. It is the
-// merged-pass cursor primitive shared by the batch kernels: for a sorted
-// query batch, successive lower-bound positions are non-decreasing, so each
-// call gallops forward from the previous answer — exponential probes then a
-// binary search over the last gallop span — giving O(m log(n/m)) total work
-// for an m-key batch against an n-key array instead of m full binary
-// searches. These gallop probes are bookkeeping, NOT counted lookup probes;
-// kernels reconstruct the reference probe count arithmetically from the
-// returned position.
 // SearchDepths tabulates the probe count of the canonical windowed binary
 // search (mid = (lo+hi)/2, three-way compare) as a pure function of the
 // target's rank within the window. For a window of size s:
@@ -85,8 +75,11 @@ var (
 // ProbeDepths returns the (process-wide, lazily built) depth tables for a
 // search window of size s ≥ 1. Tables depend only on s, so they are shared
 // across backends, views, and goroutines; the cache retains every size ever
-// requested — sizes come from error envelopes and delta-buffer fills, a
-// bounded set per run — so steady-state callers never allocate.
+// requested, so steady-state callers never allocate. Callers must only ask
+// for sizes from a bounded set — the two unclamped envelope sizes and the
+// delta-buffer fill. Windows clamped at an array edge take any size up to
+// the array length, and a table per such size would grow the cache without
+// bound; those go through DescentProbes instead.
 func ProbeDepths(s int) *SearchDepths {
 	depthMu.RLock()
 	t := depthCache[s]
@@ -121,6 +114,38 @@ func ProbeDepths(s int) *SearchDepths {
 	return t
 }
 
+// DescentProbes replays the canonical windowed binary search over a window
+// of size s without a table: for hit it returns ProbeDepths(s).Hit[t], the
+// probes to find the key at window-relative rank t, else Gap[t], the probes
+// to exhaust on gap t. O(log s), no allocation, no cache entry.
+func DescentProbes(s, t int, hit bool) int32 {
+	var depth int32
+	lo, hi := 0, s-1
+	for lo <= hi {
+		mid := (lo + hi) >> 1
+		depth++
+		switch {
+		case hit && mid == t:
+			return depth
+		case mid < t:
+			lo = mid + 1
+		default:
+			hi = mid - 1
+		}
+	}
+	return depth
+}
+
+// GallopLower returns the smallest i in [from, len(a)) with a[i] >= k,
+// assuming a is sorted ascending and a[j] < k for all j < from. It is the
+// merged-pass cursor primitive shared by the batch kernels: for a sorted
+// query batch, successive lower-bound positions are non-decreasing, so each
+// call gallops forward from the previous answer — exponential probes then a
+// binary search over the last gallop span — giving O(m log(n/m)) total work
+// for an m-key batch against an n-key array instead of m full binary
+// searches. These gallop probes are bookkeeping, NOT counted lookup probes;
+// kernels reconstruct the reference probe count arithmetically from the
+// returned position.
 func GallopLower(a []int64, k int64, from int) int {
 	n := len(a)
 	if from >= n || a[from] >= k {

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"testing"
 
+	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
@@ -88,6 +89,67 @@ func TestBatchProbeSumMatchesReference(t *testing.T) {
 			checkBatchKernel(t, "retrained", b, batches)
 			checkBatchKernel(t, "retrained-snapshot", b.Snapshot(), batches)
 		})
+	}
+}
+
+// TestBatchProbeSumLogNormalEdges: log-normal keys at n=1e5 give the fitted
+// line a wide error envelope, so many windows are clamped at an array edge,
+// each with its own size. The kernels must stay bit-identical there and must
+// not cache a depth table per clamped size: a state's evaluation may add at
+// most the prefetched unclamped pair and the buffer table.
+func TestBatchProbeSumLogNormalEdges(t *testing.T) {
+	const n = 100_000
+	initial, err := dataset.LogNormal(xrand.New(1), n, n*100, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := sortedBatches(initial)
+	batches := map[string][]int64{}
+	for _, name := range []string{"stored", "mixed", "absent", "single"} {
+		batches[name] = all[name]
+	}
+	factories := backendFactories()
+	for _, name := range []string{"dynamic", "rmi-single"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := factories[name](initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				before := index.DepthCacheLen()
+				checkBatchKernel(t, when, b, batches)
+				checkBatchKernel(t, when+"-snapshot", b.Snapshot(), batches)
+				if grew := index.DepthCacheLen() - before; grew > 3 {
+					t.Fatalf("%s: depth-table cache grew by %d entries, want <= 3", when, grew)
+				}
+			}
+			check("fresh")
+			for k := initial.Min() + 1; b.Len() < n+64; k += 997 {
+				b.Insert(k)
+			}
+			check("buffered")
+			b.Retrain()
+			check("retrained")
+		})
+	}
+}
+
+// TestDescentProbesMatchesTables: the arithmetic descent replay equals the
+// depth tables at every rank of every window size.
+func TestDescentProbesMatchesTables(t *testing.T) {
+	for s := 1; s <= 300; s++ {
+		tab := index.ProbeDepths(s)
+		for r := 0; r <= s; r++ {
+			if r < s {
+				if got := index.DescentProbes(s, r, true); got != tab.Hit[r] {
+					t.Fatalf("s=%d: DescentProbes hit %d = %d, table %d", s, r, got, tab.Hit[r])
+				}
+			}
+			if got := index.DescentProbes(s, r, false); got != tab.Gap[r] {
+				t.Fatalf("s=%d: DescentProbes gap %d = %d, table %d", s, r, got, tab.Gap[r])
+			}
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ func (v *singleView) ProbeSumSorted(sorted []int64) (probes int64, notFound int)
 		stagedTab = index.ProbeDepths(len(v.staged))
 	}
 	// Unclamped windows take exactly two sizes (see dynamic's kernel):
-	// prefetch both tables; clamped edge windows fall back to the shared
-	// cache through a 2-entry MRU.
+	// prefetch both tables; clamped edge windows replay the descent
+	// arithmetically (index.DescentProbes) without a table.
 	var pair [2]*index.SearchDepths
 	s0 := 0
 	if st.assigned > 0 && nb > 0 {
@@ -50,8 +50,6 @@ func (v *singleView) ProbeSumSorted(sorted []int64) (probes int64, notFound int)
 		pair[0] = index.ProbeDepths(s0)
 		pair[1] = index.ProbeDepths(s0 + 1)
 	}
-	var mruTabs [2]*index.SearchDepths
-	mruSizes := [2]int{-1, -1}
 	posB, posS := 0, 0
 	for _, k := range sorted {
 		if posB < nb && base[posB] < k {
@@ -76,32 +74,20 @@ func (v *singleView) ProbeSumSorted(sorted []int64) (probes int64, notFound int)
 			}
 			if lo <= hi {
 				s := hi - lo + 1
-				var baseTab *index.SearchDepths
-				if !clamped {
-					baseTab = pair[s-s0]
-				} else {
-					switch s {
-					case mruSizes[0]:
-						baseTab = mruTabs[0]
-					case mruSizes[1]:
-						baseTab = mruTabs[1]
-					default:
-						baseTab = index.ProbeDepths(s)
-						mruSizes[1], mruTabs[1] = mruSizes[0], mruTabs[0]
-						mruSizes[0], mruTabs[0] = s, baseTab
-					}
+				t := posB - lo
+				found = foundBase && t >= 0 && t < s
+				if t < 0 {
+					t = 0
+				} else if t > s {
+					t = s
 				}
-				if foundBase && posB >= lo && posB <= hi {
-					probes += int64(baseTab.Hit[posB-lo])
-					found = true
-				} else {
-					g := posB - lo
-					if g < 0 {
-						g = 0
-					} else if g > s {
-						g = s
-					}
-					probes += int64(baseTab.Gap[g])
+				switch {
+				case clamped:
+					probes += int64(index.DescentProbes(s, t, found))
+				case found:
+					probes += int64(pair[s-s0].Hit[t])
+				default:
+					probes += int64(pair[s-s0].Gap[t])
 				}
 			}
 		}

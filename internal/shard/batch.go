@@ -11,7 +11,6 @@ package shard
 
 import (
 	"context"
-	"sort"
 
 	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
@@ -119,12 +118,4 @@ func (x *Index) ProbeSumSortedParallel(ctx context.Context, pool *engine.Pool, s
 		notFound += a.notFound
 	}
 	return probes, notFound, nil
-}
-
-// sortInto copies q into buf (growing it as needed) and sorts the copy —
-// the shim that lets the deprecated unsorted entry reuse the sorted path.
-func sortInto(buf, q []int64) []int64 {
-	buf = append(buf[:0], q...)
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf
 }

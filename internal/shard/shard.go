@@ -27,9 +27,10 @@
 //
 // Determinism under concurrency: mutation (Insert/Retrain) is
 // single-writer, exactly like every other backend; Lookup and ProbeSum are
-// pure reads. ProbeSumParallel fans chunks of a batch across an
-// engine.Pool — integer probe sums are partition-invariant, so any worker
-// count folds to the sequential total byte-identically (DESIGN.md §2).
+// pure reads. ProbeSumSortedParallel fans a sorted batch's per-shard
+// partitions across an engine.Pool — integer probe sums are
+// partition-invariant, so any worker count folds to the sequential total
+// byte-identically (DESIGN.md §2).
 package shard
 
 import (
@@ -386,18 +387,7 @@ func (x *Index) Imbalance() float64 {
 }
 
 // ProbeSum runs a lookup for every query key sequentially; integer sums
-// are partition-invariant (see ProbeSumParallel).
+// are partition-invariant (see ProbeSumSortedParallel).
 func (x *Index) ProbeSum(queryKeys []int64) (probes int64, notFound int) {
 	return index.ProbeSum(x, queryKeys)
-}
-
-// ProbeSumParallel is the unsorted batch entry, kept for API compatibility.
-//
-// Deprecated: it now sorts a copy of the batch and runs the sorted-partition
-// kernel (ProbeSumSortedParallel) — callers that can sort once and reuse the
-// batch should call ProbeSumSortedParallel directly and skip the per-call
-// copy+sort. Probe totals and notFound counts are unchanged: integer sums
-// are order-invariant, so reordering the batch cannot change either.
-func (x *Index) ProbeSumParallel(ctx context.Context, pool *engine.Pool, queryKeys []int64) (probes int64, notFound int, err error) {
-	return x.ProbeSumSortedParallel(ctx, pool, sortInto(nil, queryKeys))
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"cdfpoison/internal/dataset"
@@ -164,8 +165,9 @@ func TestShardingIsolatesDamage(t *testing.T) {
 	}
 }
 
-// TestProbeSumParallelEquivalence: the batched lookup fan-out is
-// byte-identical to the sequential sum for any worker count.
+// TestProbeSumParallelEquivalence: the sorted-partition fan-out
+// (ProbeSumSortedParallel) is byte-identical to the sequential per-key sum
+// for any worker count.
 func TestProbeSumParallelEquivalence(t *testing.T) {
 	ks := fixture(t, 900)
 	x, err := New(ks, 4, dynamic.ManualPolicy())
@@ -173,9 +175,10 @@ func TestProbeSumParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := append(append([]int64(nil), ks.Keys()...), 1, 2, 3, 1<<50)
+	sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	wantProbes, wantMiss := x.ProbeSum(queries)
 	for _, w := range []int{1, 2, 3, 8, 0} {
-		p, m, err := x.ProbeSumParallel(context.Background(), engine.New(w), queries)
+		p, m, err := x.ProbeSumSortedParallel(context.Background(), engine.New(w), queries)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
