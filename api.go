@@ -123,17 +123,6 @@ func WithCancellation(ctx context.Context) AttackOption { return core.WithContex
 // 2(n−1)-candidate accounting is wanted.
 func WithExhaustiveScan() AttackOption { return core.WithFullScan() }
 
-// WithPerKeyEval disables the sorted-batch probe kernel (DESIGN.md §12) on
-// the scenario evaluation paths and forces the classic per-key lookup
-// loop. Every measured column is bit-identical either way; the switch
-// exists for ablations and the CLI's -no-batch-eval flag, and the
-// EvalStats on each scenario result records which path ran.
-func WithPerKeyEval() AttackOption { return core.WithPerKeyEval() }
-
-// EvalStats reports how many probe evaluations a scenario ran through the
-// sorted-batch kernel versus the per-key reference loop.
-type EvalStats = core.EvalStats
-
 // ---------------------------------------------------------------------------
 // Poisoning attacks (the paper's contribution)
 // ---------------------------------------------------------------------------

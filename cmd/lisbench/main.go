@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"cdfpoison/internal/bench"
-	"cdfpoison/internal/core"
 	"cdfpoison/internal/export"
 )
 
@@ -61,13 +60,12 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size for the sweeps: 0 = one per core, 1 = sequential; results are identical for any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the selected figure runs to `file`")
 		memprofile = flag.String("memprofile", "", "write a post-GC heap profile to `file` after the runs finish")
-		noBatch    = flag.Bool("no-batch-eval", false, "evaluate scenario probe columns with the per-key lookup loop instead of the sorted-batch kernel; every column is identical either way")
 	)
 	flag.StringVar(&perfBaseline, "baseline", "", "perf baseline (BENCH_PR10.json) to compare the perf sweep against; exit 1 on regression")
 	flag.Float64Var(&perfTol, "perf-tol", 0.20, "fractional ns/op regression tolerance for -baseline")
 	flag.Parse()
 
-	opts := bench.Options{Scale: bench.Scale(*scale), Seed: *seed, Workers: *workers, PerKeyEval: *noBatch}
+	opts := bench.Options{Scale: bench.Scale(*scale), Seed: *seed, Workers: *workers}
 	switch opts.Scale {
 	case bench.ScaleQuick, bench.ScaleDefault, bench.ScaleLarge:
 	default:
@@ -597,7 +595,6 @@ func runOnline(opts bench.Options, out string) error {
 	}
 	export.RenderChart(os.Stdout, "Loss ratio vs epoch (highest budget)", series, 64, 12)
 	fmt.Printf("max final ratio: %.1f×\n", res.MaxFinalRatio())
-	fmt.Printf("probe eval: %s\n", evalPath(res.Eval))
 	return writeCSV(out, "online.csv", tb)
 }
 
@@ -639,18 +636,7 @@ func runServe(opts bench.Options, out string) error {
 	}
 	export.RenderChart(os.Stdout, "Aggregate loss ratio vs epoch (uniform mix)", series, 64, 12)
 	fmt.Printf("max final ratio: %.1f×\n", res.MaxFinalRatio())
-	fmt.Printf("probe eval: %s\n", evalPath(res.Eval))
 	return writeCSV(out, "serve.csv", tb)
-}
-
-// evalPath renders a sweep's probe-eval accounting: which eval path
-// (sorted-batch kernel vs per-key loop, DESIGN.md §12) produced the probe
-// columns, and how many key evaluations it handled.
-func evalPath(s core.EvalStats) string {
-	if s.PerKeyKeys > 0 {
-		return fmt.Sprintf("per-key loop, %d key evaluations (-no-batch-eval)", s.PerKeyKeys)
-	}
-	return fmt.Sprintf("sorted-batch kernel, %d key evaluations", s.BatchedKeys)
 }
 
 // perfArtifact is the perf report's file name: the repository root holds

@@ -288,7 +288,6 @@ func cmdOnline(args []string) error {
 	alpha := fs.Float64("alpha", 3, "per-model poisoning threshold multiplier (rmi oracle)")
 	seed := fs.Uint64("seed", 42, "rng seed for the arrival stream")
 	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	noBatch := fs.Bool("no-batch-eval", false, "evaluate probe columns with the per-key lookup loop instead of the sorted-batch kernel; every column is identical either way")
 	out := fs.String("o", "", "optional output file for the injected poison keys")
 	fs.Parse(args)
 	if *in == "" {
@@ -335,11 +334,7 @@ func cmdOnline(args []string) error {
 			}
 		}
 	}
-	execOpts := []cdfpoison.AttackOption{cdfpoison.WithParallelism(*workers)}
-	if *noBatch {
-		execOpts = append(execOpts, cdfpoison.WithPerKeyEval())
-	}
-	res, err := cdfpoison.OnlinePoisonAttack(ks, opts, execOpts...)
+	res, err := cdfpoison.OnlinePoisonAttack(ks, opts, cdfpoison.WithParallelism(*workers))
 	if err != nil {
 		return fmt.Errorf("online: %w", err)
 	}
@@ -354,7 +349,6 @@ func cmdOnline(args []string) error {
 	}
 	fmt.Printf("final ratio %.2f× (max %.2f×), %d poison keys, %d retrains\n",
 		res.FinalRatio(), res.MaxRatio(), res.Poison.Len(), res.Retrains)
-	fmt.Printf("probe eval: %s\n", evalPath(res.Eval))
 	if *out != "" {
 		if err := writeKeys(*out, res.Poison); err != nil {
 			return fmt.Errorf("online: %w", err)
@@ -376,7 +370,6 @@ func cmdServe(args []string) error {
 	ops := fs.Int("ops", 0, "honest operations per epoch (default 10% of the input keys)")
 	seed := fs.Uint64("seed", 42, "rng seed for the operation stream")
 	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	noBatch := fs.Bool("no-batch-eval", false, "evaluate probe columns with the per-key lookup loop instead of the sorted-batch kernel; every column is identical either way")
 	out := fs.String("o", "", "optional output file for the injected poison keys")
 	fs.Parse(args)
 	if *in == "" {
@@ -402,10 +395,6 @@ func cmdServe(args []string) error {
 	if opsPerEpoch == 0 {
 		opsPerEpoch = ks.Len() / 10
 	}
-	execOpts := []cdfpoison.AttackOption{cdfpoison.WithParallelism(*workers)}
-	if *noBatch {
-		execOpts = append(execOpts, cdfpoison.WithPerKeyEval())
-	}
 	res, err := cdfpoison.ServeAttack(ks, cdfpoison.ServeOptions{
 		Epochs:      *epochs,
 		OpsPerEpoch: opsPerEpoch,
@@ -415,7 +404,7 @@ func cmdServe(args []string) error {
 		Workload:    mix,
 		Seed:        *seed,
 		RebuildCost: cost,
-	}, execOpts...)
+	}, cdfpoison.WithParallelism(*workers))
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
@@ -431,7 +420,6 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("final ratio %.2f× (max %.2f×, worst shard %.2f×), %d poison keys, %d retrains\n",
 		res.FinalRatio(), res.MaxRatio(), res.MaxShardRatio(), res.Poison.Len(), res.Retrains)
-	fmt.Printf("probe eval: %s\n", evalPath(res.Eval))
 	if *out != "" {
 		if err := writeKeys(*out, res.Poison); err != nil {
 			return fmt.Errorf("serve: %w", err)
@@ -667,15 +655,6 @@ func cmdThroughput(args []string) error {
 	fmt.Printf("wall-clock (machine-dependent): clean %.0f ops/s, poisoned %.0f ops/s, %d readers\n",
 		cleanOps, poisonedOps, plane.WithDefaults().Readers)
 	return nil
-}
-
-// evalPath names the probe-evaluation path a scenario's EvalStats records
-// — sorted-batch kernel by default, per-key under -no-batch-eval.
-func evalPath(s cdfpoison.EvalStats) string {
-	if s.PerKeyKeys > 0 {
-		return fmt.Sprintf("per-key loop, %d key evaluations (-no-batch-eval)", s.PerKeyKeys)
-	}
-	return fmt.Sprintf("sorted-batch kernel, %d key evaluations", s.BatchedKeys)
 }
 
 func safeRatio(poisoned, clean float64) float64 {

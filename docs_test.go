@@ -112,6 +112,9 @@ func TestDocsCoverCitedSections(t *testing.T) {
 			// kernels, core.probeEval, api.go) and the eval perf cells
 			// cite §12.
 			"§12 Batch probe kernel invariants",
+			// The twin scenario harness (internal/core/twin.go) and the
+			// fingerprint gate (cmd/lisbench) cite §13.
+			"§13 Twin scenario harness",
 		},
 		// doc.go promises the paper-vs-measured record; api.go cites Ext. F;
 		// bench/perf.go and the CI gate cite the perf trajectory.
@@ -178,9 +181,6 @@ func TestDocsCoverCitedSections(t *testing.T) {
 			"ScenarioDefense",
 			"ParseGuardPolicyChain",
 			"-fig defense",
-			// The batch probe kernel (DESIGN.md §12) points readers at the
-			// complexity note and the A/B flag.
-			"-no-batch-eval",
 		},
 	} {
 		data, err := os.ReadFile(file)

@@ -12,6 +12,8 @@
 package bench
 
 import (
+	"context"
+
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/engine"
 	"cdfpoison/internal/xrand"
@@ -42,11 +44,6 @@ type Options struct {
 	// wall-clock knob. Key-set GENERATION always stays sequential so the
 	// RNG stream — and therefore every dataset — is worker-independent.
 	Workers int
-	// PerKeyEval disables the sorted-batch probe kernel (DESIGN.md §12) on
-	// the scenario eval paths and forces the classic per-key loop — the
-	// `lisbench -no-batch-eval` A/B switch. Every reported column is
-	// identical either way; only the EvalStats accounting moves.
-	PerKeyEval bool
 }
 
 func (o Options) fill() Options {
@@ -71,18 +68,21 @@ func (o Options) pool() *engine.Pool { return engine.New(o.Workers) }
 // run one attack, so parallelism belongs inside it). Cell fan-out paths
 // instead keep inner attacks sequential to avoid nested oversubscription.
 func (o Options) coreOpts() []core.Option {
-	opts := []core.Option{core.WithWorkers(o.Workers)}
-	return append(opts, o.evalOpts()...)
+	return []core.Option{core.WithWorkers(o.Workers)}
 }
 
-// evalOpts forwards only the eval-path ablation switch — for sweep cells
-// whose inner attacks stay sequential (cell fan-out owns the pool) but
-// should still honor -no-batch-eval.
-func (o Options) evalOpts() []core.Option {
-	if o.PerKeyEval {
-		return []core.Option{core.WithPerKeyEval()}
-	}
-	return nil
+// grid runs cell over every (a, b) in as × bs, a-major, fanning the cells
+// across the sweep's worker pool with sequential inner attacks; results
+// fold in cell order, identical for every worker count.
+func grid[A, B, C any](opts Options, as []A, bs []B, cell func(A, B) (C, error)) ([]C, error) {
+	return engine.Map(context.Background(), opts.pool(), len(as)*len(bs), func(i int) (C, error) {
+		return cell(as[i/len(bs)], bs[i%len(bs)])
+	})
+}
+
+// budgetOf converts a percentage of n keys into a key budget, at least 1.
+func budgetOf(n int, pct float64) int {
+	return max(int(float64(n)*pct/100), 1)
 }
 
 // CellBox couples an experiment cell's identity with the distribution of its

@@ -1,31 +1,21 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cdfpoison/internal/core"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/workload"
 )
 
 // CascadeCell is one (leaf-target × per-epoch budget) cell of the
-// split-cascade sweep: the full per-epoch trajectory of core.CascadeAttack
-// plus its headline summaries.
+// split-cascade sweep: the full result of core.CascadeAttack, whose
+// VictimStruct/CleanStruct hold the final structural accounting of both
+// indexes.
 type CascadeCell struct {
 	LeafTarget int
 	BudgetPct  float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget     int
-	Epochs     []core.CascadeEpochReport
-	// Trajectory summaries: final victim/clean structural-cost ratio, worst
-	// probe ratio, total damage score, and the final structural accounting
-	// of both indexes.
-	FinalStructRatio        float64
-	MaxProbeRatio           float64
-	TotalDamage             float64
-	VictimCost, CleanCost   int64
-	Splits, CleanSplits     int
-	Cascades, CleanCascades int
+	core.CascadeResult
 }
 
 // CascadeSweepResult is the full split-cascade sweep ("-fig cascade" in
@@ -73,52 +63,21 @@ func CascadeSweep(opts Options) (CascadeSweepResult, error) {
 		return CascadeSweepResult{}, fmt.Errorf("bench: cascade initial set: %w", err)
 	}
 
-	type cellSpec struct {
-		leafTarget int
-		budgetPct  float64
-	}
-	var specs []cellSpec
-	for _, lt := range leafTargets {
-		for _, b := range budgets {
-			specs = append(specs, cellSpec{leafTarget: lt, budgetPct: b})
-		}
-	}
-
-	pool := opts.pool()
-	cells, err := engine.Map(context.Background(), pool, len(specs), func(i int) (CascadeCell, error) {
-		sp := specs[i]
-		budget := int(float64(n) * sp.budgetPct / 100)
-		if budget < 1 {
-			budget = 1
-		}
+	cells, err := grid(opts, leafTargets, budgets, func(leaf int, pct float64) (CascadeCell, error) {
+		budget := budgetOf(n, pct)
 		res, err := core.CascadeAttack(ks, core.CascadeOptions{
 			Epochs:      epochs,
 			OpsPerEpoch: opsPerEpoch,
 			EpochBudget: budget,
-			LeafTarget:  sp.leafTarget,
+			LeafTarget:  leaf,
 			Workload:    mix,
 			Domain:      domain,
 			Seed:        opts.Seed,
 		})
 		if err != nil {
-			return CascadeCell{}, fmt.Errorf("bench: cascade cell leaf=%d budget=%g%%: %w",
-				sp.leafTarget, sp.budgetPct, err)
+			return CascadeCell{}, fmt.Errorf("bench: cascade cell leaf=%d budget=%g%%: %w", leaf, pct, err)
 		}
-		return CascadeCell{
-			LeafTarget:       sp.leafTarget,
-			BudgetPct:        sp.budgetPct,
-			Budget:           budget,
-			Epochs:           res.Epochs,
-			FinalStructRatio: res.FinalStructRatio(),
-			MaxProbeRatio:    res.MaxProbeRatio(),
-			TotalDamage:      res.TotalDamage(),
-			VictimCost:       res.VictimStruct.Cost(),
-			CleanCost:        res.CleanStruct.Cost(),
-			Splits:           res.VictimStruct.Splits,
-			CleanSplits:      res.CleanStruct.Splits,
-			Cascades:         res.VictimStruct.Cascades,
-			CleanCascades:    res.CleanStruct.Cascades,
-		}, nil
+		return CascadeCell{LeafTarget: leaf, BudgetPct: pct, Budget: budget, CascadeResult: res}, nil
 	})
 	if err != nil {
 		return CascadeSweepResult{}, err
@@ -138,8 +97,8 @@ func CascadeSweep(opts Options) (CascadeSweepResult, error) {
 func (r CascadeSweepResult) MaxStructRatio() float64 {
 	best := 0.0
 	for _, c := range r.Cells {
-		if c.FinalStructRatio > best {
-			best = c.FinalStructRatio
+		if r := c.FinalStructRatio(); r > best {
+			best = r
 		}
 	}
 	return best
@@ -149,7 +108,7 @@ func (r CascadeSweepResult) MaxStructRatio() float64 {
 func (r CascadeSweepResult) TotalCascades() int {
 	total := 0
 	for _, c := range r.Cells {
-		total += c.Cascades - c.CleanCascades
+		total += c.VictimStruct.Cascades - c.CleanStruct.Cascades
 	}
 	return total
 }

@@ -20,15 +20,15 @@ func TestCascadeSweepShape(t *testing.T) {
 			t.Fatalf("cell leaf=%d budget=%g: %d epochs, want %d",
 				c.LeafTarget, c.BudgetPct, len(c.Epochs), res.EpochsPerCell)
 		}
-		if c.Splits == 0 {
+		if c.VictimStruct.Splits == 0 {
 			t.Fatalf("cell leaf=%d budget=%g: no split ever forced", c.LeafTarget, c.BudgetPct)
 		}
-		if c.VictimCost <= c.CleanCost {
+		if c.VictimStruct.Cost() <= c.CleanStruct.Cost() {
 			t.Fatalf("cell leaf=%d budget=%g: victim cost %d not above clean %d",
-				c.LeafTarget, c.BudgetPct, c.VictimCost, c.CleanCost)
+				c.LeafTarget, c.BudgetPct, c.VictimStruct.Cost(), c.CleanStruct.Cost())
 		}
-		if c.FinalStructRatio <= 1 {
-			t.Fatalf("cell leaf=%d budget=%g: struct ratio %v", c.LeafTarget, c.BudgetPct, c.FinalStructRatio)
+		if c.FinalStructRatio() <= 1 {
+			t.Fatalf("cell leaf=%d budget=%g: struct ratio %v", c.LeafTarget, c.BudgetPct, c.FinalStructRatio())
 		}
 	}
 	// The super-linearity the scenario exists to show: at a fixed leaf
@@ -40,10 +40,10 @@ func TestCascadeSweepShape(t *testing.T) {
 	}
 	for leaf, cells := range byLeaf {
 		for i := 1; i < len(cells); i++ {
-			if cells[i].Budget > cells[i-1].Budget && cells[i].FinalStructRatio <= cells[i-1].FinalStructRatio {
+			if cells[i].Budget > cells[i-1].Budget && cells[i].FinalStructRatio() <= cells[i-1].FinalStructRatio() {
 				t.Errorf("leaf=%d: struct ratio %v at budget %d not above %v at budget %d",
-					leaf, cells[i].FinalStructRatio, cells[i].Budget,
-					cells[i-1].FinalStructRatio, cells[i-1].Budget)
+					leaf, cells[i].FinalStructRatio(), cells[i].Budget,
+					cells[i-1].FinalStructRatio(), cells[i-1].Budget)
 			}
 		}
 	}

@@ -1,35 +1,23 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/workload"
 )
 
 // ChurnCell is one (rebuild-cost model × per-epoch budget) cell of the
-// retrain-churn sweep: the full per-epoch trajectory of core.ChurnAttack
-// plus its headline summaries.
+// retrain-churn sweep: the full result of core.ChurnAttack, whose
+// VictimChurn/CleanChurn hold the publish, coalesce, latency, and
+// stale-tick totals.
 type ChurnCell struct {
 	Cost      index.CostModel
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget    int
-	Epochs    []core.ChurnEpochReport
-	// Trajectory summaries: worst stale-read fraction and probe ratio, the
-	// final loss ratio, total publishes/coalesces, and the victim's worst
-	// publish latency in ticks.
-	MaxStaleFrac  float64
-	MaxProbeRatio float64
-	FinalRatio    float64
-	Publishes     int
-	Coalesced     int
-	MaxLatency    int64
-	StaleTicks    int64
-	CleanStale    int64 // counterfactual stale ticks (honest churn baseline)
+	core.ChurnResult
 }
 
 // ChurnSweepResult is the full retrain-churn sweep ("-fig churn" in
@@ -85,24 +73,8 @@ func ChurnSweep(opts Options) (ChurnSweepResult, error) {
 		return ChurnSweepResult{}, fmt.Errorf("bench: churn initial set: %w", err)
 	}
 
-	type cellSpec struct {
-		cost      index.CostModel
-		budgetPct float64
-	}
-	var specs []cellSpec
-	for _, c := range costs {
-		for _, b := range budgets {
-			specs = append(specs, cellSpec{cost: c, budgetPct: b})
-		}
-	}
-
-	pool := opts.pool()
-	cells, err := engine.Map(context.Background(), pool, len(specs), func(i int) (ChurnCell, error) {
-		sp := specs[i]
-		budget := int(float64(n) * sp.budgetPct / 100)
-		if budget < 1 {
-			budget = 1
-		}
+	cells, err := grid(opts, costs, budgets, func(cost index.CostModel, pct float64) (ChurnCell, error) {
+		budget := budgetOf(n, pct)
 		res, err := core.ChurnAttack(ks, core.ChurnOptions{
 			Epochs:      epochs,
 			OpsPerEpoch: opsPerEpoch,
@@ -112,25 +84,12 @@ func ChurnSweep(opts Options) (ChurnSweepResult, error) {
 			Workload:    mix,
 			Domain:      domain,
 			Seed:        opts.Seed,
-			Cost:        sp.cost,
+			Cost:        cost,
 		})
 		if err != nil {
-			return ChurnCell{}, fmt.Errorf("bench: churn cell cost=%s budget=%g%%: %w", sp.cost, sp.budgetPct, err)
+			return ChurnCell{}, fmt.Errorf("bench: churn cell cost=%s budget=%g%%: %w", cost, pct, err)
 		}
-		return ChurnCell{
-			Cost:          sp.cost,
-			BudgetPct:     sp.budgetPct,
-			Budget:        budget,
-			Epochs:        res.Epochs,
-			MaxStaleFrac:  res.MaxStaleFrac(),
-			MaxProbeRatio: res.MaxProbeRatio(),
-			FinalRatio:    res.FinalRatio(),
-			Publishes:     res.VictimChurn.Publishes,
-			Coalesced:     res.VictimChurn.Coalesced,
-			MaxLatency:    res.VictimChurn.MaxLatencyTicks,
-			StaleTicks:    res.VictimChurn.StaleTicks,
-			CleanStale:    res.CleanChurn.StaleTicks,
-		}, nil
+		return ChurnCell{Cost: cost, BudgetPct: pct, Budget: budget, ChurnResult: res}, nil
 	})
 	if err != nil {
 		return ChurnSweepResult{}, err
@@ -152,8 +111,8 @@ func ChurnSweep(opts Options) (ChurnSweepResult, error) {
 func (r ChurnSweepResult) MaxStaleFrac() float64 {
 	best := 0.0
 	for _, c := range r.Cells {
-		if c.MaxStaleFrac > best {
-			best = c.MaxStaleFrac
+		if f := c.MaxStaleFrac(); f > best {
+			best = f
 		}
 	}
 	return best
@@ -163,8 +122,8 @@ func (r ChurnSweepResult) MaxStaleFrac() float64 {
 func (r ChurnSweepResult) MaxLatency() int64 {
 	var best int64
 	for _, c := range r.Cells {
-		if c.MaxLatency > best {
-			best = c.MaxLatency
+		if l := c.VictimChurn.MaxLatencyTicks; l > best {
+			best = l
 		}
 	}
 	return best

@@ -22,20 +22,20 @@ func TestChurnSweepShape(t *testing.T) {
 		}
 		if c.Cost.Zero() {
 			// The synchronous control: no staleness, no latency.
-			if c.MaxStaleFrac != 0 || c.MaxLatency != 0 || c.StaleTicks != 0 {
+			if c.MaxStaleFrac() != 0 || c.VictimChurn.MaxLatencyTicks != 0 || c.VictimChurn.StaleTicks != 0 {
 				t.Fatalf("zero-cost cell accrued staleness: %+v", c)
 			}
 			continue
 		}
-		if c.Publishes == 0 {
+		if c.VictimChurn.Publishes == 0 {
 			t.Fatalf("cell cost=%s budget=%g: no rebuild ever published", c.Cost, c.BudgetPct)
 		}
-		if c.MaxStaleFrac <= 0 {
+		if c.MaxStaleFrac() <= 0 {
 			t.Fatalf("cell cost=%s budget=%g: no stale reads", c.Cost, c.BudgetPct)
 		}
-		if c.StaleTicks <= c.CleanStale {
+		if c.VictimChurn.StaleTicks <= c.CleanChurn.StaleTicks {
 			t.Fatalf("cell cost=%s budget=%g: victim stale ticks %d not above clean %d",
-				c.Cost, c.BudgetPct, c.StaleTicks, c.CleanStale)
+				c.Cost, c.BudgetPct, c.VictimChurn.StaleTicks, c.CleanChurn.StaleTicks)
 		}
 	}
 	if res.MaxStaleFrac() <= 0 {

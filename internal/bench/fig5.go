@@ -108,12 +108,8 @@ func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, erro
 			}
 			var tasks []task
 			for _, pct := range poisonPcts {
-				budget := int(float64(n) * pct / 100)
-				if budget < 1 {
-					budget = 1
-				}
 				for t := 0; t < trials; t++ {
-					tasks = append(tasks, task{pct: pct, budget: budget, trial: t})
+					tasks = append(tasks, task{pct: pct, budget: budgetOf(n, pct), trial: t})
 				}
 			}
 			type attackOut struct {

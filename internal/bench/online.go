@@ -1,28 +1,21 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 )
 
 // OnlineCell is one (retrain policy × attacker budget) cell of the online
-// sweep: the full per-epoch trajectory of the dynamic-index scenario.
+// sweep: the full result of the dynamic-index scenario, whose FinalRatio
+// and MaxRatio summarize the trajectory (they differ when a retrain
+// mid-scenario absorbs buffered poison into the model).
 type OnlineCell struct {
 	Policy    dynamic.RetrainPolicy
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget    int     // the same, in keys
-	Epochs    []core.EpochReport
-	// FinalRatio and MaxRatio summarize the trajectory (they differ when a
-	// retrain mid-scenario absorbs buffered poison into the model).
-	FinalRatio float64
-	MaxRatio   float64
-	// Eval records which probe-eval path produced the cell's columns
-	// (sorted-batch kernel vs per-key loop, DESIGN.md §12).
-	Eval core.EvalStats
+	core.OnlineResult
 }
 
 // OnlineSweepResult is the full online-scenario sweep ("-fig online" in
@@ -35,9 +28,6 @@ type OnlineSweepResult struct {
 	EpochsPerCell int
 	ArrivalsPct   float64 // honest arrivals per epoch, % of initial keys
 	Cells         []OnlineCell
-	// Eval aggregates the cells' probe-eval accounting (worker-independent:
-	// each cell's counts are deterministic and the fold is cell-ordered).
-	Eval core.EvalStats
 }
 
 // onlineShape returns the sweep parameters per scale: initial keys, epochs,
@@ -89,50 +79,21 @@ func OnlineSweep(opts Options) (OnlineSweepResult, error) {
 		}
 	}
 
-	type cellSpec struct {
-		policy dynamic.RetrainPolicy
-		pct    float64
-	}
-	var specs []cellSpec
-	for _, p := range policies(n) {
-		for _, pct := range budgetPcts {
-			specs = append(specs, cellSpec{policy: p, pct: pct})
-		}
-	}
-
-	pool := opts.pool()
-	cells, err := engine.Map(context.Background(), pool, len(specs), func(i int) (OnlineCell, error) {
-		sp := specs[i]
-		budget := int(float64(n) * sp.pct / 100)
-		if budget < 1 {
-			budget = 1
-		}
+	cells, err := grid(opts, policies(n), budgetPcts, func(p dynamic.RetrainPolicy, pct float64) (OnlineCell, error) {
+		budget := budgetOf(n, pct)
 		res, err := core.OnlinePoisonAttack(ks, core.OnlineOptions{
 			Epochs:      epochs,
 			EpochBudget: budget,
-			Policy:      sp.policy,
+			Policy:      p,
 			Arrivals:    arrivals,
-		}, opts.evalOpts()...)
+		})
 		if err != nil {
-			return OnlineCell{}, fmt.Errorf("bench: online cell policy=%s budget=%v%%: %w", sp.policy, sp.pct, err)
+			return OnlineCell{}, fmt.Errorf("bench: online cell policy=%s budget=%v%%: %w", p, pct, err)
 		}
-		return OnlineCell{
-			Policy:     sp.policy,
-			BudgetPct:  sp.pct,
-			Budget:     budget,
-			Epochs:     res.Epochs,
-			FinalRatio: res.FinalRatio(),
-			MaxRatio:   res.MaxRatio(),
-			Eval:       res.Eval,
-		}, nil
+		return OnlineCell{Policy: p, BudgetPct: pct, Budget: budget, OnlineResult: res}, nil
 	})
 	if err != nil {
 		return OnlineSweepResult{}, err
-	}
-	var eval core.EvalStats
-	for _, c := range cells {
-		eval.BatchedKeys += c.Eval.BatchedKeys
-		eval.PerKeyKeys += c.Eval.PerKeyKeys
 	}
 	return OnlineSweepResult{
 		Keys:          n,
@@ -140,7 +101,6 @@ func OnlineSweep(opts Options) (OnlineSweepResult, error) {
 		EpochsPerCell: epochs,
 		ArrivalsPct:   arrivalsPct,
 		Cells:         cells,
-		Eval:          eval,
 	}, nil
 }
 
@@ -149,8 +109,8 @@ func OnlineSweep(opts Options) (OnlineSweepResult, error) {
 func (r OnlineSweepResult) MaxFinalRatio() float64 {
 	best := 0.0
 	for _, c := range r.Cells {
-		if c.FinalRatio > best {
-			best = c.FinalRatio
+		if r := c.FinalRatio(); r > best {
+			best = r
 		}
 	}
 	return best

@@ -36,8 +36,8 @@ func TestOnlineSweepShape(t *testing.T) {
 		// FinalRatio may dip below 1 for mid-stream retrain policies (later
 		// honest arrivals re-shape the CDF after poison is absorbed), but
 		// some epoch must show damage and ratios must stay positive.
-		if c.FinalRatio <= 0 || c.MaxRatio < 1 || c.MaxRatio < c.FinalRatio {
-			t.Fatalf("cell %s/%v%%: ratios final=%v max=%v", c.Policy, c.BudgetPct, c.FinalRatio, c.MaxRatio)
+		if c.FinalRatio() <= 0 || c.MaxRatio() < 1 || c.MaxRatio() < c.FinalRatio() {
+			t.Fatalf("cell %s/%v%%: ratios final=%v max=%v", c.Policy, c.BudgetPct, c.FinalRatio(), c.MaxRatio())
 		}
 		for _, e := range c.Epochs {
 			if e.Injected < 1 {

@@ -1,34 +1,21 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/workload"
 )
 
 // ServeCell is one (shard count × workload mix) cell of the serving sweep:
-// the full per-epoch trajectory of the attack-under-load scenario.
+// the full result of the attack-under-load scenario, whose MaxShardRatio
+// exposes how sharding concentrates damage.
 type ServeCell struct {
-	Shards    int
 	Workload  workload.Spec
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget    int
-	Epochs    []core.ServeEpochReport
-	// Trajectory summaries: aggregate final/max ratio, the single worst
-	// per-shard ratio (sharding concentrates damage), and the victim's
-	// final shard imbalance.
-	FinalRatio     float64
-	MaxRatio       float64
-	MaxShardRatio  float64
-	FinalImbalance float64
-	// Eval records which probe-eval path produced the cell's columns
-	// (sorted-batch kernel vs per-key loop, DESIGN.md §12).
-	Eval     core.EvalStats
-	Retrains int
+	core.ServeResult
 }
 
 // ServeSweepResult is the full serving sweep ("-fig serve" in lisbench):
@@ -41,9 +28,6 @@ type ServeSweepResult struct {
 	EpochsPerCell int
 	OpsPerEpoch   int
 	Cells         []ServeCell
-	// Eval aggregates the cells' probe-eval accounting (worker-independent:
-	// each cell's counts are deterministic and the fold is cell-ordered).
-	Eval core.EvalStats
 }
 
 // serveShape returns the sweep parameters per scale.
@@ -82,61 +66,27 @@ func ServeSweep(opts Options) (ServeSweepResult, error) {
 		return ServeSweepResult{}, fmt.Errorf("bench: serve initial set: %w", err)
 	}
 
-	type cellSpec struct {
-		shards int
-		mix    workload.Spec
-	}
-	var specs []cellSpec
-	for _, sc := range shardCounts {
-		for _, mix := range mixes {
-			specs = append(specs, cellSpec{shards: sc, mix: mix})
-		}
-	}
-	budget := int(float64(n) * budgetPct / 100)
-	if budget < 1 {
-		budget = 1
-	}
-
-	pool := opts.pool()
-	cells, err := engine.Map(context.Background(), pool, len(specs), func(i int) (ServeCell, error) {
-		sp := specs[i]
+	budget := budgetOf(n, budgetPct)
+	cells, err := grid(opts, shardCounts, mixes, func(shards int, mix workload.Spec) (ServeCell, error) {
 		res, err := core.ServeAttack(ks, core.ServeOptions{
 			Epochs:      epochs,
 			OpsPerEpoch: opsPerEpoch,
 			EpochBudget: budget,
-			Shards:      sp.shards,
+			Shards:      shards,
 			Policy:      dynamic.ManualPolicy(),
-			Workload:    sp.mix,
+			Workload:    mix,
 			Domain:      domain,
 			// All cells share the same stream seed: a cell differs from its
 			// neighbours only in shard count or mix, never in luck.
 			Seed: opts.Seed,
-		}, opts.evalOpts()...)
+		})
 		if err != nil {
-			return ServeCell{}, fmt.Errorf("bench: serve cell shards=%d workload=%s: %w", sp.shards, sp.mix, err)
+			return ServeCell{}, fmt.Errorf("bench: serve cell shards=%d workload=%s: %w", shards, mix, err)
 		}
-		last := res.Epochs[len(res.Epochs)-1]
-		return ServeCell{
-			Shards:         sp.shards,
-			Workload:       sp.mix,
-			BudgetPct:      budgetPct,
-			Budget:         budget,
-			Epochs:         res.Epochs,
-			FinalRatio:     res.FinalRatio(),
-			MaxRatio:       res.MaxRatio(),
-			MaxShardRatio:  res.MaxShardRatio(),
-			FinalImbalance: last.Imbalance,
-			Retrains:       res.Retrains,
-			Eval:           res.Eval,
-		}, nil
+		return ServeCell{Workload: mix, BudgetPct: budgetPct, Budget: budget, ServeResult: res}, nil
 	})
 	if err != nil {
 		return ServeSweepResult{}, err
-	}
-	var eval core.EvalStats
-	for _, c := range cells {
-		eval.BatchedKeys += c.Eval.BatchedKeys
-		eval.PerKeyKeys += c.Eval.PerKeyKeys
 	}
 	return ServeSweepResult{
 		Keys:          n,
@@ -144,7 +94,6 @@ func ServeSweep(opts Options) (ServeSweepResult, error) {
 		EpochsPerCell: epochs,
 		OpsPerEpoch:   opsPerEpoch,
 		Cells:         cells,
-		Eval:          eval,
 	}, nil
 }
 
@@ -153,8 +102,8 @@ func ServeSweep(opts Options) (ServeSweepResult, error) {
 func (r ServeSweepResult) MaxFinalRatio() float64 {
 	best := 0.0
 	for _, c := range r.Cells {
-		if c.FinalRatio > best {
-			best = c.FinalRatio
+		if r := c.FinalRatio(); r > best {
+			best = r
 		}
 	}
 	return best

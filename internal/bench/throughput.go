@@ -112,10 +112,7 @@ func ThroughputSweep(opts Options) (ThroughputSweepResult, error) {
 	n, epochs, opsPerEpoch, shards, bufferK, budgetPct, costs, mixes := throughputShape(opts.Scale)
 	domain := int64(n) * 40
 	policy := dynamic.BufferLimit(bufferK)
-	budget := int(float64(n) * budgetPct / 100)
-	if budget < 1 {
-		budget = 1
-	}
+	budget := budgetOf(n, budgetPct)
 
 	root := opts.rng()
 	ks, err := DistUniform.generate(root.Split(), n, domain)

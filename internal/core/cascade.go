@@ -52,22 +52,9 @@ type CascadeOptions struct {
 	Defense DefenseSpec
 }
 
-func (o CascadeOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o CascadeOptions) validate() error {
-	if o.Epochs < 1 {
-		return fmt.Errorf("core: cascade scenario needs Epochs >= 1, got %d", o.Epochs)
-	}
-	if o.OpsPerEpoch < 0 {
-		return fmt.Errorf("core: negative ops per epoch %d", o.OpsPerEpoch)
-	}
-	if o.EpochBudget < 0 {
-		return fmt.Errorf("core: negative per-epoch budget %d", o.EpochBudget)
+	if err := validateStream("cascade", o.Epochs, o.OpsPerEpoch, o.EpochBudget); err != nil {
+		return err
 	}
 	if o.LeafTarget < 0 {
 		return fmt.Errorf("core: negative leaf target %d", o.LeafTarget)
@@ -253,7 +240,8 @@ func cascadePlan(v *alex.Index, budget int, ex exec) ([]int64, int, float64, err
 // Determinism contract: WithWorkers parallelism reaches only the oracle's
 // candidate pricing, which folds in task-index order — any worker count
 // produces byte-identical results (TestCascadeWorkerEquivalence).
-// WithCancellation aborts between epochs and inside the oracle.
+// WithCancellation aborts between epochs, between operations, and inside
+// the oracle.
 func CascadeAttack(initial keys.Set, opts CascadeOptions, execOpts ...Option) (CascadeResult, error) {
 	if err := opts.validate(); err != nil {
 		return CascadeResult{}, err
@@ -262,97 +250,70 @@ func CascadeAttack(initial keys.Set, opts CascadeOptions, execOpts ...Option) (C
 	if opts.Defense.BalancedSplit {
 		build = alex.NewBalanced
 	}
-	victim, err := build(initial, opts.LeafTarget)
-	if err != nil {
-		return CascadeResult{}, err
-	}
-	clean, err := build(initial, opts.LeafTarget)
-	if err != nil {
-		return CascadeResult{}, err
-	}
-	gen, err := workload.NewGenerator(opts.Workload, initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return CascadeResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
 	ex := newExec(execOpts)
-
-	res := CascadeResult{Epochs: make([]CascadeEpochReport, 0, opts.Epochs)}
 	// The guard wraps only the WRITE path: the oracle and the structural
 	// accounting keep reading the concrete gapped-array index.
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vWriter, vGuard := opts.Defense.wrap(victim)
-	cWriter, cGuard := opts.Defense.wrap(clean)
-	vArm := opts.Defense.newArm(vWriter, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(cWriter, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-	opClock := 0
-	var allPoison []int64
+	t, err := buildTwin(initial, func(ks keys.Set) (*alex.Index, error) {
+		return build(ks, opts.LeafTarget)
+	}, opts.Defense, nil, ex)
+	if err != nil {
+		return CascadeResult{}, err
+	}
+	gen, err := newStream(opts.Workload, initial, opts.Domain, opts.Seed, opts.Defense.Sources)
+	if err != nil {
+		return CascadeResult{}, err
+	}
+	res := CascadeResult{Epochs: make([]CascadeEpochReport, 0, opts.Epochs)}
 	for e := 0; e < opts.Epochs; e++ {
 		if err := ex.ctx.Err(); err != nil {
 			return CascadeResult{}, err
 		}
 		rep := CascadeEpochReport{Epoch: e + 1}
-		preV, preC := victim.Struct(), clean.Struct()
-		preRetrains := victim.Stats().Retrains
+		pre := t.victim.Struct()
+		preRetrains := t.victim.Stats().Retrains
 
 		// 1. Plan: densest leaf, priced candidates, top-budget poison.
 		var poison []int64
 		if opts.EpochBudget > 0 {
-			poison, rep.TargetNode, rep.TargetDensity, err = cascadePlan(victim, opts.EpochBudget, ex)
+			poison, rep.TargetNode, rep.TargetDensity, err = cascadePlan(t.victim, opts.EpochBudget, ex)
 			if err != nil {
 				return CascadeResult{}, fmt.Errorf("core: cascade epoch %d oracle: %w", e+1, err)
 			}
 		}
 
 		// 2. Serve: honest ops with the poison drip interleaved.
-		inject := func() {
-			opClock++
-			if ok, _ := vArm.insert(poison[0], atkSrc, opClock, true); ok {
-				allPoison = append(allPoison, poison[0])
-				rep.Injected++
-			}
-			poison = poison[1:]
-		}
-		for op := 0; op < opts.OpsPerEpoch; op++ {
-			for len(poison) > 0 && rep.Injected*opts.OpsPerEpoch <= op*opts.EpochBudget {
-				inject()
-			}
-			opClock++
+		rep.Injected, err = t.drip(opts.OpsPerEpoch, opts.EpochBudget, poison, func() {
 			o := gen.Next()
-			if o.Read {
-				rep.Reads++
-				rep.PoisonedProbeTotal += int64(victim.Lookup(o.Key).Probes)
-				rep.CleanProbeTotal += int64(clean.Lookup(o.Key).Probes)
-				continue
+			if !o.Read {
+				rep.Writes++
+				t.honest(o.Key, o.Source)
+				return
 			}
-			rep.Writes++
-			cArm.insert(o.Key, o.Source, opClock, false)
-			vArm.insert(o.Key, o.Source, opClock, false)
-		}
-		for len(poison) > 0 { // leftover drip (OpsPerEpoch == 0 or rounding)
-			inject()
+			rep.Reads++
+			v, c := t.read(o.Key)
+			rep.PoisonedProbeTotal += v
+			rep.CleanProbeTotal += c
+		})
+		if err != nil {
+			return CascadeResult{}, err
 		}
 
 		// 3. Maintenance is structural and already happened inline.
 		// 4. Measurement.
-		rep.PoisonTotal = len(allPoison)
-		sv, sc := victim.Struct(), clean.Struct()
+		rep.PoisonTotal = len(t.poison)
+		sv, sc := t.victim.Struct(), t.clean.Struct()
 		rep.ShiftWrites, rep.CleanShiftWrites = sv.ShiftWrites, sc.ShiftWrites
 		rep.Splits, rep.CleanSplits = sv.Splits, sc.Splits
 		rep.Cascades, rep.CleanCascades = sv.Cascades, sc.Cascades
 		rep.Nodes, rep.CleanNodes = sv.Nodes, sc.Nodes
 		rep.StructCost, rep.CleanStructCost = sv.Cost(), sc.Cost()
 		rep.StructRatio = SafeRatio(float64(rep.StructCost), float64(rep.CleanStructCost))
-		vStats, cStats := victim.Stats(), clean.Stats()
-		rep.Retrains, rep.CleanRetrains = vStats.Retrains, cStats.Retrains
-		rep.DamageScore = float64(sv.ShiftWrites-preV.ShiftWrites) *
-			float64(1+sv.Splits-preV.Splits) *
-			float64(1+vStats.Retrains-preRetrains)
-		_ = preC
-		rep.CleanLoss = cStats.ContentLoss
-		rep.PoisonedLoss = vStats.ContentLoss
-		rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
+		vs, cs, ratio := t.losses()
+		rep.Retrains, rep.CleanRetrains = vs.Retrains, cs.Retrains
+		rep.DamageScore = float64(sv.ShiftWrites-pre.ShiftWrites) *
+			float64(1+sv.Splits-pre.Splits) *
+			float64(1+vs.Retrains-preRetrains)
+		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
 		if rep.Reads > 0 {
 			rep.CleanProbes = float64(rep.CleanProbeTotal) / float64(rep.Reads)
 			rep.PoisonedProbes = float64(rep.PoisonedProbeTotal) / float64(rep.Reads)
@@ -360,12 +321,12 @@ func CascadeAttack(initial keys.Set, opts CascadeOptions, execOpts ...Option) (C
 		}
 		res.Epochs = append(res.Epochs, rep)
 	}
-	res.VictimStruct = victim.Struct()
-	res.CleanStruct = clean.Struct()
-	ps, err := keys.NewStrict(allPoison)
+	res.VictimStruct = t.victim.Struct()
+	res.CleanStruct = t.clean.Struct()
+	res.Defense = t.defense
+	res.Poison, err = t.poisonSet("cascade")
 	if err != nil {
-		return CascadeResult{}, fmt.Errorf("core: cascade poison keys collide: %w", err)
+		return CascadeResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

@@ -57,22 +57,9 @@ type ChurnOptions struct {
 	Defense DefenseSpec
 }
 
-func (o ChurnOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o ChurnOptions) validate() error {
-	if o.Epochs < 1 {
-		return fmt.Errorf("core: churn scenario needs Epochs >= 1, got %d", o.Epochs)
-	}
-	if o.OpsPerEpoch < 0 {
-		return fmt.Errorf("core: negative ops per epoch %d", o.OpsPerEpoch)
-	}
-	if o.EpochBudget < 0 {
-		return fmt.Errorf("core: negative per-epoch budget %d", o.EpochBudget)
+	if err := validateStream("churn", o.Epochs, o.OpsPerEpoch, o.EpochBudget); err != nil {
+		return err
 	}
 	if o.Shards < 1 {
 		return fmt.Errorf("core: churn scenario needs Shards >= 1, got %d", o.Shards)
@@ -224,7 +211,8 @@ func churnTarget(v *shard.Index, policy dynamic.RetrainPolicy, budget int, cost 
 //     probes and staleness are recorded per read, for victim and clean
 //     alike. The poison budget is drip-fed evenly through the honest
 //     stream (one more key whenever the epoch's elapsed-op fraction
-//     passes the injected fraction), each injection one tick.
+//     passes the accepted fraction), each injection one tick — the twin
+//     harness's drip (DESIGN.md §13).
 //  3. With dynamic.Manual both pipelines are force-retrained at epoch end;
 //     other policies trigger organically — including from the attacker's
 //     own inserts, which under BufferThreshold is precisely the lever.
@@ -236,42 +224,24 @@ func churnTarget(v *shard.Index, policy dynamic.RetrainPolicy, budget int, cost 
 // which produce byte-identical results for any worker count
 // (TestChurnWorkerEquivalence at scenario level, TestChurnSweepWorker
 // Equivalence at sweep level, TestChurnWorkersFlagDeterminism at CLI
-// level). WithCancellation aborts between epochs and inside the oracle.
+// level). WithCancellation aborts between epochs, between operations, and
+// inside the oracle.
 func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (ChurnResult, error) {
 	if err := opts.validate(); err != nil {
 		return ChurnResult{}, err
 	}
-	vShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	cShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	gen, err := workload.NewGenerator(opts.Workload, initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
-	vBack, vGuard := opts.Defense.wrap(vShard)
-	cBack, cGuard := opts.Defense.wrap(cShard)
 	ex := newExec(execOpts)
-	victim := index.NewPipeline(vBack, opts.Cost).WithPool(ex.ctx, ex.pool)
-	clean := index.NewPipeline(cBack, opts.Cost).WithPool(ex.ctx, ex.pool)
-	opClock := 0
-	tick := func(n int) {
-		opClock += n
-		victim.Tick(n)
-		clean.Tick(n)
+	t, err := buildTwin(initial, func(ks keys.Set) (*shard.Index, error) {
+		return shard.NewWithFit(ks, opts.Shards, opts.Policy, opts.Defense.fitFunc())
+	}, opts.Defense, &opts.Cost, ex)
+	if err != nil {
+		return ChurnResult{}, err
 	}
-
+	gen, err := newStream(opts.Workload, initial, opts.Domain, opts.Seed, opts.Defense.Sources)
+	if err != nil {
+		return ChurnResult{}, err
+	}
 	res := ChurnResult{Shards: opts.Shards, Epochs: make([]ChurnEpochReport, 0, opts.Epochs)}
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vArm := opts.Defense.newArm(victim, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(clean, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-	var allPoison []int64
 	for e := 0; e < opts.Epochs; e++ {
 		if err := ex.ctx.Err(); err != nil {
 			return ChurnResult{}, err
@@ -281,65 +251,48 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 		// 1. Plan the epoch's churn: target shard and poison keys.
 		var poison []int64
 		if opts.EpochBudget > 0 {
-			rep.TargetShard = churnTarget(vShard, opts.Policy, opts.EpochBudget, opts.Cost)
-			g, err := GreedyMultiPoint(vShard.Shard(rep.TargetShard).Keys(), opts.EpochBudget, execOpts...)
+			rep.TargetShard = churnTarget(t.victim, opts.Policy, opts.EpochBudget, opts.Cost)
+			g, err := GreedyMultiPoint(t.victim.Shard(rep.TargetShard).Keys(), opts.EpochBudget, execOpts...)
 			if err != nil {
 				return ChurnResult{}, fmt.Errorf("core: churn epoch %d oracle: %w", e+1, err)
 			}
 			poison = g.Poison
 		}
 
-		// 2. Serve the epoch: honest ops with the poison drip interleaved.
-		inject := func() {
-			tick(1)
-			if ok, _ := vArm.insert(poison[0], atkSrc, opClock, true); ok {
-				allPoison = append(allPoison, poison[0])
-				rep.Injected++
-			}
-			poison = poison[1:]
-		}
-		for op := 0; op < opts.OpsPerEpoch; op++ {
-			for len(poison) > 0 && rep.Injected*opts.OpsPerEpoch <= op*opts.EpochBudget {
-				inject()
-			}
-			tick(1)
+		// 2. Serve the epoch: honest ops with the poison drip interleaved;
+		// reads hit the published read planes inline.
+		rep.Injected, err = t.drip(opts.OpsPerEpoch, opts.EpochBudget, poison, func() {
 			o := gen.Next()
-			if o.Read {
-				rep.Reads++
-				vr := victim.Lookup(o.Key)
-				cr := clean.Lookup(o.Key)
-				rep.PoisonedProbeTotal += int64(vr.Probes)
-				rep.CleanProbeTotal += int64(cr.Probes)
-				if victim.IsStale() {
-					rep.StaleReads++
-				}
-				if clean.IsStale() {
-					rep.CleanStaleReads++
-				}
-				continue
+			if !o.Read {
+				rep.Writes++
+				t.honest(o.Key, o.Source)
+				return
 			}
-			rep.Writes++
-			cArm.insert(o.Key, o.Source, opClock, false)
-			vArm.insert(o.Key, o.Source, opClock, false)
-		}
-		for len(poison) > 0 { // leftover drip (OpsPerEpoch == 0 or rounding)
-			inject()
+			rep.Reads++
+			v, c := t.read(o.Key)
+			rep.PoisonedProbeTotal += v
+			rep.CleanProbeTotal += c
+			if t.vPipe.IsStale() {
+				rep.StaleReads++
+			}
+			if t.cPipe.IsStale() {
+				rep.CleanStaleReads++
+			}
+		})
+		if err != nil {
+			return ChurnResult{}, err
 		}
 
 		// 3. Maintenance.
 		if opts.Policy.Kind == dynamic.Manual {
-			victim.Retrain()
-			clean.Retrain()
+			t.retrain()
 		}
 
 		// 4. Measurement.
-		rep.PoisonTotal = len(allPoison)
-		vStats, cStats := victim.Stats(), clean.Stats()
-		rep.Retrains = vStats.Retrains
-		rep.CleanRetrains = cStats.Retrains
-		rep.CleanLoss = cStats.ContentLoss
-		rep.PoisonedLoss = vStats.ContentLoss
-		rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
+		rep.PoisonTotal = len(t.poison)
+		vs, cs, ratio := t.losses()
+		rep.Retrains, rep.CleanRetrains = vs.Retrains, cs.Retrains
+		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
 		if rep.Reads > 0 {
 			rep.StaleFrac = float64(rep.StaleReads) / float64(rep.Reads)
 			rep.CleanStaleFrac = float64(rep.CleanStaleReads) / float64(rep.Reads)
@@ -347,7 +300,7 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 			rep.PoisonedProbes = float64(rep.PoisonedProbeTotal) / float64(rep.Reads)
 			rep.ProbeRatio = SafeRatio(rep.PoisonedProbes, rep.CleanProbes)
 		}
-		churn := victim.ChurnStats()
+		churn := t.vPipe.ChurnStats()
 		rep.Publishes = churn.Publishes
 		rep.Coalesced = churn.Coalesced
 		rep.StaleTicks = churn.StaleTicks
@@ -357,12 +310,12 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 		res.Epochs = append(res.Epochs, rep)
 	}
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
-	res.VictimChurn = victim.ChurnStats()
-	res.CleanChurn = clean.ChurnStats()
-	ps, err := keys.NewStrict(allPoison)
+	res.VictimChurn = t.vPipe.ChurnStats()
+	res.CleanChurn = t.cPipe.ChurnStats()
+	res.Defense = t.defense
+	res.Poison, err = t.poisonSet("churn")
 	if err != nil {
-		return ChurnResult{}, fmt.Errorf("core: churn poison keys collide: %w", err)
+		return ChurnResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

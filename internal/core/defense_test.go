@@ -261,6 +261,30 @@ func TestCascadeBalancedSplitDefense(t *testing.T) {
 	}
 }
 
+// TestStaticWorkerEquivalence is the undefended static scenario's
+// determinism contract: the whole result — poison set, losses, probe means,
+// attempt accounting — is identical for every worker count.
+func TestStaticWorkerEquivalence(t *testing.T) {
+	initial := serveFixture(t, 300)
+	opts := staticTestOpts(initial)
+	want, err := StaticAttack(initial, opts, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Injected == 0 {
+		t.Fatal("no poison accepted; the fixture lost its point")
+	}
+	for _, w := range []int{0, 3} {
+		got, err := StaticAttack(initial, opts, WithWorkers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("static scenario diverged at workers=%d\n got: %+v\nwant: %+v", w, got, want)
+		}
+	}
+}
+
 // TestDefendedWorkerEquivalence: the fully armed defense plane — detector
 // chain, rate limiter, robust fitter, source attribution — stays
 // byte-identical across worker counts, accounting included.

@@ -18,10 +18,9 @@ import (
 type Option func(*exec)
 
 type exec struct {
-	ctx        context.Context
-	pool       *engine.Pool
-	fullScan   bool
-	perKeyEval bool
+	ctx      context.Context
+	pool     *engine.Pool
+	fullScan bool
 }
 
 // WithWorkers bounds the attack's worker pool: n == 1 is sequential, n > 1
@@ -38,15 +37,6 @@ func WithWorkers(n int) Option {
 // accounting semantics (e.g. the endpoint-vs-brute ablation).
 func WithFullScan() Option {
 	return func(e *exec) { e.fullScan = true }
-}
-
-// WithPerKeyEval disables the sorted-batch probe kernel (DESIGN.md §12) on
-// the scenario evaluation paths and forces the classic per-key ProbeSum
-// loop. The probe totals and every derived column are bit-identical either
-// way — this switch exists for the batch-kernel ablation, for differential
-// tests, and for the CLI's -no-batch-eval flag.
-func WithPerKeyEval() Option {
-	return func(e *exec) { e.perKeyEval = true }
 }
 
 // WithContext makes the attack cancellable: when ctx is cancelled the

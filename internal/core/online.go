@@ -152,9 +152,6 @@ type OnlineResult struct {
 	Retrains int
 	// Defense is the defense-plane accounting (zero when no defense armed).
 	Defense DefenseReport
-	// Eval reports which probe-evaluation path produced the probe columns
-	// (sorted-batch kernel by default, per-key under WithPerKeyEval).
-	Eval EvalStats
 }
 
 // FinalRatio returns the last epoch's loss ratio — the scenario's headline.
@@ -177,56 +174,9 @@ func (r OnlineResult) MaxRatio() float64 {
 	return best
 }
 
-// probeAgg is one chunk's exact probe totals for both indexes. Integer sums
-// are partition-invariant, so any chunking folds to the sequential totals.
-type probeAgg struct {
-	clean, victim int64
-}
-
-// onlineState carries the scenario's mutable state between epochs. Both
-// indexes are driven purely through index.Backend.
-type onlineState struct {
-	victim index.Backend // receives arrivals AND poison
-	clean  index.Backend // counterfactual: arrivals only, same policy
-	legit  []int64       // honest workload: initial keys + accepted arrivals
-	pe     *probeEval    // sorted-workload cache + eval scratch, reused across epochs
-	ex     exec
-}
-
-// measure evaluates both indexes at an epoch boundary: model-vs-content MSE
-// (Stats().ContentLoss, so model staleness is visible) and the mean probe
-// cost of the honest workload. The workload is sorted once per growth step
-// (st.legit is append-only, so an unchanged length skips the sort) and fed
-// to the sorted-batch kernel in chunks across the exec's worker pool; the
-// kernel is bit-identical to the per-key reference and integer sums fold in
-// index order, so the result is byte-identical for any worker count AND for
-// the per-key path (WithPerKeyEval).
-func (st *onlineState) measure(rep *EpochReport) error {
-	cleanStats := st.clean.Stats()
-	victimStats := st.victim.Stats()
-	rep.Retrains = victimStats.Retrains
-	rep.BufferLen = victimStats.Buffered
-	rep.CleanLoss = cleanStats.ContentLoss
-	rep.PoisonedLoss = victimStats.ContentLoss
-	rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
-
-	st.pe.refresh(st.legit)
-	n := len(st.pe.sorted)
-	total, err := st.pe.measurePair(st.ex, endpointGrainFloor, st.pe.sorted, st.clean, st.victim)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		rep.CleanProbes = float64(total.clean) / float64(n)
-		rep.PoisonedProbes = float64(total.victim) / float64(n)
-	}
-	return nil
-}
-
-// oracle computes this epoch's poison keys against the victim's visible
-// content, in the order the attacker submits them.
-func (st *onlineState) oracle(opts OnlineOptions, execOpts []Option) ([]int64, error) {
-	visible := st.victim.Keys()
+// onlineOracle computes one epoch's poison keys against the victim's
+// visible content, in the order the attacker submits them.
+func onlineOracle(visible keys.Set, opts OnlineOptions, execOpts []Option) ([]int64, error) {
 	switch opts.Oracle {
 	case OracleRMI:
 		ro := opts.RMI
@@ -258,8 +208,9 @@ func (st *onlineState) oracle(opts OnlineOptions, execOpts []Option) ([]int64, e
 //
 // Each epoch:
 //
-//  1. The honest arrivals for the epoch are inserted (into both the victim
-//     and a clean counterfactual index running the same retrain policy).
+//  1. The honest arrivals for the epoch are inserted into both the victim
+//     and a clean counterfactual index running the same retrain policy
+//     (the twin harness, DESIGN.md §13).
 //  2. The attacker observes the victim's full visible content and computes
 //     up to EpochBudget poison keys with the selected oracle — Algorithm 1
 //     (GreedyMultiPoint) or Algorithm 2 (RMIAttack) — then inserts them.
@@ -288,49 +239,31 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 	if initial.Len() < 2 {
 		return OnlineResult{}, ErrTooFew
 	}
-	factory := opts.Backend
-	if factory == nil {
-		factory = func(ks keys.Set) (index.Backend, error) {
+	build := opts.Backend
+	if build == nil {
+		build = func(ks keys.Set) (index.Backend, error) {
 			return dynamic.NewWithFit(ks, opts.Policy, opts.Defense.fitFunc())
 		}
 	}
-	victim, err := factory(initial)
+	ex := newExec(execOpts)
+	t, err := buildTwin(initial, build, opts.Defense, nil, ex)
 	if err != nil {
 		return OnlineResult{}, err
 	}
-	clean, err := factory(initial)
-	if err != nil {
-		return OnlineResult{}, err
-	}
-	vBack, vGuard := opts.Defense.wrap(victim)
-	cBack, cGuard := opts.Defense.wrap(clean)
-	st := &onlineState{
-		victim: vBack,
-		clean:  cBack,
-		legit:  append([]int64(nil), initial.Keys()...),
-		pe:     newProbeEval(),
-		ex:     newExec(execOpts),
-	}
-
+	// legit is the honest probe workload: the initial keys plus every
+	// arrival the clean side accepted. It only grows, so pe re-sorts it
+	// only in epochs that grew it.
+	legit := append([]int64(nil), initial.Keys()...)
+	pe := newProbeEval()
 	epochs := opts.epochs()
 	res := OnlineResult{Epochs: make([]EpochReport, 0, epochs)}
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vArm := opts.Defense.newArm(vBack, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(cBack, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-	// The online scenario has no workload generator, so honest sources
-	// rotate over a plain arrival counter; the op clock counts every write
-	// attempt on the victim's side of the stream.
-	honestSeen, opClock := 0, 0
-	var allPoison []int64
-	displaced := 0
+	honestSeen := 0
 	for e := 0; e < epochs; e++ {
-		if err := st.ex.ctx.Err(); err != nil {
+		if err := ex.ctx.Err(); err != nil {
 			return OnlineResult{}, err
 		}
-		// 1. Honest traffic. A key enters the workload iff the clean index
-		// accepts it; when the victim rejects such a key, a poison key has
-		// displaced an honest one.
+		// 1. Honest traffic. The online scenario has no workload
+		// generator, so honest sources rotate over an arrival counter.
 		if e < len(opts.Arrivals) {
 			for _, k := range opts.Arrivals[e] {
 				src := 0
@@ -338,58 +271,45 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 					src = honestSeen % opts.Defense.Sources
 				}
 				honestSeen++
-				opClock++
-				cleanOK, _ := cArm.insert(k, src, opClock, false)
-				victimOK, _ := vArm.insert(k, src, opClock, false)
-				if cleanOK {
-					st.legit = append(st.legit, k)
-					if !victimOK {
-						displaced++
-					}
+				if t.honest(k, src) {
+					legit = append(legit, k)
 				}
 			}
 		}
 		// 2. The attack.
-		injected := 0
+		rep := EpochReport{Epoch: e + 1}
 		if opts.EpochBudget > 0 {
-			poison, err := st.oracle(opts, execOpts)
+			poison, err := onlineOracle(t.vFront.Keys(), opts, execOpts)
 			if err != nil {
 				return OnlineResult{}, err
 			}
-			for _, k := range poison {
-				opClock++
-				if ok, _ := vArm.insert(k, atkSrc, opClock, true); ok {
-					allPoison = append(allPoison, k)
-					injected++
-				}
-			}
+			rep.Injected = t.inject(poison...)
 		}
 		// 3. Maintenance.
 		if opts.Policy.Kind == dynamic.Manual {
-			st.victim.Retrain()
-			st.clean.Retrain()
+			t.retrain()
 		}
-		// 4. Measurement (measure fills Retrains/BufferLen from backend
-		// stats alongside the loss and probe columns).
-		rep := EpochReport{
-			Epoch:       e + 1,
-			Injected:    injected,
-			PoisonTotal: len(allPoison),
-			Displaced:   displaced,
-		}
-		if err := st.measure(&rep); err != nil {
+		// 4. Measurement: model-vs-content loss (so model staleness is
+		// visible) and the honest workload's mean probe cost.
+		rep.PoisonTotal, rep.Displaced = len(t.poison), t.displaced
+		vs, cs, ratio := t.losses()
+		rep.Retrains, rep.BufferLen = vs.Retrains, vs.Buffered
+		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
+		pe.refresh(legit)
+		total, err := pe.measurePair(ex, endpointGrainFloor, pe.sorted, t.cFront, t.vFront)
+		if err != nil {
 			return OnlineResult{}, err
 		}
+		rep.CleanProbes, rep.PoisonedProbes = total.means(len(pe.sorted))
 		res.Epochs = append(res.Epochs, rep)
 	}
 	// epochs >= 1 is validated, so the last report is always present; its
-	// cumulative retrain count is the scenario total (no extra Stats scan).
+	// cumulative retrain count is the scenario total.
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
-	res.Eval = st.pe.stats
-	ps, err := keys.NewStrict(allPoison)
+	res.Defense = t.defense
+	res.Poison, err = t.poisonSet("online")
 	if err != nil {
-		return OnlineResult{}, fmt.Errorf("core: online poison keys collide: %w", err)
+		return OnlineResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

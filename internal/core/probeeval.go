@@ -11,7 +11,7 @@ package core
 //
 //   - the batch kernel is bit-identical to the per-key reference on the
 //     same batch (index.BatchReader's contract, pinned by the differential
-//     suite in internal/index), and
+//     suite in internal/index and by TestMeasurePairMatchesProbeSum), and
 //   - integer probe sums are order- and partition-invariant, so sorting
 //     the workload once and chunking the SORTED batch folds to the exact
 //     totals the historical per-key loop produced — every CSV fingerprint
@@ -28,24 +28,19 @@ import (
 	"cdfpoison/internal/index"
 )
 
-// EvalStats counts how many (key, index-side) probe evaluations went
-// through the sorted-batch kernel versus the per-key reference loop —
-// surfaced on every scenario result so the CLI can report which eval path
-// produced the numbers (and so -no-batch-eval visibly changes the
-// accounting while changing none of the measured columns).
-type EvalStats struct {
-	// BatchedKeys / PerKeyKeys count evaluated keys per index side (one
-	// epoch evaluating n keys against victim and clean adds 2n).
-	BatchedKeys int64
-	PerKeyKeys  int64
+// probeAgg is one chunk's exact probe totals for both indexes. Integer sums
+// are partition-invariant, so any chunking folds to the sequential totals.
+type probeAgg struct {
+	clean, victim int64
 }
 
-func (s *EvalStats) add(keys int64, perKey bool) {
-	if perKey {
-		s.PerKeyKeys += keys
-	} else {
-		s.BatchedKeys += keys
+// means returns the per-key mean probes over n evaluated keys (0 when n is
+// 0).
+func (a probeAgg) means(n int) (clean, victim float64) {
+	if n == 0 {
+		return 0, 0
 	}
+	return float64(a.clean) / float64(n), float64(a.victim) / float64(n)
 }
 
 // probeEval carries the eval scratch across epochs. The zero value is NOT
@@ -60,8 +55,6 @@ type probeEval struct {
 	// struct never pins an index or batch beyond the call.
 	batch         []int64
 	clean, victim index.PointReader
-	perKey        bool
-	stats         EvalStats
 }
 
 func newProbeEval() *probeEval {
@@ -73,13 +66,8 @@ func newProbeEval() *probeEval {
 func (pe *probeEval) evalChunk(lo, hi int) (probeAgg, error) {
 	var a probeAgg
 	seg := pe.batch[lo:hi]
-	if pe.perKey {
-		a.clean, _ = pe.clean.ProbeSum(seg)
-		a.victim, _ = pe.victim.ProbeSum(seg)
-	} else {
-		a.clean, _ = index.ProbeSumSorted(pe.clean, seg)
-		a.victim, _ = index.ProbeSumSorted(pe.victim, seg)
-	}
+	a.clean, _ = index.ProbeSumSorted(pe.clean, seg)
+	a.victim, _ = index.ProbeSumSorted(pe.victim, seg)
 	return a, nil
 }
 
@@ -98,14 +86,12 @@ func (pe *probeEval) refresh(src []int64) {
 
 // measurePair evaluates one sorted batch against both indexes, fanning
 // chunks of the batch across the exec's worker pool and folding the chunk
-// sums in index order. With ex.perKeyEval the chunks run the per-key
-// reference instead — same totals, classic cost.
+// sums in index order.
 func (pe *probeEval) measurePair(ex exec, grainFloor int, sorted []int64, clean, victim index.PointReader) (probeAgg, error) {
-	n := len(sorted)
-	pe.batch, pe.clean, pe.victim, pe.perKey = sorted, clean, victim, ex.perKeyEval
-	grain := engine.GrainForMin(n, ex.pool, grainFloor)
+	pe.batch, pe.clean, pe.victim = sorted, clean, victim
+	grain := engine.GrainForMin(len(sorted), ex.pool, grainFloor)
 	var err error
-	pe.buf, err = engine.MapChunksInto(ex.ctx, ex.pool, n, grain, pe.buf, pe.fn)
+	pe.buf, err = engine.MapChunksInto(ex.ctx, ex.pool, len(sorted), grain, pe.buf, pe.fn)
 	pe.batch, pe.clean, pe.victim = nil, nil, nil
 	if err != nil {
 		return probeAgg{}, err
@@ -115,6 +101,5 @@ func (pe *probeEval) measurePair(ex exec, grainFloor int, sorted []int64, clean,
 		total.clean += a.clean
 		total.victim += a.victim
 	}
-	pe.stats.add(2*int64(n), ex.perKeyEval)
 	return total, nil
 }

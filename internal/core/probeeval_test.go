@@ -1,17 +1,19 @@
 package core
 
 // Tests for the scenario-side batch-eval plumbing (probeeval.go): the
-// steady-state allocation budget and the batched-vs-per-key scenario
-// differential (WithPerKeyEval must change the Eval accounting and nothing
-// else). The kernel-vs-reference bit-identity itself is pinned where the
-// kernels live, in internal/index's differential and fuzz suites.
+// steady-state allocation budget and the chunked-eval-vs-per-key-reference
+// differential. The kernel-vs-reference bit-identity of each backend is
+// pinned where the kernels live, in internal/index's differential and fuzz
+// suites.
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
+	"cdfpoison/internal/index"
+	"cdfpoison/internal/shard"
 	"cdfpoison/internal/xrand"
 )
 
@@ -47,78 +49,71 @@ func TestProbeEvalZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPerKeyEvalEquivalence is the scenario-level ablation differential:
-// for each serving scenario, the batched run and the WithPerKeyEval run
-// must agree on every column — only the Eval accounting may differ, and it
-// must land on the expected side in each run.
-func TestPerKeyEvalEquivalence(t *testing.T) {
-	checkEval := func(t *testing.T, batched, perKey EvalStats) {
-		t.Helper()
-		if batched.BatchedKeys == 0 || batched.PerKeyKeys != 0 {
-			t.Fatalf("batched run accounting = %+v, want all keys on BatchedKeys", batched)
-		}
-		if perKey.PerKeyKeys == 0 || perKey.BatchedKeys != 0 {
-			t.Fatalf("per-key run accounting = %+v, want all keys on PerKeyKeys", perKey)
-		}
-		if batched.BatchedKeys != perKey.PerKeyKeys {
-			t.Fatalf("eval key counts differ: batched evaluated %d, per-key %d",
-				batched.BatchedKeys, perKey.PerKeyKeys)
+// TestMeasurePairMatchesProbeSum is the probe-eval differential: a sorted
+// batch of hits and misses, chunked across 1, 2, and 4 workers, must fold
+// to exactly the per-key reference totals (index.ProbeSum) on both sides —
+// for a dynamic index with a live delta buffer against a fresh one, and for
+// a pair of 4-shard snapshots.
+func TestMeasurePairMatchesProbeSum(t *testing.T) {
+	initial, err := dataset.Uniform(xrand.New(37), 2000, 80000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The batch: every third initial key (hits) plus odd probes between
+	// them (mostly misses), sorted as the kernel requires.
+	var batch []int64
+	for i, k := range initial.Keys() {
+		if i%3 == 0 {
+			batch = append(batch, k, k+1)
 		}
 	}
+	slices.Sort(batch)
+	batch = slices.Compact(batch)
+	extra := []int64{-5, 11, 40_001, 40_003, 79_999, 90_000}
 
-	t.Run("static", func(t *testing.T) {
-		initial := serveFixture(t, 400)
-		opts := StaticOptions{Budget: 30, HonestWrites: 60, Seed: 3}
-		want, err := StaticAttack(initial, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := StaticAttack(initial, opts, WithPerKeyEval())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkEval(t, want.Eval, got.Eval)
-		want.Eval, got.Eval = EvalStats{}, EvalStats{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("static scenario diverged under WithPerKeyEval\n got: %+v\nwant: %+v", got, want)
-		}
-	})
+	cleanDyn, err := dynamic.New(initial, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimDyn, err := dynamic.New(initial, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanShard, err := shard.New(initial, 4, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimShard, err := shard.New(initial, 4, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range extra {
+		victimDyn.Insert(k)
+		victimShard.Insert(k)
+	}
+	if victimDyn.Stats().Buffered == 0 {
+		t.Fatal("victim delta buffer is empty; the fixture lost its point")
+	}
 
-	t.Run("online", func(t *testing.T) {
-		initial, arrivals := onlineFixture(t, 400, 3, 10)
-		opts := OnlineOptions{Epochs: 3, EpochBudget: 20, Policy: dynamic.ManualPolicy(), Arrivals: arrivals}
-		want, err := OnlinePoisonAttack(initial, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name          string
+		clean, victim index.PointReader
+	}{
+		{"dynamic-buffered", cleanDyn, victimDyn},
+		{"shard-4-snapshot", cleanShard.Snapshot(), victimShard.Snapshot()},
+	} {
+		wantClean, _ := index.ProbeSum(tc.clean, batch)
+		wantVictim, _ := index.ProbeSum(tc.victim, batch)
+		for _, w := range []int{1, 2, 4} {
+			// A grain floor of 64 splits the batch into many chunks.
+			got, err := newProbeEval().measurePair(newExec([]Option{WithWorkers(w)}), 64, batch, tc.clean, tc.victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.clean != wantClean || got.victim != wantVictim {
+				t.Fatalf("%s workers=%d: measurePair = (clean %d, victim %d), ProbeSum = (%d, %d)",
+					tc.name, w, got.clean, got.victim, wantClean, wantVictim)
+			}
 		}
-		got, err := OnlinePoisonAttack(initial, opts, WithPerKeyEval())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkEval(t, want.Eval, got.Eval)
-		want.Eval, got.Eval = EvalStats{}, EvalStats{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("online scenario diverged under WithPerKeyEval\n got: %+v\nwant: %+v",
-				got.Epochs, want.Epochs)
-		}
-	})
-
-	t.Run("serve", func(t *testing.T) {
-		initial := serveFixture(t, 400)
-		opts := serveOpts(3)
-		want, err := ServeAttack(initial, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ServeAttack(initial, opts, WithPerKeyEval())
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkEval(t, want.Eval, got.Eval)
-		want.Eval, got.Eval = EvalStats{}, EvalStats{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("serve scenario diverged under WithPerKeyEval\n got: %+v\nwant: %+v",
-				got.Epochs, want.Epochs)
-		}
-	})
+	}
 }

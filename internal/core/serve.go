@@ -53,22 +53,9 @@ type ServeOptions struct {
 	Defense DefenseSpec
 }
 
-func (o ServeOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o ServeOptions) validate() error {
-	if o.Epochs < 1 {
-		return fmt.Errorf("core: serve scenario needs Epochs >= 1, got %d", o.Epochs)
-	}
-	if o.OpsPerEpoch < 0 {
-		return fmt.Errorf("core: negative ops per epoch %d", o.OpsPerEpoch)
-	}
-	if o.EpochBudget < 0 {
-		return fmt.Errorf("core: negative per-epoch budget %d", o.EpochBudget)
+	if err := validateStream("serve", o.Epochs, o.OpsPerEpoch, o.EpochBudget); err != nil {
+		return err
 	}
 	if o.Shards < 1 {
 		return fmt.Errorf("core: serve scenario needs Shards >= 1, got %d", o.Shards)
@@ -153,9 +140,6 @@ type ServeResult struct {
 	CleanChurn  index.ChurnStats
 	// Defense is the defense-plane accounting (zero when no defense armed).
 	Defense DefenseReport
-	// Eval reports which probe-evaluation path produced the probe columns
-	// (sorted-batch kernel by default, per-key under WithPerKeyEval).
-	Eval EvalStats
 }
 
 // FinalRatio returns the last epoch's aggregate loss ratio.
@@ -232,38 +216,18 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 	if err := opts.validate(); err != nil {
 		return ServeResult{}, err
 	}
-	vShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ServeResult{}, err
-	}
-	cShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ServeResult{}, err
-	}
-	gen, err := workload.NewGenerator(opts.Workload, initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return ServeResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
-	vBack, vGuard := opts.Defense.wrap(vShard)
-	cBack, cGuard := opts.Defense.wrap(cShard)
 	ex := newExec(execOpts)
-	victim := index.NewPipeline(vBack, opts.RebuildCost).WithPool(ex.ctx, ex.pool)
-	clean := index.NewPipeline(cBack, opts.RebuildCost).WithPool(ex.ctx, ex.pool)
-	opClock := 0
-	tick := func(n int) {
-		opClock += n
-		victim.Tick(n)
-		clean.Tick(n)
+	t, err := buildTwin(initial, func(ks keys.Set) (*shard.Index, error) {
+		return shard.NewWithFit(ks, opts.Shards, opts.Policy, opts.Defense.fitFunc())
+	}, opts.Defense, &opts.RebuildCost, ex)
+	if err != nil {
+		return ServeResult{}, err
 	}
-
+	gen, err := newStream(opts.Workload, initial, opts.Domain, opts.Seed, opts.Defense.Sources)
+	if err != nil {
+		return ServeResult{}, err
+	}
 	res := ServeResult{Shards: opts.Shards, Epochs: make([]ServeEpochReport, 0, opts.Epochs)}
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vArm := opts.Defense.newArm(victim, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(clean, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-	var allPoison []int64
-	displaced := 0
 	pe := newProbeEval()
 	var reads []int64 // epoch read-key scratch, reused across epochs
 	for e := 0; e < opts.Epochs; e++ {
@@ -271,67 +235,54 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 			return ServeResult{}, err
 		}
 		rep := ServeEpochReport{Epoch: e + 1}
-		// 1. Honest traffic: one shared stream for both indexes, one tick
-		// per operation.
+		// 1. Honest traffic: one shared stream for both indexes; reads are
+		// collected for the epoch-end probe evaluation.
 		reads = reads[:0]
 		for _, op := range gen.Ops(opts.OpsPerEpoch) {
-			tick(1)
 			if op.Read {
+				t.tick()
 				rep.Reads++
 				reads = append(reads, op.Key)
 				continue
 			}
 			rep.Writes++
-			cleanOK, _ := cArm.insert(op.Key, op.Source, opClock, false)
-			victimOK, _ := vArm.insert(op.Key, op.Source, opClock, false)
-			if cleanOK && !victimOK {
-				displaced++
-			}
+			t.honest(op.Key, op.Source)
 		}
 		// 2. The attack: Algorithm 1 against the victim's visible content
 		// (the write-plane truth — an insertion adversary sees what it can
 		// write around, not the lagging read plane).
 		if opts.EpochBudget > 0 {
-			g, err := GreedyMultiPoint(victim.Keys(), opts.EpochBudget, execOpts...)
+			g, err := GreedyMultiPoint(t.vFront.Keys(), opts.EpochBudget, execOpts...)
 			if err != nil {
 				return ServeResult{}, fmt.Errorf("core: serve epoch %d oracle: %w", e+1, err)
 			}
-			for _, k := range g.Poison {
-				tick(1)
-				if ok, _ := vArm.insert(k, atkSrc, opClock, true); ok {
-					allPoison = append(allPoison, k)
-					rep.Injected++
-				}
-			}
+			rep.Injected = t.inject(g.Poison...)
 		}
 		// 3. Maintenance.
 		if opts.Policy.Kind == dynamic.Manual {
-			victim.Retrain()
-			clean.Retrain()
+			t.retrain()
 		}
 		// 4. Measurement. The read keys are only consumed by the probe
 		// evaluation and integer probe sums are order-invariant, so sorting
 		// them in place (the batch kernel's precondition) changes no column.
-		rep.PoisonTotal = len(allPoison)
-		rep.Displaced = displaced
-		rep.Stale = victim.IsStale()
+		rep.PoisonTotal, rep.Displaced = len(t.poison), t.displaced
+		rep.Stale = t.vPipe.IsStale()
 		slices.Sort(reads)
-		if err := measureServe(&rep, vShard, cShard, victim, clean, reads, pe, ex); err != nil {
+		if err := measureServe(&rep, t, reads, pe); err != nil {
 			return ServeResult{}, err
 		}
 		res.Epochs = append(res.Epochs, rep)
 	}
-	res.VictimChurn = victim.ChurnStats()
-	res.CleanChurn = clean.ChurnStats()
-	res.Eval = pe.stats
+	res.VictimChurn = t.vPipe.ChurnStats()
+	res.CleanChurn = t.cPipe.ChurnStats()
 	// Epochs >= 1 is validated, so the last report is always present; its
 	// cumulative retrain count is the scenario total (no extra Stats scan).
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
-	ps, err := keys.NewStrict(allPoison)
+	res.Defense = t.defense
+	res.Poison, err = t.poisonSet("serve")
 	if err != nil {
-		return ServeResult{}, fmt.Errorf("core: serve poison keys collide: %w", err)
+		return ServeResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }
 
@@ -345,15 +296,15 @@ const serveProbeGrainFloor = 256
 // as an immutable snapshot and then fanned across the worker pool in
 // chunks of the caller-sorted read batch — each chunk runs the sorted-batch
 // kernel (DESIGN.md §12), snapshot lookups are pure reads on frozen state,
-// and the sums are integers folded in chunk order, so any worker count (and
-// the per-key WithPerKeyEval path) produces identical bytes, with no
-// mutable state shared across workers at all.
-func measureServe(rep *ServeEpochReport, victim, clean *shard.Index, vPipe, cPipe *index.Pipeline, reads []int64, pe *probeEval, ex exec) error {
+// and the sums are integers folded in chunk order, so any worker count
+// produces identical bytes, with no mutable state shared across workers at
+// all.
+func measureServe(rep *ServeEpochReport, t *twin[*shard.Index], reads []int64, pe *probeEval) error {
 	// Per-shard stats are the expensive part (ContentLoss is an O(shard)
 	// scan); collect them once per side and fold the aggregates here with
 	// the same key-weighted arithmetic shard.Index.Stats uses, instead of
 	// paying a second full pass through victim.Stats()/clean.Stats().
-	vShards, cShards := victim.ShardStats(), clean.ShardStats()
+	vShards, cShards := t.victim.ShardStats(), t.clean.ShardStats()
 	aggregate := func(shards []index.Stats) (keysTotal, buffered, retrains int, contentLoss float64) {
 		var contentW float64
 		for _, st := range shards {
@@ -375,8 +326,8 @@ func measureServe(rep *ServeEpochReport, victim, clean *shard.Index, vPipe, cPip
 	rep.CleanLoss = cLoss
 	rep.PoisonedLoss = vLoss
 	rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
-	rep.Imbalance = victim.Imbalance()
-	rep.CleanImbalance = clean.Imbalance()
+	rep.Imbalance = t.victim.Imbalance()
+	rep.CleanImbalance = t.clean.Imbalance()
 
 	rep.Shards = make([]ServeShardReport, len(vShards))
 	for i := range vShards {
@@ -391,17 +342,13 @@ func measureServe(rep *ServeEpochReport, victim, clean *shard.Index, vPipe, cPip
 		}
 	}
 
-	n := len(reads)
-	vSnap, cSnap := vPipe.Snapshot(), cPipe.Snapshot()
-	total, err := pe.measurePair(ex, serveProbeGrainFloor, reads, cSnap, vSnap)
+	vSnap, cSnap := t.vPipe.Snapshot(), t.cPipe.Snapshot()
+	total, err := pe.measurePair(t.ex, serveProbeGrainFloor, reads, cSnap, vSnap)
 	if err != nil {
 		return err
 	}
 	rep.CleanProbeTotal = total.clean
 	rep.PoisonedProbeTotal = total.victim
-	if n > 0 {
-		rep.CleanProbes = float64(total.clean) / float64(n)
-		rep.PoisonedProbes = float64(total.victim) / float64(n)
-	}
+	rep.CleanProbes, rep.PoisonedProbes = total.means(len(reads))
 	return nil
 }

@@ -38,13 +38,6 @@ type StaticOptions struct {
 	Defense DefenseSpec
 }
 
-func (o StaticOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o StaticOptions) validate() error {
 	if o.Budget < 0 {
 		return fmt.Errorf("core: negative static budget %d", o.Budget)
@@ -70,9 +63,6 @@ type StaticResult struct {
 	// Mean lookup probes over the initial keys on both indexes.
 	CleanProbes, PoisonedProbes float64
 	ProbeRatio                  float64
-	// Eval reports which probe-evaluation path produced the columns above
-	// (sorted-batch kernel by default, per-key under WithPerKeyEval).
-	Eval EvalStats
 	// Defense is the defense-plane accounting (zero when no defense armed).
 	Defense DefenseReport
 }
@@ -80,7 +70,8 @@ type StaticResult struct {
 // StaticAttack mounts the one-shot poisoning scenario: Algorithm 1's keys
 // against the INITIAL content, drip-fed evenly through HonestWrites honest
 // uniform writes into a dynamic index (victim), with a clean counterfactual
-// absorbing the identical honest stream. Both indexes retrain once at the
+// absorbing the identical honest stream (the twin harness, DESIGN.md §13).
+// Both indexes retrain once at the
 // end (the static maintenance cycle), then loss and probe columns are
 // measured. The defense plane — detector chain, rate limiter, robust
 // fitter — sits on both write paths exactly as in the online scenarios.
@@ -97,30 +88,17 @@ func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (Sta
 	if initial.Len() < 2 {
 		return StaticResult{}, ErrTooFew
 	}
-	fit := opts.Defense.fitFunc()
-	victim, err := dynamic.NewWithFit(initial, dynamic.ManualPolicy(), fit)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	clean, err := dynamic.NewWithFit(initial, dynamic.ManualPolicy(), fit)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	gen, err := workload.NewGenerator(workload.NewUniform(0), initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
 	ex := newExec(execOpts)
-
-	var res StaticResult
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vBack, vGuard := opts.Defense.wrap(victim)
-	cBack, cGuard := opts.Defense.wrap(clean)
-	vArm := opts.Defense.newArm(vBack, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(cBack, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-
+	t, err := buildTwin(initial, func(ks keys.Set) (*dynamic.Index, error) {
+		return dynamic.NewWithFit(ks, dynamic.ManualPolicy(), opts.Defense.fitFunc())
+	}, opts.Defense, nil, ex)
+	if err != nil {
+		return StaticResult{}, err
+	}
+	gen, err := newStream(workload.NewUniform(0), initial, opts.Domain, opts.Seed, opts.Defense.Sources)
+	if err != nil {
+		return StaticResult{}, err
+	}
 	var poison []int64
 	if opts.Budget > 0 {
 		g, err := GreedyMultiPoint(initial, opts.Budget, execOpts...)
@@ -130,65 +108,35 @@ func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (Sta
 		poison = g.Poison
 	}
 
-	// Drip the budget evenly through the honest stream, as in the churn and
-	// cascade scenarios; leftovers land after the stream ends.
-	var accepted []int64
-	opClock := 0
-	inject := func() {
-		opClock++
-		if ok, _ := vArm.insert(poison[0], atkSrc, opClock, true); ok {
-			accepted = append(accepted, poison[0])
-			res.Injected++
-		}
-		poison = poison[1:]
-	}
-	for op := 0; op < opts.HonestWrites; op++ {
-		for len(poison) > 0 && res.Injected*opts.HonestWrites <= op*opts.Budget {
-			inject()
-		}
-		if err := ex.ctx.Err(); err != nil {
-			return StaticResult{}, err
-		}
-		opClock++
+	// Drip the budget evenly through the honest write stream, then run the
+	// static maintenance cycle: one retrain on both sides.
+	var res StaticResult
+	res.Injected, err = t.drip(opts.HonestWrites, opts.Budget, poison, func() {
 		o := gen.Next()
-		cleanOK, _ := cArm.insert(o.Key, o.Source, opClock, false)
-		victimOK, _ := vArm.insert(o.Key, o.Source, opClock, false)
-		if cleanOK && !victimOK {
-			res.Displaced++
-		}
+		t.honest(o.Key, o.Source)
+	})
+	if err != nil {
+		return StaticResult{}, err
 	}
-	for len(poison) > 0 {
-		inject()
-	}
+	t.retrain()
 
-	vBack.Retrain()
-	cBack.Retrain()
-
-	vStats, cStats := vBack.Stats(), cBack.Stats()
-	res.CleanLoss = cStats.ContentLoss
-	res.PoisonedLoss = vStats.ContentLoss
-	res.RatioLoss = SafeRatio(res.PoisonedLoss, res.CleanLoss)
-
+	res.Displaced = t.displaced
+	vs, cs, ratio := t.losses()
+	res.CleanLoss, res.PoisonedLoss, res.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
 	// keys.Set stores its keys sorted and duplicate-free, so the initial
 	// workload already satisfies the batch kernel's precondition — no copy,
 	// no sort (DESIGN.md §12).
 	legit := initial.Keys()
-	n := len(legit)
-	pe := newProbeEval()
-	total, err := pe.measurePair(ex, endpointGrainFloor, legit, cBack, vBack)
+	total, err := newProbeEval().measurePair(ex, endpointGrainFloor, legit, t.cFront, t.vFront)
 	if err != nil {
 		return StaticResult{}, err
 	}
-	res.Eval = pe.stats
-	if n > 0 {
-		res.CleanProbes = float64(total.clean) / float64(n)
-		res.PoisonedProbes = float64(total.victim) / float64(n)
-		res.ProbeRatio = SafeRatio(res.PoisonedProbes, res.CleanProbes)
-	}
-	ps, err := keys.NewStrict(accepted)
+	res.CleanProbes, res.PoisonedProbes = total.means(len(legit))
+	res.ProbeRatio = SafeRatio(res.PoisonedProbes, res.CleanProbes)
+	res.Defense = t.defense
+	res.Poison, err = t.poisonSet("static")
 	if err != nil {
-		return StaticResult{}, fmt.Errorf("core: static poison keys collide: %w", err)
+		return StaticResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

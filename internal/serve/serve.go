@@ -1,8 +1,9 @@
 // Package serve is the goroutine-concurrent serving plane: N reader
 // goroutines serve lock-free lookups off immutable index snapshots
 // published through an atomic version chain (chain.go), while the single
-// writer goroutine ingests the workload stream, injects poison, and drives
-// index.Pipeline retrains in a true background goroutine.
+// writer — the goroutine that called RunConcurrent — ingests the workload
+// stream, injects poison, and drives index.Pipeline retrains in a true
+// background goroutine.
 //
 // The package's contract is SCHEDULER EQUIVALENCE. The same scenario runs
 // under two schedulers:
@@ -292,27 +293,17 @@ func (e *tickExec) flush(h *Histogram) int64 {
 	return p
 }
 
-// RunConcurrent runs the scenario on the concurrent plane: a dedicated
-// writer goroutine drives the scenario, dispatching read batches to the
-// plane's reader goroutines against chain-published versions and epoch-end
-// retrains to its background retrainer. Metrics are identical to RunTick's
-// for the same backend and options. Cancellation via ctx returns the
-// epochs completed so far with ctx's error; all goroutines are always
-// drained before return.
+// RunConcurrent runs the scenario on the concurrent plane: the calling
+// goroutine is the writer — it drives the scenario, dispatching read
+// batches to the plane's reader goroutines against chain-published
+// versions and epoch-end retrains to its background retrainer. Metrics are
+// identical to RunTick's for the same backend and options. Cancellation via
+// ctx returns the epochs completed so far with ctx's error; every goroutine
+// the plane started is drained and joined before return.
 func RunConcurrent(ctx context.Context, b index.Backend, o ScenarioOptions, popts Options) ([]EpochMetrics, error) {
 	plane := NewPlane(popts)
 	defer plane.Close()
-	type result struct {
-		m   []EpochMetrics
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		m, err := runScenario(ctx, b, o, newConcExec(plane))
-		ch <- result{m, err}
-	}()
-	r := <-ch
-	return r.m, r.err
+	return runScenario(ctx, b, o, newConcExec(plane))
 }
 
 // task is one read bound to the version it must be served from; the
