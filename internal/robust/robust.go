@@ -11,16 +11,26 @@
 // Every fitter is deterministic (no RNG, no map iteration) and offers a
 // FitParallel path that fans the per-key work over an engine.Pool while
 // producing a byte-identical Model for any worker count: each slope or
-// residual is computed independently at its own index and the
-// order-sensitive steps (sorting, selection) stay sequential. See DESIGN.md
-// §10 for the fitter contract.
+// residual is computed independently at its own index and the order
+// statistics are taken sequentially. A done context makes FitParallel
+// return the context's error and a zero Model.
+//
+// Order statistics come from one bounded selection, not a sort: Trimmed
+// keeps the pairs at or below its keepN-th smallest (residual, index) pair,
+// collected in index order, and TheilSen selects its medians. Poison keys
+// choose the values being ranked, so the selection falls back to sorting
+// after 2·bits.Len(n) unbalanced partitions: O(n) on typical inputs,
+// O(n log n) on a crafted key set, never quadratic. See DESIGN.md §10 for
+// the fitter contract.
 package robust
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,9 +78,9 @@ func (OLS) FitParallel(_ context.Context, _ *engine.Pool, ks keys.Set) (regressi
 
 // TheilSen is a deterministic Theil–Sen CDF estimator: the slope is the
 // median of the n/2 disjoint pairwise slopes (key i paired with key i+n/2 —
-// the Siegel-style pairing that keeps the estimator O(n log n) instead of
-// O(n²) while preserving the 29% breakdown point), and the intercept is the
-// median residual at that slope. A poisoning key moves one slope and one
+// the Siegel-style pairing that keeps the estimator O(n log n) at worst
+// instead of O(n²) while preserving the 29% breakdown point), and the
+// intercept is the median residual at that slope. A poisoning key moves one slope and one
 // residual — never the median by more than one order statistic.
 type TheilSen struct{}
 
@@ -100,16 +110,24 @@ func theilSen(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.M
 		return regression.Model{Line: regression.Line{W: 0, B: 1}, Loss: 0, N: 1}, nil
 	}
 	h := n / 2
+	// One buffer serves both medians: median reorders it in place, and the
+	// residuals overwrite the slopes once the slope median is taken.
+	buf := make([]float64, n)
 	// Disjoint-pair slopes: rank distance is exactly h, key distance is
 	// positive (keys are strictly increasing), so every slope is finite.
-	slopes := fill(ctx, pool, n-h, func(i int) float64 {
+	slopes := buf[:n-h]
+	if err := fill(ctx, pool, slopes, func(i int) float64 {
 		return float64(h) / float64(ks.At(i+h)-ks.At(i))
-	})
+	}); err != nil {
+		return regression.Model{}, err
+	}
 	w := median(slopes)
-	resid := fill(ctx, pool, n, func(i int) float64 {
+	if err := fill(ctx, pool, buf, func(i int) float64 {
 		return float64(i+1) - w*float64(ks.At(i))
-	})
-	b := median(resid)
+	}); err != nil {
+		return regression.Model{}, err
+	}
+	b := median(buf)
 	line := regression.Line{W: w, B: b}
 	loss, err := regression.EvaluateCDF(line, ks)
 	if err != nil {
@@ -145,6 +163,25 @@ func (t Trimmed) FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set
 	return t.fit(ctx, pool, ks)
 }
 
+// scored is one key's absolute rank residual r under the current line,
+// tagged with the key's index.
+type scored struct {
+	r   float64
+	idx int
+}
+
+// compare orders scored pairs by residual, then by index. Indices are
+// distinct, so no two pairs of one fit compare equal.
+func (a scored) compare(b scored) int {
+	switch {
+	case a.r < b.r:
+		return -1
+	case a.r > b.r:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
 	if math.IsNaN(t.Pct) || t.Pct <= 0 || t.Pct >= 50 {
 		return regression.Model{}, fmt.Errorf("robust: trim percentage %g outside (0, 50)", t.Pct)
@@ -161,47 +198,46 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 	if drop == 0 {
 		return full, nil
 	}
-	// kept holds the surviving key indices, always in ascending order.
-	kept := make([]int, n)
+	// kept holds the surviving keys, always in ascending index order; spare
+	// is the selection's scratch and xy the refit's coordinates. Both
+	// rounds reuse these two allocations.
+	pairs := make([]scored, 2*n)
+	kept, spare := pairs[:n], pairs[n:]
 	for i := range kept {
-		kept[i] = i
+		kept[i].idx = i
 	}
+	xy := make([]float64, 2*n)
 	line := full.Line
-	type scored struct {
-		idx int
-		r   float64
-	}
 	for round := 0; round < trimRounds; round++ {
-		resid := fill(ctx, pool, len(kept), func(j int) scored {
-			i := kept[j]
-			d := line.Predict(ks.At(i)) - float64(i+1)
-			return scored{idx: i, r: math.Abs(d)}
-		})
-		// Keep the len(kept)-drop smallest residuals; ties break on the
-		// lower original index so the selection is deterministic.
-		sort.Slice(resid, func(a, b int) bool {
-			if resid[a].r != resid[b].r {
-				return resid[a].r < resid[b].r
+		// Per-round copies, so the scoring closure captures them by value
+		// and kept and line themselves stay off the heap.
+		cur, l := kept, line
+		if err := fill(ctx, pool, cur, func(j int) scored {
+			i := cur[j].idx
+			return scored{r: math.Abs(l.Predict(ks.At(i)) - float64(i+1)), idx: i}
+		}); err != nil {
+			return regression.Model{}, err
+		}
+		keepN := max(len(kept)-drop, 2)
+		// Keep the keepN smallest residuals, ties broken on the lower
+		// original index. The pairs are distinct, so exactly keepN of them
+		// compare <= the keepN-th smallest, and one pass in index order
+		// collects them already sorted by index.
+		pivot := selectKth(append(spare[:0], kept...), keepN-1, scored.compare)
+		w := 0
+		for _, s := range kept {
+			if s.compare(pivot) <= 0 {
+				kept[w] = s
+				w++
 			}
-			return resid[a].idx < resid[b].idx
-		})
-		keepN := len(kept) - drop
-		if keepN < 2 {
-			keepN = 2
 		}
-		next := make([]int, keepN)
-		for j := 0; j < keepN; j++ {
-			next[j] = resid[j].idx
-		}
-		sort.Ints(next)
-		kept = next
+		kept = kept[:w]
 		// Refit the survivors against their ORIGINAL 1-based ranks: the
 		// model must still predict positions in the full stored array.
-		x := make([]float64, len(kept))
-		y := make([]float64, len(kept))
-		for j, i := range kept {
-			x[j] = float64(ks.At(i))
-			y[j] = float64(i + 1)
+		x, y := xy[:w], xy[n:n+w]
+		for j, s := range kept {
+			x[j] = float64(ks.At(s.idx))
+			y[j] = float64(s.idx + 1)
 		}
 		line, err = regression.FitXY(x, y)
 		if err != nil {
@@ -215,39 +251,117 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 	return regression.Model{Line: line, Loss: loss, N: n}, nil
 }
 
-// fill computes out[i] = fn(i) for i in [0, n), over the pool when one is
-// supplied and the input is large enough to be worth fanning out. Every
-// element is computed independently at its own index, so the output is
-// byte-identical for any worker count.
-func fill[T any](ctx context.Context, pool *engine.Pool, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	if pool == nil || pool.Workers() == 1 || n < fitGrainFloor {
+// fill sets out[i] = fn(i) for every i in [0, len(out)), over the pool when
+// one is supplied and out is long enough to be worth fanning out. Every
+// element is computed independently at its own index, so out is
+// byte-identical for any worker count. A done ctx returns its error, with
+// out left partly filled.
+func fill[T any](ctx context.Context, pool *engine.Pool, out []T, fn func(i int) T) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	n := len(out)
+	if pool.Workers() == 1 || n < fitGrainFloor {
 		for i := range out {
 			out[i] = fn(i)
 		}
-		return out
+		return nil
 	}
 	grain := engine.GrainForMin(n, pool, fitGrainFloor)
-	// Chunk errors are impossible (fn is total); ignore the error path.
-	_, _ = engine.MapChunks(ctx, pool, n, grain, func(lo, hi int) (struct{}, error) {
+	_, err := engine.MapChunks(ctx, pool, n, grain, func(lo, hi int) (struct{}, error) {
 		for i := lo; i < hi; i++ {
 			out[i] = fn(i)
 		}
 		return struct{}{}, nil
 	})
-	return out
+	return err
 }
 
 // median returns the median of xs (mean of the central pair for even
-// lengths), sorting a copy. xs must be non-empty.
+// lengths), reordering xs in place. xs must be non-empty.
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	m := len(s)
+	m := len(xs)
+	upper := selectKth(xs, m/2, cmp.Compare[float64])
 	if m%2 == 1 {
-		return s[m/2]
+		return upper
 	}
-	return (s[m/2-1] + s[m/2]) / 2
+	// selectKth left the m/2 smallest values below upper, so the lower
+	// central value is their maximum.
+	return (slices.Max(xs[:m/2]) + upper) / 2
+}
+
+// selectSortCutoff is the range length below which selectKth just sorts.
+const selectSortCutoff = 12
+
+// selectKth reorders s so that s[k] holds what a full sort by compare would
+// put there, with nothing after it ordered before it and nothing before it
+// ordered after it, and returns s[k]. It is quickselect; a partition that
+// keeps more than 7/8 of its range is unbalanced, and after
+// 2·bits.Len(len(s)) of those the remaining range is sorted with
+// slices.SortFunc instead. The keys being fitted choose the values ranked
+// here, so this bound keeps a crafted key set at O(n log n) comparisons
+// rather than O(n²); typical inputs take O(n).
+func selectKth[T any](s []T, k int, compare func(a, b T) int) T {
+	lo, hi := 0, len(s)
+	unbalanced := 2 * bits.Len(uint(len(s)))
+	for hi-lo > selectSortCutoff && unbalanced > 0 {
+		size := hi - lo
+		p := lo + partition(s[lo:hi], compare)
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return s[k]
+		}
+		if 8*(hi-lo) > 7*size {
+			unbalanced--
+		}
+	}
+	slices.SortFunc(s[lo:hi], compare)
+	return s[k]
+}
+
+// partition takes the median of the elements at s's quartile positions as
+// the pivot, moves it to the position p it holds in sorted order and
+// returns p, with every element of s[:p] ordered no later than it and every
+// element of s[p+1:] no earlier. Sampling the quartiles rather than the
+// ends keeps pivots central on residuals that rise or fall smoothly with
+// the key index. Elements equal to the pivot stop both scans and are
+// swapped, so runs of equal values split evenly instead of all landing on
+// one side. len(s) must be at least 3.
+func partition[T any](s []T, compare func(a, b T) int) int {
+	a, b, c := len(s)/4, len(s)/2, len(s)*3/4
+	// Order s[a], s[b], s[c]; the median ends up at b.
+	if compare(s[b], s[a]) < 0 {
+		s[a], s[b] = s[b], s[a]
+	}
+	if compare(s[c], s[b]) < 0 {
+		s[b], s[c] = s[c], s[b]
+		if compare(s[b], s[a]) < 0 {
+			s[a], s[b] = s[b], s[a]
+		}
+	}
+	s[0], s[b] = s[b], s[0]
+	pivot := s[0]
+	i, j := 1, len(s)-1
+	for {
+		for i <= j && compare(s[i], pivot) < 0 {
+			i++
+		}
+		for i <= j && compare(s[j], pivot) > 0 {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i++
+		j--
+	}
+	s[0], s[j] = s[j], s[0]
+	return j
 }
 
 // ParseFitter parses the fitter spec syntax shared by the defense sweep and

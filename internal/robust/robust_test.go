@@ -2,7 +2,12 @@ package robust
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"cdfpoison/internal/dataset"
@@ -12,7 +17,7 @@ import (
 	"cdfpoison/internal/xrand"
 )
 
-func mustSet(t *testing.T, ks []int64) keys.Set {
+func mustSet(t testing.TB, ks []int64) keys.Set {
 	t.Helper()
 	s, err := keys.New(ks)
 	if err != nil {
@@ -22,7 +27,7 @@ func mustSet(t *testing.T, ks []int64) keys.Set {
 }
 
 // progression builds the exact line fixture: keys a, a+step, a+2*step, ...
-func progression(t *testing.T, a, step int64, n int) keys.Set {
+func progression(t testing.TB, a, step int64, n int) keys.Set {
 	t.Helper()
 	out := make([]int64, n)
 	for i := range out {
@@ -33,7 +38,7 @@ func progression(t *testing.T, a, step int64, n int) keys.Set {
 
 // poisoned returns the progression plus a dense adversarial cluster at the
 // high end — the shape GreedyMultiPoint produces.
-func poisoned(t *testing.T, clean keys.Set, cluster int) keys.Set {
+func poisoned(t testing.TB, clean keys.Set, cluster int) keys.Set {
 	t.Helper()
 	out := append([]int64(nil), clean.Keys()...)
 	base := clean.Max() - int64(cluster) - 1
@@ -219,5 +224,312 @@ func TestParseFitterRejects(t *testing.T) {
 		if _, err := ParseFitter(spec); err == nil {
 			t.Errorf("ParseFitter(%q) accepted an invalid spec", spec)
 		}
+	}
+}
+
+// sortTrimmedFit is Trimmed.fit as it stood before the selection rewrite,
+// kept as the reference the selection must reproduce bit for bit: each
+// round sorts every (residual, index) pair, then sorts the survivors'
+// indices. Only the residual scoring changed, from the parallel fill to a
+// plain loop; TestFitWorkerEquivalence pins the parallel scoring.
+func sortTrimmedFit(t Trimmed, ks keys.Set) (regression.Model, error) {
+	if math.IsNaN(t.Pct) || t.Pct <= 0 || t.Pct >= 50 {
+		return regression.Model{}, fmt.Errorf("robust: trim percentage %g outside (0, 50)", t.Pct)
+	}
+	n := ks.Len()
+	full, err := regression.FitCDF(ks)
+	if err != nil || n <= 2 {
+		return full, err
+	}
+	drop := int(float64(n) * t.Pct / 100)
+	if n-drop < 2 {
+		drop = n - 2
+	}
+	if drop == 0 {
+		return full, nil
+	}
+	// kept holds the surviving key indices, always in ascending order.
+	kept := make([]int, n)
+	for i := range kept {
+		kept[i] = i
+	}
+	line := full.Line
+	type scored struct {
+		idx int
+		r   float64
+	}
+	for round := 0; round < trimRounds; round++ {
+		resid := make([]scored, len(kept))
+		for j := range resid {
+			i := kept[j]
+			d := line.Predict(ks.At(i)) - float64(i+1)
+			resid[j] = scored{idx: i, r: math.Abs(d)}
+		}
+		// Keep the len(kept)-drop smallest residuals; ties break on the
+		// lower original index so the selection is deterministic.
+		sort.Slice(resid, func(a, b int) bool {
+			if resid[a].r != resid[b].r {
+				return resid[a].r < resid[b].r
+			}
+			return resid[a].idx < resid[b].idx
+		})
+		keepN := len(kept) - drop
+		if keepN < 2 {
+			keepN = 2
+		}
+		next := make([]int, keepN)
+		for j := 0; j < keepN; j++ {
+			next[j] = resid[j].idx
+		}
+		sort.Ints(next)
+		kept = next
+		// Refit the survivors against their ORIGINAL 1-based ranks: the
+		// model must still predict positions in the full stored array.
+		x := make([]float64, len(kept))
+		y := make([]float64, len(kept))
+		for j, i := range kept {
+			x[j] = float64(ks.At(i))
+			y[j] = float64(i + 1)
+		}
+		line, err = regression.FitXY(x, y)
+		if err != nil {
+			return regression.Model{}, err
+		}
+	}
+	loss, err := regression.EvaluateCDF(line, ks)
+	if err != nil {
+		return regression.Model{}, err
+	}
+	return regression.Model{Line: line, Loss: loss, N: n}, nil
+}
+
+// sortMedian is median as it stood before the selection rewrite: sort a
+// copy, read the central element or pair.
+func sortMedian(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	m := len(s)
+	if m%2 == 1 {
+		return s[m/2]
+	}
+	return (s[m/2-1] + s[m/2]) / 2
+}
+
+// sameBits reports whether two models agree bit for bit on every field.
+func sameBits(a, b regression.Model) bool {
+	return math.Float64bits(a.Line.W) == math.Float64bits(b.Line.W) &&
+		math.Float64bits(a.Line.B) == math.Float64bits(b.Line.B) &&
+		math.Float64bits(a.Loss) == math.Float64bits(b.Loss) &&
+		a.N == b.N
+}
+
+// namedSet is a key set labelled with its input family.
+type namedSet struct {
+	name string
+	ks   keys.Set
+}
+
+// referenceFamilies returns one key set of about n keys per input family
+// the selection must reproduce the sort on: uniform keys; a perfect
+// progression, whose residuals are rounding noise and tie heavily; uniform
+// keys with a dense poison cluster at the high end; and uniform keys
+// packed just under MaxInt64.
+func referenceFamilies(t testing.TB, rng *xrand.RNG, n int) []namedSet {
+	uniform, err := dataset.Uniform(rng, n, int64(n)*60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	high := xrand.SampleInt64s(rng, n, int64(n)*60)
+	for i, off := range high {
+		high[i] = math.MaxInt64 - off
+	}
+	return []namedSet{
+		{"uniform", uniform},
+		{"progression", progression(t, rng.Int63n(1000), 1+rng.Int63n(50), n)},
+		{"cluster", poisoned(t, uniform, n/8+1)},
+		{"near-max", mustSet(t, high)},
+	}
+}
+
+var referencePools = []*engine.Pool{nil, engine.New(1), engine.New(0), engine.New(3)}
+
+// checkTrimmedReference fits ks with f sequentially (nil pool) and through
+// every pool in referencePools, and fails unless each model is
+// bit-identical to sortTrimmedFit's.
+func checkTrimmedReference(t *testing.T, name string, f Trimmed, ks keys.Set) {
+	t.Helper()
+	want, wantErr := sortTrimmedFit(f, ks)
+	for _, p := range referencePools {
+		var got regression.Model
+		var err error
+		if p == nil {
+			got, err = f.Fit(ks)
+		} else {
+			got, err = f.FitParallel(context.Background(), p, ks)
+		}
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s %s n=%d workers=%d: err %v, reference err %v", name, f.Name(), ks.Len(), p.Workers(), err, wantErr)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("%s %s n=%d workers=%d: %+v, reference %+v", name, f.Name(), ks.Len(), p.Workers(), got, want)
+		}
+	}
+}
+
+// TestTrimmedMatchesSortReference pins the selection-based trimmed fit to
+// the sort-based reference bit for bit, over every input family, sizes
+// from 3 to 3000 on both sides of fitGrainFloor, trim percentages from
+// the smallest to the largest accepted, and every pool shape.
+func TestTrimmedMatchesSortReference(t *testing.T) {
+	sizes := []int{3, 4, 5, 9, 21, fitGrainFloor - 1, fitGrainFloor, fitGrainFloor + 1, 1459, 3000}
+	for seed := uint64(1); seed <= 30; seed++ {
+		rng := xrand.New(seed)
+		n := 3 + rng.Intn(2998)
+		if int(seed) <= len(sizes) {
+			n = sizes[seed-1]
+		}
+		for _, fam := range referenceFamilies(t, rng, n) {
+			for _, pct := range []float64{0.5, 10, 25, 49.9} {
+				checkTrimmedReference(t, fam.name, Trimmed{Pct: pct}, fam.ks)
+			}
+		}
+	}
+}
+
+// FuzzTrimmedFit runs the same differential on fuzzed keys: every eight
+// bytes are one key (top bit cleared, so keys reach MaxInt64), and pct
+// picks a trim percentage in [0.5, 49.5].
+func FuzzTrimmedFit(f *testing.F) {
+	f.Add(uint8(19), []byte("\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03"))
+	f.Add(uint8(98), []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xfe\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, pct uint8, data []byte) {
+		raw := make([]int64, len(data)/8)
+		for i := range raw {
+			raw[i] = int64(binary.LittleEndian.Uint64(data[8*i:]) >> 1)
+		}
+		ks, err := keys.New(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrimmedReference(t, "fuzz", Trimmed{Pct: float64(pct%99+1) / 2}, ks)
+	})
+}
+
+// TestMedianMatchesSortReference pins the selection-based median to the
+// sort-based one bit for bit, on raw slices of both parities (ties,
+// sorted, reversed) and on TheilSen's own slope and residual inputs over
+// every key family.
+func TestMedianMatchesSortReference(t *testing.T) {
+	rng := xrand.New(5)
+	check := func(name string, xs []float64) {
+		t.Helper()
+		want := sortMedian(xs)
+		got := median(slices.Clone(xs))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s len=%d: median %v, reference %v", name, len(xs), got, want)
+		}
+	}
+	for m := 1; m <= 40; m++ {
+		ties := make([]float64, m)
+		for i := range ties {
+			ties[i] = float64(rng.Intn(4))
+		}
+		random := make([]float64, m)
+		for i := range random {
+			random[i] = rng.NormFloat64()
+		}
+		sorted := slices.Clone(random)
+		slices.Sort(sorted)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		check("ties", ties)
+		check("random", random)
+		check("sorted", sorted)
+		check("reversed", reversed)
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		n := 2 + rng.Intn(3000)
+		for _, fam := range referenceFamilies(t, rng, n) {
+			ks := fam.ks
+			n := ks.Len()
+			h := n / 2
+			slopes := make([]float64, n-h)
+			for i := range slopes {
+				slopes[i] = float64(h) / float64(ks.At(i+h)-ks.At(i))
+			}
+			check(fam.name+" slopes", slopes)
+			w := sortMedian(slopes)
+			resid := make([]float64, n)
+			for i := range resid {
+				resid[i] = float64(i+1) - w*float64(ks.At(i))
+			}
+			check(fam.name+" residuals", resid)
+		}
+	}
+}
+
+// TestFitParallelCancelled: a done context is an error, never a model
+// built from half-filled slopes or residuals, whether the fit would fan
+// out (above fitGrainFloor) or run inline (below it).
+func TestFitParallelCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pool := engine.New(4)
+	for _, n := range []int{fitGrainFloor / 2, 5000} {
+		ks, err := dataset.Uniform(xrand.New(uint64(n)), n, int64(n)*60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []Fitter{TheilSen{}, Trimmed{Pct: 10}} {
+			m, err := f.FitParallel(ctx, pool, ks)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s n=%d: err = %v, want context.Canceled", f.Name(), n, err)
+			}
+			if m != (regression.Model{}) {
+				t.Errorf("%s n=%d: cancelled fit returned %+v, want the zero Model", f.Name(), n, m)
+			}
+		}
+	}
+}
+
+// TestTrimmedFitAllocs holds the sequential trimmed fit at the workload's
+// mean shard size to a fixed allocation budget: the pair and coordinate
+// buffers are allocated once per fit and reused by both rounds.
+func TestTrimmedFitAllocs(t *testing.T) {
+	ks, err := dataset.Uniform(xrand.New(1459), 1459, 1459*60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (Trimmed{Pct: 10}).Fit(ks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("Trimmed.Fit at n=1459: %v allocs per fit, budget 4", allocs)
+	}
+}
+
+var benchModel regression.Model
+
+// BenchmarkTrimmedFit times the sequential trimmed fit at the benchmark
+// workload's mean shard size (n=1459) and at n=1e5.
+func BenchmarkTrimmedFit(b *testing.B) {
+	for _, n := range []int{1459, 100_000} {
+		ks, err := dataset.Uniform(xrand.New(uint64(n)), n, int64(n)*60)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := Trimmed{Pct: 10}.Fit(ks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchModel = m
+			}
+		})
 	}
 }
