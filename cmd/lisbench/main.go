@@ -51,9 +51,75 @@ var (
 	perfTol      float64
 )
 
+// figure is one row of the figure table: its -fig key, the title of its
+// "[… done in …]" line, its runner, and whether -fig all runs it.
+type figure struct {
+	key, title string
+	run        func(bench.Options, string) error
+	inAll      bool
+}
+
+// figures lists every figure in -fig all order. perf is left out of all:
+// wall-clock benchmarks do not belong in a figures-regeneration run (they
+// are requested explicitly). throughput IS included: its CSV columns are
+// deterministic (ops/sec goes to stdout only), so it regenerates like any
+// figure.
+var figures = []figure{
+	{"2", "figure 2", runFig2, true},
+	{"3", "figure 3", runFig3, true},
+	{"4", "figure 4", runFig4, true},
+	{"5", "figure 5", runFig5, true},
+	{"6", "figure 6", runFig6, true},
+	{"7", "figure 7", runFig7, true},
+	{"8", "figure 8", runFig8, true},
+	{"ext", "extensions", runExtensions, true},
+	{"ablation", "ablations", runAblations, true},
+	{"online", "online scenario", runOnline, true},
+	{"serve", "serving scenario", runServe, true},
+	{"churn", "retrain-churn scenario", runChurn, true},
+	{"cascade", "split-cascade scenario", runCascade, true},
+	{"throughput", "throughput scenario", runThroughput, true},
+	{"defense", "defense Pareto sweep", runDefense, true},
+	{"perf", "perf sweep", runPerf, false},
+}
+
+// figureKeys lists the -fig values the table accepts, every key and then
+// all, and the keys all leaves out.
+func figureKeys() (keys, notInAll string) {
+	var ks, out []string
+	for _, f := range figures {
+		ks = append(ks, f.key)
+		if !f.inAll {
+			out = append(out, f.key)
+		}
+	}
+	return strings.Join(append(ks, "all"), "|"), strings.Join(out, ", ")
+}
+
+// selectFigures resolves a -fig value — all, or a comma-separated key
+// list — to the figures it runs, in order.
+func selectFigures(spec string) ([]figure, error) {
+	var selected []figure
+	for _, k := range strings.Split(spec, ",") {
+		k = strings.TrimSpace(k)
+		n := len(selected)
+		for _, f := range figures {
+			if k == f.key || spec == "all" && f.inAll {
+				selected = append(selected, f)
+			}
+		}
+		if len(selected) == n {
+			keys, _ := figureKeys()
+			return nil, fmt.Errorf("unknown figure %q (want %s)", k, keys)
+		}
+	}
+	return selected, nil
+}
+
 func main() {
+	keys, notInAll := figureKeys()
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 2|3|4|5|6|7|8|ext|ablation|online|serve|churn|cascade|throughput|defense|perf|all (all excludes perf)")
+		fig        = flag.String("fig", "all", "figure to regenerate: "+keys+" (all excludes "+notInAll+")")
 		scale      = flag.String("scale", "default", "experiment scale: quick|default|large")
 		seed       = flag.Uint64("seed", 42, "root RNG seed")
 		out        = flag.String("out", "", "directory for CSV output (optional)")
@@ -76,42 +142,9 @@ func main() {
 			fatalf("create output dir: %v", err)
 		}
 	}
-
-	runners := map[string]func(bench.Options, string) error{
-		"2":          runFig2,
-		"3":          runFig3,
-		"4":          runFig4,
-		"5":          runFig5,
-		"6":          runFig6,
-		"7":          runFig7,
-		"8":          runFig8,
-		"ext":        runExtensions,
-		"ablation":   runAblations,
-		"online":     runOnline,
-		"serve":      runServe,
-		"churn":      runChurn,
-		"cascade":    runCascade,
-		"throughput": runThroughput,
-		"defense":    runDefense,
-		"perf":       runPerf,
-	}
-	// perf is deliberately absent: wall-clock benchmarks do not belong in a
-	// figures-regeneration run (they are requested explicitly). throughput IS
-	// included: its CSV columns are deterministic (ops/sec goes to stdout
-	// only), so it regenerates like any figure.
-	order := []string{"2", "3", "4", "5", "6", "7", "8", "ext", "ablation", "online", "serve", "churn", "cascade", "throughput", "defense"}
-
-	var selected []string
-	if *fig == "all" {
-		selected = order
-	} else {
-		for _, f := range strings.Split(*fig, ",") {
-			f = strings.TrimSpace(f)
-			if _, ok := runners[f]; !ok {
-				fatalf("unknown figure %q (want 2..8, ext, ablation, online, all)", f)
-			}
-			selected = append(selected, f)
-		}
+	selected, err := selectFigures(*fig)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	stopCPU, err := startCPUProfile(*cpuprofile)
 	if err != nil {
@@ -119,11 +152,11 @@ func main() {
 	}
 	for _, f := range selected {
 		start := time.Now()
-		if err := runners[f](opts, *out); err != nil {
+		if err := f.run(opts, *out); err != nil {
 			stopCPU()
-			fatalf("figure %s: %v", f, err)
+			fatalf("figure %s: %v", f.key, err)
 		}
-		fmt.Printf("[%s done in %v]\n\n", name(f), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s done in %v]\n\n", f.title, time.Since(start).Round(time.Millisecond))
 	}
 	stopCPU()
 	if err := writeMemProfile(*memprofile); err != nil {
@@ -169,31 +202,6 @@ func writeMemProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func name(f string) string {
-	switch f {
-	case "ext":
-		return "extensions"
-	case "ablation":
-		return "ablations"
-	case "online":
-		return "online scenario"
-	case "serve":
-		return "serving scenario"
-	case "churn":
-		return "retrain-churn scenario"
-	case "cascade":
-		return "split-cascade scenario"
-	case "throughput":
-		return "throughput scenario"
-	case "defense":
-		return "defense Pareto sweep"
-	case "perf":
-		return "perf sweep"
-	default:
-		return "figure " + f
-	}
 }
 
 func fatalf(format string, args ...any) {
@@ -520,7 +528,7 @@ func runAblations(opts bench.Options, out string) error {
 	}
 	tb := export.NewTable("keys", "domain", "opt_candidates", "brute_candidates",
 		"agree", "opt_micros", "brute_micros", "speedup")
-	speedup := float64(ep.BruteMicros) / float64(max64(ep.OptMicros, 1))
+	speedup := float64(ep.BruteMicros) / float64(max(ep.OptMicros, 1))
 	tb.AddRow(fmt.Sprint(ep.Keys), fmt.Sprint(ep.Domain), fmt.Sprint(ep.OptCandidates),
 		fmt.Sprint(ep.BruteCandidates), fmt.Sprint(ep.Agree),
 		fmt.Sprint(ep.OptMicros), fmt.Sprint(ep.BruteMicros), export.F(speedup))
@@ -919,11 +927,4 @@ func runPerf(opts bench.Options, out string) error {
 	}
 	fmt.Printf("no regression against %s (tolerance %.0f%%)\n", perfBaseline, perfTol*100)
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

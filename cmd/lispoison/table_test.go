@@ -1,0 +1,173 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+func subcommandNamed(t *testing.T, name string) subcommand {
+	t.Helper()
+	for _, c := range subcommands {
+		if c.name == name {
+			return c
+		}
+	}
+	t.Fatalf("no subcommand %q", name)
+	return subcommand{}
+}
+
+// TestUsageStringsAreNotFormats: flag help is printed verbatim, so a "%%"
+// written for Printf shows up doubled in -h output.
+func TestUsageStringsAreNotFormats(t *testing.T) {
+	for _, c := range subcommands {
+		fs, _ := c.flagSet()
+		fs.VisitAll(func(f *flag.Flag) {
+			if strings.Contains(f.Usage, "%%") {
+				t.Errorf("%s -%s: usage %q contains %%%%", c.name, f.Name, f.Usage)
+			}
+		})
+	}
+}
+
+// TestUndefinedFlagReturnsError: a bad flag is an error the caller sees,
+// not an exit of the process.
+func TestUndefinedFlagReturnsError(t *testing.T) {
+	err := run([]string{"online", "-shards", "4"})
+	if !errors.Is(err, errUsage) || errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("online -shards 4: got %v, want a usage error", err)
+	}
+	if err := run([]string{"online", "-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("online -h: got %v, want flag.ErrHelp", err)
+	}
+}
+
+// documentedLines returns the lispoison command lines of README.md and of
+// the package comment, without the program name, trailing comments,
+// optional-argument brackets or shell quotes.
+func documentedLines(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	for file, prefix := range map[string]string{
+		filepath.Join("..", "..", "README.md"): "go run ./cmd/lispoison ",
+		"main.go":                              "//\tlispoison ",
+	} {
+		blob, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(string(blob), "\n") {
+			if rest, ok := strings.CutPrefix(l, prefix); ok {
+				rest, _, _ = strings.Cut(rest, " #")
+				lines = append(lines, strings.NewReplacer("[", "", "]", "", "'", "").Replace(rest))
+			}
+		}
+	}
+	return lines
+}
+
+// TestDocumentedCommandLinesParse: every lispoison line in README.md and in
+// the package comment parses against its subcommand's flags, and together
+// they show every subcommand.
+func TestDocumentedCommandLinesParse(t *testing.T) {
+	shown := map[string]bool{}
+	for _, l := range documentedLines(t) {
+		args := strings.Fields(l)
+		c := subcommandNamed(t, args[0])
+		shown[c.name] = true
+		fs, _ := c.flagSet()
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args[1:]); err != nil || fs.NArg() > 0 {
+			t.Errorf("lispoison %s: err %v, %d stray arguments", l, err, fs.NArg())
+		}
+	}
+	for _, c := range subcommands {
+		if !shown[c.name] {
+			t.Errorf("no documented command line for %s", c.name)
+		}
+	}
+}
+
+func writeFile(t *testing.T, name, content string) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestKeyBoundsNearInt64Limits: the bounds derived from a key file's
+// extremes equal the plain int64 expressions wherever those do not
+// overflow, and are errors naming -in where they do.
+func TestKeyBoundsNearInt64Limits(t *testing.T) {
+	const hi, wide = math.MaxInt64, 8384883669867978006 // wide+wide/10+1 == MaxInt64
+	cases := []struct {
+		min, max                 int64
+		span, domain, wideDomain int64 // 0: overflows
+	}{
+		{5, 100, 96, 101, 111},
+		{0, wide, wide + 1, wide + 1, hi},
+		{0, wide + 1, wide + 2, wide + 2, 0},
+		{0, hi - 1, hi, hi, 0},
+		{1, hi, hi, 0, 0},
+		{0, hi, 0, 0, 0},
+		{hi - 10, hi, 11, 0, 0},
+	}
+	for _, c := range cases {
+		path := writeFile(t, "keys.txt", strconv.FormatInt(c.min, 10)+"\n"+strconv.FormatInt(c.max, 10))
+		in, err := scenarioFlags{names: "in"}.load(&scenarioArgs{in: path}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []struct {
+			what string
+			got  keyBound
+			want int64
+		}{{"span", in.span, c.span}, {"domain", in.domain, c.domain}, {"wideDomain", in.wideDomain, c.wideDomain}} {
+			switch {
+			case b.want == 0 && (b.got.err == nil || !strings.Contains(b.got.err.Error(), "-in "+path)):
+				t.Errorf("[%d, %d] %s: got %d, %v; want an error naming -in", c.min, c.max, b.what, b.got.v, b.got.err)
+			case b.want != 0 && (b.got.err != nil || b.got.v != b.want):
+				t.Errorf("[%d, %d] %s: got %d, %v; want %d", c.min, c.max, b.what, b.got.v, b.got.err, b.want)
+			}
+		}
+	}
+}
+
+// TestExtremeKeyFilesErrorNotPanic runs the three subcommands that derive
+// a bound from the key extremes on a file whose bounds overflow int64 and
+// on an empty file: each must return an error naming -in, not panic.
+func TestExtremeKeyFilesErrorNotPanic(t *testing.T) {
+	extreme := writeFile(t, "extreme.txt", "0\n5\n9\n100\n9223372036854775000\n9223372036854775807\n")
+	empty := writeFile(t, "empty.txt", "")
+	for _, in := range []string{extreme, empty} {
+		for _, args := range [][]string{
+			{"online", "-in", in, "-epochs", "2", "-arrivals", "2"},
+			{"throughput", "-in", in, "-epochs", "2", "-ops", "4", "-shards", "1"},
+			{"defense", "-in", in, "-scenario", "static"},
+		} {
+			err := run(args)
+			if err == nil || !strings.Contains(err.Error(), "-in "+in) {
+				t.Errorf("lispoison %v: got %v, want an error naming -in", args, err)
+			}
+		}
+	}
+}
+
+// TestGenNoKeysErrors: gen -n 0 generates nothing to report min/max of.
+func TestGenNoKeysErrors(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "keys.txt")
+	if err := run([]string{"gen", "-n", "0", "-o", out}); err == nil {
+		t.Fatal("gen -n 0 accepted")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("gen -n 0 wrote %s", out)
+	}
+}
