@@ -1,9 +1,14 @@
 package rmi
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"cdfpoison/internal/dataset"
+	"cdfpoison/internal/index"
+	"cdfpoison/internal/keys"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
 )
 
@@ -85,4 +90,170 @@ func freshInteriorKey(sorted []int64) int64 {
 		}
 	}
 	panic("no gap")
+}
+
+// TestSingleMatchesFanoutOneBuild pins the single-model backend to the
+// fanout-1 RMI it is defined by. In every state — fresh, with staged keys,
+// retrained — each stored, staged and absent key's lookup, the batch probe
+// sums, the stats and the optional faces equal what Build(…, Fanout 1)
+// over the trained-on keys, followed by a binary search over the staged
+// keys, gives.
+func TestSingleMatchesFanoutOneBuild(t *testing.T) {
+	sets := []struct {
+		name string
+		gen  func(*xrand.RNG) (keys.Set, error)
+	}{
+		{"uniform", func(r *xrand.RNG) (keys.Set, error) { return dataset.Uniform(r, 2_000, 100_000) }},
+		{"normal", func(r *xrand.RNG) (keys.Set, error) { return dataset.Normal(r, 2_000, 100_000) }},
+		{"lognormal", func(r *xrand.RNG) (keys.Set, error) { return dataset.LogNormal(r, 2_000, 1_000_000, 0, 2) }},
+	}
+	for i, c := range sets {
+		rng := xrand.New(uint64(40 + i))
+		ks, err := c.gen(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSingle(ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSingle(t, c.name+"/fresh", s, ks, nil, 0)
+		staged := interiorAbsentKeys(rng, ks, 20)
+		for _, k := range staged {
+			if ok, retrained := s.Insert(k); !ok || retrained {
+				t.Fatalf("%s: staging %d: accepted=%v retrained=%v", c.name, k, ok, retrained)
+			}
+		}
+		checkSingle(t, c.name+"/staged", s, ks, staged, 0)
+		s.Retrain()
+		checkSingle(t, c.name+"/retrained", s, ks.Union(keys.FromSorted(staged)), nil, 1)
+	}
+}
+
+// checkSingle compares b and a snapshot of it with the fanout-1 index over
+// base plus a binary search over the sorted staged keys.
+func checkSingle(t *testing.T, label string, b index.Backend, base keys.Set, staged []int64, retrains int) {
+	t.Helper()
+	ref, err := Build(base, Config{Fanout: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := base.Union(keys.FromSorted(staged))
+	want := func(k int64) index.LookupResult {
+		r := ref.Lookup(k)
+		res := index.LookupResult{Found: r.Found, Probes: r.Probes, Window: r.Window}
+		for lo, hi := 0, len(staged)-1; !res.Found && lo <= hi; {
+			mid := (lo + hi) / 2
+			res.Probes++
+			switch c := staged[mid]; {
+			case c == k:
+				res.Found, res.InBuffer = true, true
+			case c < k:
+				lo = mid + 1
+			default:
+				hi = mid - 1
+			}
+		}
+		return res
+	}
+
+	// Every stored and staged key plus its absent successor, and -1.
+	queries := []int64{-1}
+	for i := 0; i < content.Len(); i++ {
+		k := content.At(i)
+		queries = append(queries, k)
+		if k < math.MaxInt64 && !content.Contains(k+1) {
+			queries = append(queries, k+1)
+		}
+	}
+	snap := b.Snapshot()
+	var wantProbes int64
+	var wantNotFound int
+	for _, k := range queries {
+		w := want(k)
+		if got := b.Lookup(k); got != w {
+			t.Fatalf("%s: Lookup(%d) = %+v, fanout-1 reference %+v", label, k, got, w)
+		}
+		if got := snap.Lookup(k); got != w {
+			t.Fatalf("%s: snapshot Lookup(%d) = %+v, fanout-1 reference %+v", label, k, got, w)
+		}
+		wantProbes += int64(w.Probes)
+		if !w.Found {
+			wantNotFound++
+		}
+	}
+	for name, r := range map[string]index.PointReader{"backend": b, "snapshot": snap} {
+		if p, nf := r.ProbeSum(queries); p != wantProbes || nf != wantNotFound {
+			t.Errorf("%s: %s ProbeSum = (%d, %d), want (%d, %d)", label, name, p, nf, wantProbes, wantNotFound)
+		}
+		if p, nf := index.ProbeSumSorted(r, queries); p != wantProbes || nf != wantNotFound {
+			t.Errorf("%s: %s ProbeSumSorted = (%d, %d), want (%d, %d)", label, name, p, nf, wantProbes, wantNotFound)
+		}
+	}
+
+	contentLoss, err := regression.EvaluateCDF(ref.models[0].line, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats := index.Stats{
+		Keys:        content.Len(),
+		Buffered:    len(staged),
+		Retrains:    retrains,
+		ModelLoss:   ref.SecondStageMSE(),
+		ContentLoss: contentLoss,
+		Window:      ref.Stats().MaxWindow,
+	}
+	if st := b.Stats(); st != wantStats {
+		t.Errorf("%s: Stats = %+v, want %+v", label, st, wantStats)
+	}
+	if got := b.Len(); got != content.Len() {
+		t.Errorf("%s: Len = %d, want %d", label, got, content.Len())
+	}
+	if got := b.Keys(); !got.Equal(content) {
+		t.Errorf("%s: Keys differ from base ∪ staged", label)
+	}
+
+	if got, want := faceSet(b), "BatchReader,RebuildSizer,TriggerPredictor"; got != want {
+		t.Fatalf("%s: backend faces %q, want %q", label, got, want)
+	}
+	if got, want := faceSet(snap), "BatchReader"; got != want {
+		t.Fatalf("%s: snapshot faces %q, want %q", label, got, want)
+	}
+	if got := b.(index.RebuildSizer).LastRebuildSize(); got != base.Len() {
+		t.Errorf("%s: LastRebuildSize = %d, want %d", label, got, base.Len())
+	}
+	if b.(index.TriggerPredictor).RetrainPossible() {
+		t.Errorf("%s: RetrainPossible = true on a manually retrained index", label)
+	}
+}
+
+// faceSet names the optional index faces v implements.
+func faceSet(v any) string {
+	var fs []string
+	if _, ok := v.(index.BatchReader); ok {
+		fs = append(fs, "BatchReader")
+	}
+	if _, ok := v.(index.ParallelRetrainer); ok {
+		fs = append(fs, "ParallelRetrainer")
+	}
+	if _, ok := v.(index.RebuildSizer); ok {
+		fs = append(fs, "RebuildSizer")
+	}
+	if _, ok := v.(index.TriggerPredictor); ok {
+		fs = append(fs, "TriggerPredictor")
+	}
+	return strings.Join(fs, ",")
+}
+
+// interiorAbsentKeys draws n distinct keys strictly between ks's minimum
+// and maximum that ks does not hold, sorted.
+func interiorAbsentKeys(rng *xrand.RNG, ks keys.Set, n int) []int64 {
+	picked := keys.Set{}
+	for picked.Len() < n {
+		k := ks.Min() + 1 + rng.Int63n(ks.Max()-ks.Min()-1)
+		if !ks.Contains(k) {
+			picked, _ = picked.Insert(k)
+		}
+	}
+	return picked.Keys()
 }
