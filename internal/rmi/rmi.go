@@ -189,8 +189,10 @@ func fitStage2(ks keys.Set, rows []int) stage2 {
 	s.line = line
 	s.eLo, s.eHi = math.Inf(1), math.Inf(-1)
 	var mse float64
-	for i := range xs {
-		d := ys[i] - line.Predict(int64(xs[i]))
+	for i, r := range rows {
+		// Predict from the key itself: int64(xs[i]) overflows for keys
+		// whose float64 value rounds up to 2^63.
+		d := ys[i] - line.Predict(ks.At(r))
 		if d < s.eLo {
 			s.eLo = d
 		}

@@ -2,11 +2,13 @@ package rmi
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/nn"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
 )
 
@@ -125,6 +127,41 @@ func TestSingletonIndex(t *testing.T) {
 	}
 	if r := idx.Lookup(41); r.Found {
 		t.Fatal("absent key found in singleton index")
+	}
+}
+
+// TestBuildResidualsNearMaxInt64: keys whose float64 value rounds to 2^63
+// still get their own residual, so the fanout-1 model's MSE (the paper's
+// L_i) is the line's CDF loss and the error envelope is the exact min/max
+// residual.
+func TestBuildResidualsNearMaxInt64(t *testing.T) {
+	clean := []int64{0, 5, 9, 100, math.MaxInt64 - 1, math.MaxInt64}
+	for _, raw := range [][]int64{clean, append([]int64{50}, clean...)} {
+		ks, err := keys.New(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := Build(ks, Config{Fanout: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := idx.models[0]
+		loss, err := regression.EvaluateCDF(m.line, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := idx.SecondStageMSE(); got != loss {
+			t.Errorf("n=%d: SecondStageMSE %v, EvaluateCDF of its line %v", ks.Len(), got, loss)
+		}
+		eLo, eHi := math.Inf(1), math.Inf(-1)
+		for i := 0; i < ks.Len(); i++ {
+			d := float64(i+1) - m.line.Predict(ks.At(i))
+			eLo, eHi = math.Min(eLo, d), math.Max(eHi, d)
+		}
+		if m.eLo != eLo || m.eHi != eHi {
+			t.Errorf("n=%d: envelope [%v, %v], exact residual range [%v, %v]", ks.Len(), m.eLo, m.eHi, eLo, eHi)
+		}
+		verifyAllFound(t, idx, ks)
 	}
 }
 
