@@ -106,6 +106,9 @@ func TestSingleMatchesFanoutOneBuild(t *testing.T) {
 		{"uniform", func(r *xrand.RNG) (keys.Set, error) { return dataset.Uniform(r, 2_000, 100_000) }},
 		{"normal", func(r *xrand.RNG) (keys.Set, error) { return dataset.Normal(r, 2_000, 100_000) }},
 		{"lognormal", func(r *xrand.RNG) (keys.Set, error) { return dataset.LogNormal(r, 2_000, 1_000_000, 0, 2) }},
+		{"near-maxint64", func(*xrand.RNG) (keys.Set, error) {
+			return keys.New([]int64{0, 5, 9, 50, 100, math.MaxInt64 - 1, math.MaxInt64})
+		}},
 	}
 	for i, c := range sets {
 		rng := xrand.New(uint64(40 + i))
