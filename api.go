@@ -94,10 +94,6 @@ type Model = regression.Model
 // closed form, computed with translation-stable centered moments.
 func FitCDF(ks KeySet) (Model, error) { return regression.FitCDF(ks) }
 
-// EvaluateCDF scores an arbitrary line against a key set's CDF (mean squared
-// error over ranks 1..n).
-func EvaluateCDF(l Line, ks KeySet) (float64, error) { return regression.EvaluateCDF(l, ks) }
-
 // ---------------------------------------------------------------------------
 // Parallel execution
 // ---------------------------------------------------------------------------
@@ -294,9 +290,9 @@ func OnlinePoisonAttack(initial KeySet, opts OnlineOptions, execOpts ...AttackOp
 // IndexBackend is the contract every index substrate serves through,
 // composed of three planes: IndexReader (immutable snapshots), IndexWriter
 // (delta-plane inserts), and IndexAdmin (explicit retrains + stats), plus
-// direct probe-counted reads against the current state. DynamicIndex,
-// BTree, SingleModelIndex, ShardedIndex, GuardedBackend, and
-// RetrainPipeline all satisfy it, and the scenarios (OnlinePoisonAttack,
+// direct probe-counted reads against the current state. DynamicIndex
+// (also the single-model index NewSingleModelIndex builds), BTree,
+// ShardedIndex, GuardedBackend, and RetrainPipeline all satisfy it, and the scenarios (OnlinePoisonAttack,
 // ServeAttack, ChurnAttack) drive victims only through it.
 type IndexBackend = index.Backend
 
@@ -329,13 +325,12 @@ type BackendFactory = core.BackendFactory
 // online and serve subcommands: "manual", "every:K", or "buffer:K".
 func ParseRetrainPolicy(s string) (RetrainPolicy, error) { return dynamic.ParsePolicy(s) }
 
-// SingleModelIndex is the single-model (fanout-1) RMI path behind the
-// backend contract: a static learned index whose inserts are staged until
-// an explicit Retrain rebuilds the model — the paper's own victim shape.
-type SingleModelIndex = rmi.Single
-
-// NewSingleModelIndex builds the fanout-1 learned index over the keys.
-func NewSingleModelIndex(ks KeySet) (*SingleModelIndex, error) { return rmi.NewSingle(ks) }
+// NewSingleModelIndex builds the single-model (fanout-1) RMI path behind
+// the backend contract over at least two keys: a static learned index
+// whose inserts are staged until an explicit Retrain rebuilds the model —
+// the paper's own victim shape. It is a manually retrained DynamicIndex
+// trained by the fanout-1 RMI's stage-2 fit.
+func NewSingleModelIndex(ks KeySet) (*DynamicIndex, error) { return rmi.NewSingle(ks) }
 
 // ShardedIndex is a range-partitioned serving index: a router fitted over
 // the initial key CDF in front of independent dynamic shards. See
@@ -635,16 +630,6 @@ func PLAInflationAttack(ks KeySet, budget, epsilon int) (PLAInflationResult, err
 	return pla.InflationAttack(ks, budget, epsilon)
 }
 
-// Quad is a fitted quadratic CDF model; QuadModel adds its loss.
-type Quad = regression.Quad
-
-// QuadModel is the result of a quadratic CDF fit.
-type QuadModel = regression.QuadModel
-
-// FitQuadCDF fits rank ≈ a·k² + b·k + c on the key set's CDF — the "more
-// complex second-stage model" mitigation the paper's Discussion weighs.
-func FitQuadCDF(ks KeySet) (QuadModel, error) { return regression.FitQuadCDF(ks) }
-
 // BTree is the traditional baseline index.
 type BTree = btree.Tree
 
@@ -734,18 +719,6 @@ func NewDynamicIndexWithFit(ks KeySet, policy RetrainPolicy, fit func(KeySet) (M
 	return dynamic.NewWithFit(ks, policy, fit)
 }
 
-// NewShardedIndexWithFit is NewShardedIndex with a pluggable per-shard CDF
-// trainer (nil fit keeps OLS).
-func NewShardedIndexWithFit(ks KeySet, shards int, policy RetrainPolicy, fit func(KeySet) (Model, error)) (*ShardedIndex, error) {
-	return shard.NewWithFit(ks, shards, policy, fit)
-}
-
-// NewSingleModelIndexWithFit is NewSingleModelIndex with a pluggable
-// stage-2 trainer (nil fit keeps OLS).
-func NewSingleModelIndexWithFit(ks KeySet, fit func(KeySet) (Model, error)) (*SingleModelIndex, error) {
-	return rmi.NewSingleWithFit(ks, fit)
-}
-
 // NewBalancedAlexIndex is NewAlexIndex with the density-balancing split
 // policy: splits partition at the widest key-space gap instead of the
 // occupancy midpoint, denying the cascade attacker its dense corner.
@@ -775,19 +748,6 @@ type LossSpikeGuardPolicy = defense.LossSpikePolicy
 // chain). It is total — any input yields a chain or an error.
 func ParseGuardPolicyChain(spec string) ([]GuardPolicy, error) {
 	return defense.ParsePolicyChain(spec)
-}
-
-// GuardPolicyChainSpec renders a chain back to its canonical spec string.
-func GuardPolicyChainSpec(ps []GuardPolicy) string { return defense.ChainSpec(ps) }
-
-// WriteRateLimiter enforces a per-source write budget over a sliding window
-// of logical operations, deterministically.
-type WriteRateLimiter = defense.RateLimiter
-
-// NewWriteRateLimiter builds a limiter allowing budget write attempts per
-// source per window logical ops (both >= 1).
-func NewWriteRateLimiter(budget, window int) (*WriteRateLimiter, error) {
-	return defense.NewRateLimiter(budget, window)
 }
 
 // ScenarioDefense arms the defense plane of any attack scenario (static,

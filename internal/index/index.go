@@ -19,8 +19,9 @@
 // core.ChurnAttack, the backend comparison sweep in internal/bench, the
 // defense wrappers) are written against interfaces alone and any substrate
 // — the updatable learned index (internal/dynamic), the B-Tree baseline
-// (internal/btree), the single-model RMI path (internal/rmi), the
-// range-partitioned sharded index (internal/shard), or a defense wrapper
+// (internal/btree), the single-model RMI path (rmi.NewSingle: a
+// dynamic.Index trained by the fanout-1 RMI fit), the range-partitioned
+// sharded index (internal/shard), or a defense wrapper
 // (internal/defense) — can be swapped under any scenario without touching
 // the scenario.
 //

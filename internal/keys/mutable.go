@@ -8,10 +8,9 @@ import (
 // resulting slice. With clone=false it shifts in place (amortized append,
 // exactly the historical delta-buffer insert); with clone=true it builds a
 // fresh slice and leaves buf's backing array untouched — the copy-on-write
-// step the snapshot-isolated backends (dynamic.Index, rmi.Single) take on
-// the first mutation after handing out a snapshot that aliases buf. Both
-// backends share THIS implementation so the COW invariant lives in one
-// place.
+// step the snapshot-isolated dynamic.Index (and so the single-model RMI
+// and every shard, which are dynamic.Index values) takes on the first
+// mutation after handing out a snapshot that aliases buf.
 func InsertAt(buf []int64, i int, k int64, clone bool) []int64 {
 	if clone {
 		nb := make([]int64, len(buf)+1)

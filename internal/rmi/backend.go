@@ -9,246 +9,25 @@ package rmi
 // threat model assumes.
 
 import (
-	"math"
-	"sort"
-
-	"cdfpoison/internal/index"
+	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 )
 
-var _ index.Backend = (*Single)(nil)
-var _ index.Snapshot = (*singleView)(nil)
-
-// singleView is the complete read state of a Single at one instant: the
-// built model (immutable after Build — Retrain swaps in a fresh one) plus
-// the staged keys. It doubles as the backend's index.Snapshot: the staged
-// slice is copy-on-write, so a handed-out view is frozen at capture time.
-type singleView struct {
-	idx    *Index
-	base   keys.Set
-	staged []int64 // sorted, duplicate-free keys accepted since last rebuild
+// NewSingle builds the fanout-1 learned index over the initial keys (at
+// least two, else dynamic.ErrTooFew): a manually retrained dynamic.Index
+// whose every (re)fit is the line Build(…, Config{Fanout: 1}) fits.
+func NewSingle(initial keys.Set) (*dynamic.Index, error) {
+	return dynamic.NewWithFit(initial, dynamic.ManualPolicy(), fitSingle)
 }
 
-// Single is a single-model (fanout-1) RMI behind the index.Backend
-// contract. It is NOT safe for concurrent mutation; lookups are pure reads.
-type Single struct {
-	v singleView
-	// stagedShared marks the staged slice as aliased by a snapshot: the
-	// next mutation clones instead of editing in place.
-	stagedShared bool
-	// fit is the pluggable stage-2 trainer; nil selects the exact
-	// least-squares Build path.
-	fit         FitFunc
-	retrains    int
-	lastRebuild int // keys covered by the most recent Build (index.RebuildSizer)
-}
-
-// FitFunc is a pluggable stage-2 trainer for the single-model path: given
-// the base set, produce a model predicting global 1-based ranks.
-// internal/robust provides poisoning-resistant implementations; the error
-// envelope is always recomputed over the full base against the returned
-// line, so stored-key lookups stay guaranteed (DESIGN.md §10).
-type FitFunc func(keys.Set) (regression.Model, error)
-
-// NewSingle builds the fanout-1 learned index over the initial keys.
-func NewSingle(initial keys.Set) (*Single, error) {
-	return NewSingleWithFit(initial, nil)
-}
-
-// NewSingleWithFit is NewSingle with a pluggable trainer used by the
-// initial build and every Retrain. A nil fit is byte-identical to
-// NewSingle.
-func NewSingleWithFit(initial keys.Set, fit FitFunc) (*Single, error) {
-	idx, err := buildSingle(initial, fit)
+// fitSingle is the fanout-1 RMI's stage-2 model as a CDF trainer: its line
+// and, as the loss, its in-sample MSE — SecondStageMSE at fanout 1.
+func fitSingle(ks keys.Set) (regression.Model, error) {
+	idx, err := Build(ks, Config{Fanout: 1})
 	if err != nil {
-		return nil, err
+		return regression.Model{}, err
 	}
-	return &Single{v: singleView{idx: idx, base: initial}, fit: fit, lastRebuild: initial.Len()}, nil
-}
-
-// buildSingle constructs the fanout-1 index, through Build for the default
-// trainer or from the supplied fit's line with a freshly recorded error
-// envelope — structurally identical to what Build produces, so lookups,
-// stats, and snapshots behave the same either way.
-func buildSingle(base keys.Set, fit FitFunc) (*Index, error) {
-	if fit == nil {
-		return Build(base, Config{Fanout: 1})
-	}
-	n := base.Len()
-	if n == 0 {
-		return nil, ErrEmpty
-	}
-	m, err := fit(base)
-	if err != nil {
-		return nil, err
-	}
-	s := stage2{
-		assigned:  n,
-		firstKey:  base.Min(),
-		lastKey:   base.Max(),
-		line:      m.Line,
-		saturated: base.Saturated(),
-	}
-	if n == 1 {
-		s.line = regression.Line{W: 0, B: 1}
-	} else {
-		s.eLo, s.eHi = math.Inf(1), math.Inf(-1)
-		var mse float64
-		for i := 0; i < n; i++ {
-			d := float64(i+1) - s.line.Predict(base.At(i))
-			if d < s.eLo {
-				s.eLo = d
-			}
-			if d > s.eHi {
-				s.eHi = d
-			}
-			mse += d * d
-		}
-		s.localMSE = mse / float64(n)
-	}
-	return &Index{
-		ks:         base,
-		cfg:        Config{Fanout: 1, Root: RootPerfect},
-		models:     []stage2{s},
-		boundaries: []int64{base.Min()},
-	}, nil
-}
-
-// LastRebuildSize reports how many keys the most recent rebuild covered —
-// the size the background-retrain pipeline's cost model prices
-// (index.RebuildSizer).
-func (s *Single) LastRebuildSize() int { return s.lastRebuild }
-
-// RetrainPossible is always false: a static index never retrains on the
-// write path (index.TriggerPredictor).
-func (s *Single) RetrainPossible() bool { return false }
-
-// Lookup serves base keys through the model's guaranteed window and staged
-// keys by binary search, counting comparisons across both.
-func (s *Single) Lookup(k int64) index.LookupResult { return s.v.Lookup(k) }
-
-// Lookup is the shared probe-counted point query both the live backend and
-// its snapshots serve through.
-func (v *singleView) Lookup(k int64) index.LookupResult {
-	r := v.idx.Lookup(k)
-	res := index.LookupResult{Found: r.Found, Probes: r.Probes, Window: r.Window}
-	if res.Found {
-		return res
-	}
-	lo, hi := 0, len(v.staged)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		res.Probes++
-		switch c := v.staged[mid]; {
-		case c == k:
-			res.Found = true
-			res.InBuffer = true
-			return res
-		case c < k:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
-	}
-	return res
-}
-
-// Insert stages k; accepted is false for negative or duplicate keys.
-// A static index never retrains on the write path, so retrained is always
-// false — damage accrues as staging cost until the owner calls Retrain.
-func (s *Single) Insert(k int64) (accepted, retrained bool) {
-	if k < 0 || s.v.base.Contains(k) {
-		return false, false
-	}
-	i := sort.Search(len(s.v.staged), func(i int) bool { return s.v.staged[i] >= k })
-	if i < len(s.v.staged) && s.v.staged[i] == k {
-		return false, false
-	}
-	s.v.staged = keys.InsertAt(s.v.staged, i, k, s.stagedShared)
-	s.stagedShared = false
-	return true, false
-}
-
-// Retrain rebuilds the model over base ∪ staged. Rebuilding with nothing
-// staged is legal and counted, matching the dynamic index's semantics.
-// Handed-out snapshots keep the OLD model: the rebuild constructs a fresh
-// *Index and only the live backend's view is repointed at it.
-func (s *Single) Retrain() {
-	if len(s.v.staged) > 0 {
-		s.v.base = s.v.base.Union(keys.FromSorted(s.v.staged))
-		s.v.staged = nil
-		s.stagedShared = false
-	}
-	idx, err := buildSingle(s.v.base, s.fit)
-	if err != nil {
-		// Build succeeded on this base before (or on a superset-compatible
-		// one); a failure here is a programming error, not an input error.
-		panic("rmi: rebuild of single-model backend failed: " + err.Error())
-	}
-	s.v.idx = idx
-	s.retrains++
-	s.lastRebuild = s.v.base.Len()
-}
-
-// Snapshot freezes the current read state in O(1): the built model and
-// base set are immutable, and the staged slice goes copy-on-write.
-func (s *Single) Snapshot() index.Snapshot {
-	s.stagedShared = true
-	v := s.v
-	return &v
-}
-
-// Len returns the total number of stored keys (base + staged).
-func (s *Single) Len() int { return s.v.Len() }
-
-// Len returns the total number of keys visible in this view.
-func (v *singleView) Len() int { return v.base.Len() + len(v.staged) }
-
-// Keys materializes the full current content (base ∪ staged).
-func (s *Single) Keys() keys.Set { return s.v.Keys() }
-
-// Keys materializes the view's content (base ∪ staged).
-func (v *singleView) Keys() keys.Set {
-	if len(v.staged) == 0 {
-		return v.base
-	}
-	return v.base.Union(keys.FromSorted(v.staged))
-}
-
-// Stats reports the backend summary. ContentLoss evaluates the current
-// model's position predictions against the ranks of the full current
-// content, so staged (unmodeled) keys surface as staleness.
-func (s *Single) Stats() index.Stats {
-	st := s.v.idx.Stats()
-	content := s.Keys()
-	var sum float64
-	for i := 0; i < content.Len(); i++ {
-		d := s.v.idx.PredictPosition(content.At(i)) - float64(i+1)
-		sum += d * d
-	}
-	var contentLoss float64
-	if content.Len() > 0 {
-		contentLoss = sum / float64(content.Len())
-	}
-	return index.Stats{
-		Keys:        s.Len(),
-		Buffered:    len(s.v.staged),
-		Retrains:    s.retrains,
-		ModelLoss:   st.SecondStageMSE,
-		ContentLoss: contentLoss,
-		Window:      st.MaxWindow,
-	}
-}
-
-// ProbeSum runs a lookup for every query key and returns the exact total
-// probe count plus the not-found count; integer sums are
-// partition-invariant, so chunked parallel evaluation folds exactly.
-func (s *Single) ProbeSum(queryKeys []int64) (probes int64, notFound int) {
-	return index.ProbeSum(s, queryKeys)
-}
-
-// ProbeSum is the snapshot's batch evaluation (reference per-key sum).
-func (v *singleView) ProbeSum(queryKeys []int64) (probes int64, notFound int) {
-	return index.ProbeSum(v, queryKeys)
+	m := idx.models[0]
+	return regression.Model{Line: m.line, Loss: m.localMSE, N: ks.Len()}, nil
 }

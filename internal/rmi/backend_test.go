@@ -1,11 +1,13 @@
 package rmi
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"cdfpoison/internal/dataset"
+	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
@@ -90,6 +92,20 @@ func freshInteriorKey(sorted []int64) int64 {
 		}
 	}
 	panic("no gap")
+}
+
+// TestSingleNeedsTwoKeys: like dynamic.New and shard.New, the single-model
+// backend refuses a set too small to fit a CDF line.
+func TestSingleNeedsTwoKeys(t *testing.T) {
+	one, err := keys.New([]int64{42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ks := range []keys.Set{{}, one} {
+		if _, err := NewSingle(ks); !errors.Is(err, dynamic.ErrTooFew) {
+			t.Errorf("%d keys: err = %v, want dynamic.ErrTooFew", ks.Len(), err)
+		}
+	}
 }
 
 // TestSingleMatchesFanoutOneBuild pins the single-model backend to the

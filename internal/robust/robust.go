@@ -1,6 +1,6 @@
 // Package robust provides poisoning-resistant CDF fitters behind a common
 // Fitter interface, pluggable into every learned substrate's retrain path
-// (dynamic.NewWithFit, shard.NewWithFit, rmi.NewSingleWithFit). The OLS fit
+// (dynamic.NewWithFit, shard.NewWithFit). The OLS fit
 // the paper attacks minimizes squared error, so a handful of adversarial
 // keys can swing the slope arbitrarily; the estimators here bound a single
 // key's influence instead — Theil–Sen by taking a median over pairwise
