@@ -292,8 +292,9 @@ func OnlinePoisonAttack(initial KeySet, opts OnlineOptions, execOpts ...AttackOp
 // (delta-plane inserts), and IndexAdmin (explicit retrains + stats), plus
 // direct probe-counted reads against the current state. DynamicIndex
 // (also the single-model index NewSingleModelIndex builds), BTree,
-// ShardedIndex, GuardedBackend, and RetrainPipeline all satisfy it, and the scenarios (OnlinePoisonAttack,
-// ServeAttack, ChurnAttack) drive victims only through it.
+// ShardedIndex, GuardedBackend, and RetrainPipeline all satisfy it, and
+// the scenarios (OnlinePoisonAttack, ServeAttack, ChurnAttack) drive
+// victims only through it.
 type IndexBackend = index.Backend
 
 // IndexReader is the read plane: it publishes the immutable Snapshot

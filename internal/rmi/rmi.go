@@ -12,10 +12,9 @@
 // metric the paper resorts to because the original authors' optimized C++
 // harness is unpublished (Section III-C).
 //
-// NewSingle serves the fanout-1 index behind index.Backend: a dynamic.Index
-// under the manual retrain policy whose every (re)fit is Build's stage-2
-// line, so the updatable single-regression substrate exists once, in
-// internal/dynamic.
+// NewSingle puts the fanout-1 index behind index.Backend as a dynamic.Index
+// trained by Build's stage-2 fit, so the updatable single-regression
+// substrate exists once, in internal/dynamic.
 package rmi
 
 import (
