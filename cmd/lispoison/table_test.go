@@ -161,6 +161,19 @@ func TestExtremeKeyFilesErrorNotPanic(t *testing.T) {
 	}
 }
 
+// TestStreamScenariosOnMaxInt64Keys runs the stream-driven subcommands on
+// a file whose maximum is MaxInt64. They leave the write domain to the
+// scenario's default, which saturates at MaxInt64 there, so each must
+// succeed.
+func TestStreamScenariosOnMaxInt64Keys(t *testing.T) {
+	in := writeFile(t, "maxint.txt", "0\n5\n9\n100\n200\n300\n400\n500\n9223372036854775000\n9223372036854775807\n")
+	for _, sub := range []string{"serve", "churn", "cascade"} {
+		if err := run([]string{sub, "-in", in, "-epochs", "2"}); err != nil {
+			t.Errorf("lispoison %s: %v", sub, err)
+		}
+	}
+}
+
 // TestGenNoKeysErrors: gen -n 0 generates nothing to report min/max of.
 func TestGenNoKeysErrors(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "keys.txt")

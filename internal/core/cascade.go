@@ -37,7 +37,7 @@ type CascadeOptions struct {
 	// Workload is the honest traffic mix.
 	Workload workload.Spec
 	// Domain is the write-key universe size; 0 defaults to twice the
-	// initial key span.
+	// initial key span, 2·(max+1), saturated at MaxInt64.
 	Domain int64
 	// Seed drives the workload stream.
 	Seed uint64

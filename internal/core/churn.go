@@ -40,7 +40,7 @@ type ChurnOptions struct {
 	// Workload is the honest traffic mix.
 	Workload workload.Spec
 	// Domain is the write-key universe size; 0 defaults to twice the
-	// initial key span.
+	// initial key span, 2·(max+1), saturated at MaxInt64.
 	Domain int64
 	// Seed drives the workload stream.
 	Seed uint64

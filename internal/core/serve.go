@@ -32,7 +32,7 @@ type ServeOptions struct {
 	// keys, uniform writes over [0, Domain)).
 	Workload workload.Spec
 	// Domain is the write-key universe size; 0 defaults to twice the
-	// initial key span.
+	// initial key span, 2·(max+1), saturated at MaxInt64.
 	Domain int64
 	// Seed drives the workload stream (both indexes see the identical
 	// stream, so the attacker is the only difference between them).

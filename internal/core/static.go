@@ -25,7 +25,7 @@ type StaticOptions struct {
 	// the poison drip (>= 0).
 	HonestWrites int
 	// Domain is the write-key universe size; 0 defaults to twice the
-	// initial key span.
+	// initial key span, 2·(max+1), saturated at MaxInt64.
 	Domain int64
 	// Seed drives the honest write stream.
 	Seed uint64

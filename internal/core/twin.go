@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cdfpoison/internal/defense"
 	"cdfpoison/internal/index"
@@ -158,11 +159,11 @@ func (t *twin[B]) poisonSet(scenario string) (keys.Set, error) {
 }
 
 // newStream builds a scenario's honest op stream: domain <= 0 defaults to
-// twice the initial key span, and honest ops rotate over the defense
-// spec's sources.
+// defaultDomain(initial), and honest ops rotate over the defense spec's
+// sources.
 func newStream(spec workload.Spec, initial keys.Set, domain int64, seed uint64, sources int) (*workload.Generator, error) {
 	if domain <= 0 {
-		domain = 2 * (initial.Max() + 1)
+		domain = defaultDomain(initial)
 	}
 	gen, err := workload.NewGenerator(spec, initial, domain, seed)
 	if err != nil {
@@ -170,6 +171,16 @@ func newStream(spec workload.Spec, initial keys.Set, domain int64, seed uint64, 
 	}
 	gen.SetSources(sources)
 	return gen, nil
+}
+
+// defaultDomain is the write-key universe of a scenario whose Domain is 0:
+// twice the initial key span, 2·(max+1), saturated at MaxInt64 once that
+// product would wrap (max >= MaxInt64/2).
+func defaultDomain(initial keys.Set) int64 {
+	if m := initial.Max(); m < math.MaxInt64/2 {
+		return 2 * (m + 1)
+	}
+	return math.MaxInt64
 }
 
 // validateStream checks the epoch shape the stream-driven scenarios share.
