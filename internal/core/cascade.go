@@ -120,17 +120,6 @@ func (r CascadeResult) FinalStructRatio() float64 {
 	return r.Epochs[len(r.Epochs)-1].StructRatio
 }
 
-// MaxProbeRatio returns the worst per-epoch victim/clean probe ratio.
-func (r CascadeResult) MaxProbeRatio() float64 {
-	best := 0.0
-	for _, e := range r.Epochs {
-		if e.ProbeRatio > best {
-			best = e.ProbeRatio
-		}
-	}
-	return best
-}
-
 // TotalDamage sums the per-epoch damage scores.
 func (r CascadeResult) TotalDamage() float64 {
 	total := 0.0

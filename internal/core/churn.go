@@ -150,17 +150,6 @@ func (r ChurnResult) MaxStaleFrac() float64 {
 	return best
 }
 
-// MaxProbeRatio returns the worst per-epoch victim/clean probe ratio.
-func (r ChurnResult) MaxProbeRatio() float64 {
-	best := 0.0
-	for _, e := range r.Epochs {
-		if e.ProbeRatio > best {
-			best = e.ProbeRatio
-		}
-	}
-	return best
-}
-
 // churnTarget scores each shard for the churn attacker: expected rebuild
 // price × expected rebuilds the budget can buy there this epoch. The
 // rebuild price is the cost model on the shard's current size; the trigger
