@@ -45,9 +45,6 @@ func NewKeySetStrict(input []int64) (KeySet, error) { return keys.NewStrict(inpu
 // ReadKeysText parses one decimal key per line ('#' comments allowed).
 func ReadKeysText(r io.Reader) (KeySet, error) { return keys.ReadText(r) }
 
-// ReadKeysBinary reads the compact binary key format.
-func ReadKeysBinary(r io.Reader) (KeySet, error) { return keys.ReadBinary(r) }
-
 // ---------------------------------------------------------------------------
 // Randomness and datasets
 // ---------------------------------------------------------------------------
@@ -292,9 +289,9 @@ func OnlinePoisonAttack(initial KeySet, opts OnlineOptions, execOpts ...AttackOp
 // (delta-plane inserts), and IndexAdmin (explicit retrains + stats), plus
 // direct probe-counted reads against the current state. DynamicIndex
 // (also the single-model index NewSingleModelIndex builds), BTree,
-// ShardedIndex, GuardedBackend, and RetrainPipeline all satisfy it, and
-// the scenarios (OnlinePoisonAttack, ServeAttack, ChurnAttack) drive
-// victims only through it.
+// ShardedIndex, AlexIndex, GuardedBackend, and RetrainPipeline all satisfy
+// it, and the scenarios (OnlinePoisonAttack, ServeAttack, ChurnAttack)
+// drive victims only through it.
 type IndexBackend = index.Backend
 
 // IndexReader is the read plane: it publishes the immutable Snapshot
@@ -604,10 +601,6 @@ type IndexStats = rmi.Stats
 // BuildRMI constructs a two-stage RMI over the key set.
 func BuildRMI(ks KeySet, cfg RMIConfig) (*Index, error) { return rmi.Build(ks, cfg) }
 
-// ReadRMIBinary deserializes an index previously saved with
-// (*Index).WriteBinary; the loaded index answers queries identically.
-func ReadRMIBinary(r io.Reader) (*Index, error) { return rmi.ReadBinary(r) }
-
 // PLAIndex is an error-bounded piecewise-linear learned index (the
 // FITing-tree / PGM-index family). Against it, CDF poisoning surfaces as
 // segment-count (memory) inflation rather than lookup error.
@@ -616,10 +609,6 @@ type PLAIndex = pla.Index
 // BuildPLA constructs a piecewise-linear index with the given guaranteed
 // error bound epsilon (the fewest one-pass greedy segments).
 func BuildPLA(ks KeySet, epsilon int) (*PLAIndex, error) { return pla.Build(ks, epsilon) }
-
-// ReadPLABinary deserializes an index previously saved with
-// (*PLAIndex).WriteBinary.
-func ReadPLABinary(r io.Reader) (*PLAIndex, error) { return pla.ReadBinary(r) }
 
 // PLAInflationResult reports the segment-inflation attack outcome.
 type PLAInflationResult = pla.InflationResult

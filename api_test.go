@@ -1,7 +1,6 @@
 package cdfpoison_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -104,7 +103,7 @@ func TestEndToEndDefense(t *testing.T) {
 	}
 }
 
-// TestKeyIO exercises the serialization helpers through the facade.
+// TestKeyIO exercises the key-text reader through the facade.
 func TestKeyIO(t *testing.T) {
 	ks, err := cdfpoison.NewKeySet([]int64{5, 1, 9, 5})
 	if err != nil {
@@ -116,17 +115,6 @@ func TestKeyIO(t *testing.T) {
 	}
 	if !got.Equal(ks) {
 		t.Fatalf("text io mismatch: %v vs %v", got, ks)
-	}
-	var buf bytes.Buffer
-	if err := ks.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	bin, err := cdfpoison.ReadKeysBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bin.Equal(ks) {
-		t.Fatal("binary io mismatch")
 	}
 }
 

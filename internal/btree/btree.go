@@ -376,32 +376,6 @@ func (n *node) ascend(fn func(k int64) bool) bool {
 	return true
 }
 
-// AscendRange calls fn on every key in [lo, hi] in increasing order until fn
-// returns false.
-func (t *Tree) AscendRange(lo, hi int64, fn func(k int64) bool) {
-	t.root.ascendRange(lo, hi, fn)
-}
-
-func (n *node) ascendRange(lo, hi int64, fn func(k int64) bool) bool {
-	var probes int
-	start, _ := n.search(lo, &probes)
-	for i := start; i < len(n.keys); i++ {
-		if !n.leaf() && !n.children[i].ascendRange(lo, hi, fn) {
-			return false
-		}
-		if n.keys[i] > hi {
-			return true
-		}
-		if !fn(n.keys[i]) {
-			return false
-		}
-	}
-	if !n.leaf() {
-		return n.children[len(n.children)-1].ascendRange(lo, hi, fn)
-	}
-	return true
-}
-
 // clone deep-copies the subtree: fresh nodes, fresh key/count slices, same
 // contents. Probe counts through the copy are identical to the original's
 // because the structure is identical.

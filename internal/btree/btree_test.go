@@ -93,33 +93,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestAscendRange(t *testing.T) {
-	tr := mustTree(t, 2)
-	for k := int64(0); k < 100; k += 2 { // evens 0..98
-		tr.Insert(k)
-	}
-	var got []int64
-	tr.AscendRange(10, 20, func(k int64) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []int64{10, 12, 14, 16, 18, 20}
-	if len(got) != len(want) {
-		t.Fatalf("range got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range got %v, want %v", got, want)
-		}
-	}
-	// Empty range.
-	got = nil
-	tr.AscendRange(11, 11, func(k int64) bool { got = append(got, k); return true })
-	if len(got) != 0 {
-		t.Fatalf("empty range returned %v", got)
-	}
-}
-
 func TestRank(t *testing.T) {
 	tr := mustTree(t, 2)
 	for k := int64(0); k < 200; k += 2 {

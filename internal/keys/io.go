@@ -2,89 +2,14 @@ package keys
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
 
-// Binary serialization format: a fixed magic, a little-endian uint64 count,
-// then delta-encoded varint keys. Delta coding keeps files small because the
-// set is sorted; varints come from encoding/binary (stdlib only).
-var binaryMagic = [8]byte{'C', 'D', 'F', 'K', 'E', 'Y', 'S', '1'}
-
-// WriteBinary serializes the set to w in the repository's binary format.
-func (s Set) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return fmt.Errorf("keys: write magic: %w", err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(s.ks)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("keys: write count: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	prev := int64(0)
-	for _, k := range s.ks {
-		n := binary.PutUvarint(buf[:], uint64(k-prev))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return fmt.Errorf("keys: write key: %w", err)
-		}
-		prev = k
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a set written by WriteBinary.
-func ReadBinary(r io.Reader) (Set, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Set{}, fmt.Errorf("keys: read magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return Set{}, fmt.Errorf("keys: bad magic %q", magic[:])
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return Set{}, fmt.Errorf("keys: read count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	const maxReasonable = 1 << 33
-	if n > maxReasonable {
-		return Set{}, fmt.Errorf("keys: implausible key count %d", n)
-	}
-	// Cap the preallocation independently of the declared count: a hostile
-	// header can claim 2^33 keys backed by no data, and the varint loop
-	// below will error out long before append ever grows that far.
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	ks := make([]int64, 0, capHint)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Set{}, fmt.Errorf("keys: read key %d: %w", i, err)
-		}
-		k := prev + int64(d)
-		if i > 0 && d == 0 {
-			return Set{}, fmt.Errorf("keys: duplicate key %d in stream", k)
-		}
-		if k < prev {
-			return Set{}, fmt.Errorf("keys: key overflow at index %d", i)
-		}
-		ks = append(ks, k)
-		prev = k
-	}
-	return Set{ks: ks}, nil
-}
-
-// WriteText writes one decimal key per line — the interchange format of the
-// cmd/lispoison CLI.
+// WriteText writes one decimal key per line — the repository's only on-disk
+// format, the one cmd/lispoison reads and writes.
 func (s Set) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, k := range s.ks {

@@ -4,55 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"cdfpoison/internal/xrand"
 )
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := xrand.New(5)
-	for _, n := range []int{0, 1, 2, 100, 5000} {
-		raw := xrand.SampleInt64s(rng, n, 1<<40)
-		s := mustNew(t, raw)
-		var buf bytes.Buffer
-		if err := s.WriteBinary(&buf); err != nil {
-			t.Fatalf("write n=%d: %v", n, err)
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("read n=%d: %v", n, err)
-		}
-		if !got.Equal(s) {
-			t.Fatalf("round trip mismatch at n=%d", n)
-		}
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("NOTMAGIC\x00\x00\x00\x00\x00\x00\x00\x00")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestBinaryRejectsTruncated(t *testing.T) {
-	s := mustNew(t, []int64{1, 2, 3, 1000})
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(b[:len(b)-1])); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestBinaryRejectsImplausibleCount(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(binaryMagic[:])
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("implausible count accepted")
-	}
-}
 
 func TestTextRoundTrip(t *testing.T) {
 	s := mustNew(t, []int64{3, 1, 4, 159, 26535})

@@ -168,102 +168,6 @@ func (idx *Index) Lookup(k int64) LookupResult {
 	return res
 }
 
-// AscendRange calls fn(pos, key) for every stored key in [lo, hi] in
-// increasing order until fn returns false. The range start is located with
-// one model-guided lower-bound search.
-func (idx *Index) AscendRange(lo, hi int64, fn func(pos int, key int64) bool) {
-	pos := idx.lowerBound(lo)
-	for ; pos < idx.ks.Len(); pos++ {
-		k := idx.ks.At(pos)
-		if k > hi {
-			return
-		}
-		if !fn(pos, k) {
-			return
-		}
-	}
-}
-
-// RangeCount returns the number of stored keys in [lo, hi].
-func (idx *Index) RangeCount(lo, hi int64) int {
-	if hi < lo {
-		return 0
-	}
-	return idx.lowerBound(hi+1) - idx.lowerBound(lo)
-}
-
-// lowerBound returns the smallest position whose key is >= k.
-func (idx *Index) lowerBound(k int64) int {
-	n := idx.ks.Len()
-	if n == 0 || k > idx.ks.Max() {
-		return n
-	}
-	if k <= idx.ks.Min() {
-		return 0
-	}
-	// Route to the segment covering k and search its epsilon window,
-	// widening if the absent-key prediction lands just outside.
-	lo, hi := 0, len(idx.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if idx.segs[mid].startKey <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	si := lo - 1
-	if si < 0 {
-		si = 0
-	}
-	s := idx.segs[si]
-	pred := float64(s.startPos) + s.slope*float64(k-s.startKey)
-	// Clamp the prediction BEFORE the float→int conversion: k need not be
-	// a stored key here, so the epsilon guarantee does not apply and the
-	// extrapolated prediction can be arbitrarily large (found by
-	// TestLowerBoundQuick), NaN, or past int64 range — where the Go
-	// conversion is implementation-defined and would poison the window
-	// arithmetic below. The galloping loops recover correctness from any
-	// in-range starting window.
-	if math.IsNaN(pred) || pred < 0 {
-		pred = 0
-	} else if pred > float64(n-1) {
-		pred = float64(n - 1)
-	}
-	from := int(math.Floor(pred)) - idx.epsilon
-	to := int(math.Ceil(pred)) + idx.epsilon
-	if from < 0 {
-		from = 0
-	}
-	if to > n-1 {
-		to = n - 1
-	}
-	for from > 0 && idx.ks.At(from) >= k {
-		from -= to - from + 1
-		if from < 0 {
-			from = 0
-		}
-	}
-	for to < n-1 && idx.ks.At(to) < k {
-		to += to - from + 1
-		if to > n-1 {
-			to = n - 1
-		}
-	}
-	for from < to {
-		mid := (from + to) / 2
-		if idx.ks.At(mid) < k {
-			from = mid + 1
-		} else {
-			to = mid
-		}
-	}
-	if idx.ks.At(from) < k {
-		from++
-	}
-	return from
-}
-
 // AvgProbes runs a lookup for every key and returns the mean probe count
 // and the not-found count.
 func (idx *Index) AvgProbes(queryKeys []int64) (mean float64, notFound int) {
@@ -282,8 +186,8 @@ func (idx *Index) AvgProbes(queryKeys []int64) (mean float64, notFound int) {
 }
 
 // VerifyErrorBound recomputes every key's prediction error and returns the
-// worst observed |predicted − actual| — must be <= epsilon. Used by tests
-// and by callers that want a self-check after deserialization.
+// worst observed |predicted − actual|. Build keeps it <= epsilon up to float
+// rounding, which Lookup's floor/ceil window around the prediction absorbs.
 func (idx *Index) VerifyErrorBound() float64 {
 	worst := 0.0
 	for si, s := range idx.segs {

@@ -329,3 +329,28 @@ func TestRootKindString(t *testing.T) {
 		t.Fatal("RootKind.String broken")
 	}
 }
+
+func TestConcurrentLookups(t *testing.T) {
+	// The index is immutable after Build; concurrent readers must be safe
+	// (run with -race in CI).
+	ks := uniformSet(t, 33, 5000, 100000)
+	idx, err := Build(ks, Config{Fanout: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan bool)
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			defer func() { done <- true }()
+			for i := w; i < ks.Len(); i += 4 {
+				if r := idx.Lookup(ks.At(i)); !r.Found {
+					t.Errorf("worker %d: key %d lost", w, ks.At(i))
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		<-done
+	}
+}
