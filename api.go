@@ -539,8 +539,8 @@ func ServeScenarioTick(b IndexBackend, o ServingScenarioOptions) ([]ServingEpoch
 }
 
 // ServeScenarioConcurrent runs the serving scenario on the goroutine-
-// concurrent plane: lock-free lookups off immutable snapshots published
-// through an atomic version chain, a single writer, and true background
+// concurrent plane: lock-free lookups, each served from the immutable
+// snapshot it was queued with, a single writer, and true background
 // retrains. Deterministic metrics are identical to ServeScenarioTick.
 func ServeScenarioConcurrent(ctx context.Context, b IndexBackend, o ServingScenarioOptions, p ServingPlaneOptions) ([]ServingEpochMetrics, error) {
 	return serve.RunConcurrent(ctx, b, o, p)

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -170,6 +171,26 @@ func TestStreamScenariosOnMaxInt64Keys(t *testing.T) {
 	for _, sub := range []string{"serve", "churn", "cascade"} {
 		if err := run([]string{sub, "-in", in, "-epochs", "2"}); err != nil {
 			t.Errorf("lispoison %s: %v", sub, err)
+		}
+	}
+}
+
+// TestThroughputOversizedKnobs: -batch and -readers far beyond what an
+// epoch can use change no metric, so each run must succeed; the plane
+// bounds them by the epoch instead of allocating what they ask for.
+func TestThroughputOversizedKnobs(t *testing.T) {
+	var ks strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintln(&ks, 5+37*i)
+	}
+	in := writeFile(t, "keys.txt", ks.String())
+	for _, knob := range [][]string{
+		{"-batch", "4611686018427387904"},
+		{"-readers", "100000000"},
+	} {
+		args := append([]string{"throughput", "-in", in, "-epochs", "2"}, knob...)
+		if err := run(args); err != nil {
+			t.Errorf("lispoison %v: %v", args, err)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func TestDocsCoverCitedSections(t *testing.T) {
 			// internal/index (planes, cost models, pipeline), the churn
 			// scenario (internal/core/churn.go), and api.go cite §7.
 			"§7 Read/write/admin planes and the retrain pipeline",
-			// internal/serve (version chain, scheduler equivalence,
+			// internal/serve (snapshot-carrying reads, scheduler equivalence,
 			// histograms), index.Pipeline.ReadRevision, and api.go cite §8.
 			"§8 Concurrent serving plane",
 			"Scheduler equivalence",

@@ -1,9 +1,9 @@
 // Concurrent serving: the goroutine-concurrent plane and its tick oracle.
 //
-// The serving plane runs reader goroutines that answer lookups lock-free
-// off immutable snapshots published through an atomic version chain, while
-// a single writer ingests the operation stream and drives retrains in a
-// true background goroutine. Its defining property is scheduler
+// The serving plane runs reader goroutines that answer lookups lock-free,
+// each from the immutable snapshot it was queued with, while a single
+// writer ingests the operation stream and drives retrains in a true
+// background goroutine. Its defining property is scheduler
 // equivalence: every per-epoch metric — tail-latency percentiles in
 // probes, stale-read fractions, content loss, churn counters — is
 // byte-identical to the single-threaded tick scheduler, for any reader

@@ -4,10 +4,9 @@
 // optimized B-Tree; the poisoning paper's premise is that this advantage is
 // what an attacker erodes).
 //
-// The tree supports insertion, deletion, point lookup with comparison
-// accounting, ordered iteration, and rank queries, using the classic
-// preemptive split/merge algorithms so that every operation completes in a
-// single root-to-leaf pass.
+// The tree supports insertion, point lookup with comparison accounting, and
+// ordered iteration, using the classic preemptive split so that every
+// insertion completes in a single root-to-leaf pass.
 package btree
 
 import "fmt"
@@ -23,9 +22,6 @@ type Tree struct {
 type node struct {
 	keys     []int64
 	children []*node
-	// counts[i] = total keys in subtree children[i]; maintained for O(log n)
-	// rank queries. nil for leaves.
-	counts []int
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -53,14 +49,6 @@ func (t *Tree) Height() int {
 		n = n.children[0]
 	}
 	return h
-}
-
-func (n *node) subtreeSize() int {
-	s := len(n.keys)
-	for _, c := range n.counts {
-		s += c
-	}
-	return s
 }
 
 // search returns the index of the first key >= k in the node and whether it
@@ -102,30 +90,6 @@ func (t *Tree) Contains(k int64) bool {
 	return ok
 }
 
-// Rank returns the number of stored keys strictly less than k, in O(log n)
-// via subtree counts.
-func (t *Tree) Rank(k int64) int {
-	rank := 0
-	n := t.root
-	for {
-		var probes int
-		i, ok := n.search(k, &probes)
-		if n.leaf() {
-			return rank + i
-		}
-		for j := 0; j < i; j++ {
-			rank += n.counts[j]
-		}
-		rank += i
-		if ok {
-			// keys[0..i-1], subtrees 0..i-1, and the whole subtree i are
-			// all strictly below k.
-			return rank + n.counts[i]
-		}
-		n = n.children[i]
-	}
-}
-
 // Insert adds k; accepted is false if k was already present or negative
 // (the repository's key universe is [0, m), and Keys() materializes into a
 // keys.Set that enforces it). The second result is index.Backend's
@@ -138,7 +102,7 @@ func (t *Tree) Insert(k int64) (accepted, retrained bool) {
 	r := t.root
 	if len(r.keys) == 2*t.degree-1 {
 		// Preemptive root split keeps the downward pass single-phase.
-		newRoot := &node{children: []*node{r}, counts: []int{r.subtreeSize()}}
+		newRoot := &node{children: []*node{r}}
 		newRoot.splitChild(0, t.degree)
 		t.root = newRoot
 	}
@@ -158,9 +122,7 @@ func (n *node) splitChild(i, d int) {
 	right := &node{keys: append([]int64(nil), child.keys[d:]...)}
 	if !child.leaf() {
 		right.children = append([]*node(nil), child.children[d:]...)
-		right.counts = append([]int(nil), child.counts[d:]...)
 		child.children = child.children[:d]
-		child.counts = child.counts[:d]
 	}
 	child.keys = child.keys[:d-1]
 
@@ -171,11 +133,6 @@ func (n *node) splitChild(i, d int) {
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
-
-	n.counts = append(n.counts, 0)
-	copy(n.counts[i+2:], n.counts[i+1:])
-	n.counts[i] = child.subtreeSize()
-	n.counts[i+1] = right.subtreeSize()
 }
 
 func (n *node) insertNonFull(k int64, d int) bool {
@@ -199,161 +156,7 @@ func (n *node) insertNonFull(k int64, d int) bool {
 			i++
 		}
 	}
-	inserted := n.children[i].insertNonFull(k, d)
-	if inserted {
-		n.counts[i]++
-	}
-	return inserted
-}
-
-// Delete removes k; it reports false if k was not present.
-func (t *Tree) Delete(k int64) bool {
-	deleted := t.root.delete(k, t.degree)
-	// The descent may restructure (merge) before discovering the key is
-	// absent, so the root fix-up must run on every path, found or not.
-	if len(t.root.keys) == 0 && !t.root.leaf() {
-		t.root = t.root.children[0]
-	}
-	if deleted {
-		t.size--
-	}
-	return deleted
-}
-
-// delete removes k from the subtree rooted at n, assuming n has at least d
-// keys (or is the root). Standard CLRS case analysis.
-func (n *node) delete(k int64, d int) bool {
-	var probes int
-	i, ok := n.search(k, &probes)
-	if n.leaf() {
-		if !ok {
-			return false
-		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		return true
-	}
-	if ok {
-		// Case 2: k lives in this internal node.
-		if len(n.children[i].keys) >= d {
-			pred := n.children[i].max()
-			n.keys[i] = pred
-			n.children[i].delete(pred, d)
-			n.counts[i]--
-			return true
-		}
-		if len(n.children[i+1].keys) >= d {
-			succ := n.children[i+1].min()
-			n.keys[i] = succ
-			n.children[i+1].delete(succ, d)
-			n.counts[i+1]--
-			return true
-		}
-		// Both neighbours minimal: merge and recurse.
-		n.mergeChildren(i)
-		deleted := n.children[i].delete(k, d)
-		if deleted {
-			n.counts[i]--
-		}
-		return deleted
-	}
-	// Case 3: k (if present) lives in subtree i; ensure it has >= d keys.
-	child := n.children[i]
-	if len(child.keys) == d-1 {
-		switch {
-		case i > 0 && len(n.children[i-1].keys) >= d:
-			n.borrowFromLeft(i)
-		case i < len(n.children)-1 && len(n.children[i+1].keys) >= d:
-			n.borrowFromRight(i)
-		default:
-			if i == len(n.children)-1 {
-				i--
-			}
-			n.mergeChildren(i)
-		}
-	}
-	deleted := n.children[i].delete(k, d)
-	if deleted {
-		n.counts[i]--
-	}
-	return deleted
-}
-
-func (n *node) min() int64 {
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return n.keys[0]
-}
-
-func (n *node) max() int64 {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
-	}
-	return n.keys[len(n.keys)-1]
-}
-
-// borrowFromLeft rotates a key from child i−1 through the separator into
-// child i.
-func (n *node) borrowFromLeft(i int) {
-	child, left := n.children[i], n.children[i-1]
-	child.keys = append(child.keys, 0)
-	copy(child.keys[1:], child.keys)
-	child.keys[0] = n.keys[i-1]
-	n.keys[i-1] = left.keys[len(left.keys)-1]
-	left.keys = left.keys[:len(left.keys)-1]
-	moved := 1
-	if !left.leaf() {
-		c := left.children[len(left.children)-1]
-		cc := left.counts[len(left.counts)-1]
-		left.children = left.children[:len(left.children)-1]
-		left.counts = left.counts[:len(left.counts)-1]
-		child.children = append(child.children, nil)
-		copy(child.children[1:], child.children)
-		child.children[0] = c
-		child.counts = append(child.counts, 0)
-		copy(child.counts[1:], child.counts)
-		child.counts[0] = cc
-		moved += cc
-	}
-	n.counts[i-1] -= moved
-	n.counts[i] += moved
-}
-
-// borrowFromRight rotates a key from child i+1 through the separator into
-// child i.
-func (n *node) borrowFromRight(i int) {
-	child, right := n.children[i], n.children[i+1]
-	child.keys = append(child.keys, n.keys[i])
-	n.keys[i] = right.keys[0]
-	right.keys = append(right.keys[:0], right.keys[1:]...)
-	moved := 1
-	if !right.leaf() {
-		c := right.children[0]
-		cc := right.counts[0]
-		right.children = append(right.children[:0], right.children[1:]...)
-		right.counts = append(right.counts[:0], right.counts[1:]...)
-		child.children = append(child.children, c)
-		child.counts = append(child.counts, cc)
-		moved += cc
-	}
-	n.counts[i+1] -= moved
-	n.counts[i] += moved
-}
-
-// mergeChildren folds child i+1 and the separator key into child i.
-func (n *node) mergeChildren(i int) {
-	child, right := n.children[i], n.children[i+1]
-	child.keys = append(child.keys, n.keys[i])
-	child.keys = append(child.keys, right.keys...)
-	if !child.leaf() {
-		child.children = append(child.children, right.children...)
-		child.counts = append(child.counts, right.counts...)
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
-	merged := n.counts[i] + n.counts[i+1] + 1
-	n.counts = append(n.counts[:i], n.counts[i+1:]...)
-	n.counts[i] = merged
+	return n.children[i].insertNonFull(k, d)
 }
 
 // Ascend calls fn on every key in increasing order until fn returns false.
@@ -376,7 +179,7 @@ func (n *node) ascend(fn func(k int64) bool) bool {
 	return true
 }
 
-// clone deep-copies the subtree: fresh nodes, fresh key/count slices, same
+// clone deep-copies the subtree: fresh nodes, fresh key slices, same
 // contents. Probe counts through the copy are identical to the original's
 // because the structure is identical.
 func (n *node) clone() *node {
@@ -386,7 +189,6 @@ func (n *node) clone() *node {
 		for i, ch := range n.children {
 			c.children[i] = ch.clone()
 		}
-		c.counts = append([]int(nil), n.counts...)
 	}
 	return c
 }
@@ -410,8 +212,8 @@ func Bulk(degree int, ks []int64) (*Tree, error) {
 	return t, nil
 }
 
-// checkInvariants walks the tree verifying ordering, occupancy, and count
-// bookkeeping. Exposed to tests via export_test.go.
+// checkInvariants walks the tree verifying ordering, occupancy, and the
+// size count. Exposed to tests via export_test.go.
 func (t *Tree) checkInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("btree: nil root")
@@ -447,9 +249,8 @@ func (n *node) check(d int, isRoot bool, lo, hi *int64) (int, error) {
 	if n.leaf() {
 		return len(n.keys), nil
 	}
-	if len(n.children) != len(n.keys)+1 || len(n.counts) != len(n.children) {
-		return 0, fmt.Errorf("btree: fanout mismatch: %d keys, %d children, %d counts",
-			len(n.keys), len(n.children), len(n.counts))
+	if len(n.children) != len(n.keys)+1 {
+		return 0, fmt.Errorf("btree: fanout mismatch: %d keys, %d children", len(n.keys), len(n.children))
 	}
 	total := len(n.keys)
 	for i, c := range n.children {
@@ -467,9 +268,6 @@ func (n *node) check(d int, isRoot bool, lo, hi *int64) (int, error) {
 		cnt, err := c.check(d, false, clo, chi)
 		if err != nil {
 			return 0, err
-		}
-		if cnt != n.counts[i] {
-			return 0, fmt.Errorf("btree: count cache %d but subtree holds %d", n.counts[i], cnt)
 		}
 		total += cnt
 	}

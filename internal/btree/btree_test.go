@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -93,71 +94,23 @@ func TestAscendEarlyStop(t *testing.T) {
 	}
 }
 
-func TestRank(t *testing.T) {
-	tr := mustTree(t, 2)
-	for k := int64(0); k < 200; k += 2 {
-		tr.Insert(k)
-	}
-	for _, c := range []struct {
-		k    int64
-		want int
-	}{{0, 0}, {1, 1}, {2, 1}, {3, 2}, {100, 50}, {199, 100}, {500, 100}} {
-		if got := tr.Rank(c.k); got != c.want {
-			t.Errorf("Rank(%d) = %d, want %d", c.k, got, c.want)
-		}
-	}
-}
-
-func TestDeleteSmall(t *testing.T) {
-	tr := mustTree(t, 2)
-	keys := []int64{5, 3, 8, 1, 4, 9, 7, 2, 6, 0}
-	for _, k := range keys {
-		tr.Insert(k)
-	}
-	order := []int64{5, 0, 9, 3, 7, 1, 8, 4, 2, 6}
-	for i, k := range order {
-		if !tr.Delete(k) {
-			t.Fatalf("delete %d failed", k)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("after delete %d: %v", k, err)
-		}
-		if tr.Len() != len(keys)-i-1 {
-			t.Fatalf("len %d after %d deletes", tr.Len(), i+1)
-		}
-		if found, _ := tr.Get(k); found {
-			t.Fatalf("key %d still present after delete", k)
-		}
-	}
-	if tr.Delete(5) {
-		t.Error("delete from empty tree succeeded")
-	}
-}
-
 func TestRandomizedAgainstMap(t *testing.T) {
-	// Mixed insert/delete/lookup workload validated against a map+slice
-	// reference, with invariant checks along the way.
+	// Mixed insert/lookup workload validated against a map reference, with
+	// invariant checks along the way.
 	for _, degree := range []int{2, 3, 8, 32} {
 		tr := mustTree(t, degree)
 		ref := map[int64]bool{}
 		rng := xrand.New(uint64(degree) * 97)
 		for op := 0; op < 5000; op++ {
 			k := rng.Int63n(800)
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				got, _ := tr.Insert(k)
 				want := !ref[k]
 				if got != want {
 					t.Fatalf("degree %d op %d: Insert(%d) = %v, want %v", degree, op, k, got, want)
 				}
 				ref[k] = true
-			case 1:
-				got := tr.Delete(k)
-				if got != ref[k] {
-					t.Fatalf("degree %d op %d: Delete(%d) = %v, want %v", degree, op, k, got, ref[k])
-				}
-				delete(ref, k)
-			default:
+			} else {
 				got, _ := tr.Get(k)
 				if got != ref[k] {
 					t.Fatalf("degree %d op %d: Get(%d) = %v, want %v", degree, op, k, got, ref[k])
@@ -170,16 +123,18 @@ func TestRandomizedAgainstMap(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("degree %d final invariants: %v", degree, err)
 		}
-		// Rank cross-check on the final state.
-		var sorted []int64
+		// In-order cross-check on the final state.
+		var want, got []int64
 		for k := range ref {
-			sorted = append(sorted, k)
+			want = append(want, k)
 		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for i, k := range sorted {
-			if got := tr.Rank(k); got != i {
-				t.Fatalf("degree %d: Rank(%d) = %d, want %d", degree, k, got, i)
-			}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		tr.Ascend(func(k int64) bool {
+			got = append(got, k)
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("degree %d: Ascend does not yield the reference keys in order (%d keys, want %d)", degree, len(got), len(want))
 		}
 	}
 }
@@ -272,9 +227,6 @@ func TestEmptyTreeOps(t *testing.T) {
 	}
 	if found, _ := tr.Get(1); found {
 		t.Error("empty tree found a key")
-	}
-	if tr.Rank(10) != 0 {
-		t.Error("empty tree rank wrong")
 	}
 	tr.Ascend(func(int64) bool { t.Error("empty tree iterated"); return false })
 }

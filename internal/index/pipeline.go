@@ -183,7 +183,7 @@ func (p *Pipeline) IsStale() bool { return p.published != nil }
 
 // ReadRevision returns the read-plane revision: a counter that advances
 // whenever the answers Snapshot/Lookup/ProbeSum give MAY differ from the
-// previous call. A serving layer that materializes versions from Snapshot()
+// previous call. A serving layer that hands its readers Snapshot() captures
 // (internal/serve, DESIGN.md §8) re-captures only when the revision moved,
 // so a long stale window — where the read plane is pinned to one frozen
 // snapshot while writes accumulate behind an in-flight rebuild — costs zero

@@ -1,9 +1,9 @@
 // Package serve is the goroutine-concurrent serving plane: N reader
-// goroutines serve lock-free lookups off immutable index snapshots
-// published through an atomic version chain (chain.go), while the single
-// writer — the goroutine that called RunConcurrent — ingests the workload
-// stream, injects poison, and drives index.Pipeline retrains in a true
-// background goroutine.
+// goroutines serve lock-free lookups off immutable index snapshots, each
+// read carrying the snapshot it was queued with, while the single writer —
+// the goroutine that called RunConcurrent — ingests the workload stream,
+// injects poison, and drives index.Pipeline retrains in a true background
+// goroutine.
 //
 // The package's contract is SCHEDULER EQUIVALENCE. The same scenario runs
 // under two schedulers:
@@ -12,13 +12,13 @@
 //     served directly from the pipeline's read plane — the deterministic
 //     golden reference, byte-compatible with the historical scenarios;
 //   - the concurrent plane (RunConcurrent): reads batched to reader
-//     goroutines against published versions, epoch-end retrains running on
-//     a background retrainer while the read backlog drains.
+//     goroutines against captured snapshots, epoch-end retrains running on
+//     a background goroutine while the read backlog drains.
 //
 // Both must produce IDENTICAL per-epoch metrics — loss, probe totals,
 // stale windows, full latency-histogram state — because the two executors
-// share one driver loop (identical pipeline call sequence), a published
-// version answers probe-for-probe like the read plane it was captured from
+// share one scenario loop (identical pipeline call sequence), a captured
+// snapshot answers probe-for-probe like the read plane it was captured from
 // (the snapshot-immutability and probe-identity contracts of
 // internal/index), and histogram/probe accounting is a commutative integer
 // fold, invariant under the reader partition. TestConcurrentMatchesTickOracle
@@ -161,7 +161,8 @@ type executor interface {
 	bind(p *index.Pipeline)
 	// read serves one lookup from the read plane.
 	read(key int64)
-	// retrain runs (tick) or dispatches (concurrent) the epoch-end retrain.
+	// retrain runs (tick) or starts in the background (concurrent) the
+	// epoch-end retrain.
 	retrain()
 	// flush drains all outstanding work — read batches, the background
 	// retrain — merges the epoch's read accounting into h, and returns the
@@ -294,24 +295,38 @@ func (e *tickExec) flush(h *Histogram) int64 {
 }
 
 // RunConcurrent runs the scenario on the concurrent plane: the calling
-// goroutine is the writer — it drives the scenario, dispatching read
-// batches to the plane's reader goroutines against chain-published
-// versions and epoch-end retrains to its background retrainer. Metrics are
-// identical to RunTick's for the same backend and options. Cancellation via
-// ctx returns the epochs completed so far with ctx's error; every goroutine
-// the plane started is drained and joined before return.
+// goroutine is the writer — it drives the scenario, queueing each read with
+// the snapshot it must be served from for the plane's reader goroutines,
+// and runs each epoch-end retrain on a background goroutine. Metrics are
+// identical to RunTick's for the same backend and options. The knobs in
+// popts are first bounded by what one epoch can use: a batch holds at most
+// OpsPerEpoch reads, and readers never outnumber the epoch's batches.
+// Cancellation via ctx returns the epochs completed so far with ctx's
+// error; every goroutine the plane started is drained and joined before
+// return.
 func RunConcurrent(ctx context.Context, b index.Backend, o ScenarioOptions, popts Options) ([]EpochMetrics, error) {
-	plane := NewPlane(popts)
+	plane := NewPlane(popts.fit(o.OpsPerEpoch))
 	defer plane.Close()
-	return runScenario(ctx, b, o, newConcExec(plane))
+	return runScenario(ctx, b, o, &concExec{plane: plane})
 }
 
-// task is one read bound to the version it must be served from; the
-// writer holds a reference on v for every enqueued task, the serving
-// reader releases it.
+// fit bounds the knobs by what an epoch of opsPerEpoch operations can use:
+// a batch never holds more than the epoch's reads, and readers past the
+// epoch's batch count would never get work.
+func (o Options) fit(opsPerEpoch int) Options {
+	o = o.WithDefaults()
+	ops := max(opsPerEpoch, 1)
+	o.BatchSize = min(o.BatchSize, ops)
+	o.Readers = min(o.Readers, (ops-1)/o.BatchSize+1)
+	return o
+}
+
+// task is one read bound to the snapshot it must be served from. The task
+// keeps that snapshot alive until the read is served; the garbage collector
+// retires it once nothing points at it.
 type task struct {
-	v   *Version
-	key int64
+	snap index.Snapshot
+	key  int64
 }
 
 // readerAcc is one reader goroutine's private accounting, merged by the
@@ -322,99 +337,71 @@ type readerAcc struct {
 	hist   Histogram
 }
 
-// Plane owns the concurrent machinery: the version chain, the reader
-// goroutines with their batch channels, and the background retrainer.
-// Create with NewPlane, dispose with Close (idempotent); Close drains and
-// joins every goroutine the plane started — Goroutines() reports 0 after.
+// Plane owns the concurrent machinery: the reader goroutines and the one
+// work queue they drain. Create with NewPlane, dispose with Close
+// (idempotent); Close drains and joins every reader — Goroutines() reports
+// 0 after.
 type Plane struct {
-	opts  Options
-	chain *Chain
+	opts Options
+	work chan []task
+	free chan []task
+	acc  []readerAcc
 
-	chans []chan []task
-	free  chan []task
-	acc   []readerAcc
-
-	retrainCh   chan func()
-	retrainDone chan struct{}
-
-	wg      sync.WaitGroup // reader + retrainer goroutines
+	wg      sync.WaitGroup // reader goroutines
 	batchWG sync.WaitGroup // outstanding read batches
-	alive   atomic.Int64   // live goroutine count, for the leak tests
+	alive   atomic.Int64   // live reader count, for the leak tests
 	once    sync.Once
 }
 
-// NewPlane starts the reader and retrainer goroutines.
+// NewPlane starts the reader goroutines.
 func NewPlane(opts Options) *Plane {
 	opts = opts.WithDefaults()
 	p := &Plane{
-		opts:        opts,
-		chain:       NewChain(),
-		chans:       make([]chan []task, opts.Readers),
-		free:        make(chan []task, 4*opts.Readers),
-		acc:         make([]readerAcc, opts.Readers),
-		retrainCh:   make(chan func()),
-		retrainDone: make(chan struct{}, 1),
+		opts: opts,
+		// Room for two batches per reader lets the writer queue the
+		// readers' next batches while they serve their current ones.
+		work: make(chan []task, 2*opts.Readers),
+		// The buffer pool holds every batch that can be queued, served or
+		// filled at once, so the steady state allocates none.
+		free: make(chan []task, 4*opts.Readers),
+		acc:  make([]readerAcc, opts.Readers),
 	}
-	for i := range p.chans {
-		p.chans[i] = make(chan []task, 2)
-		p.wg.Add(1)
-		p.alive.Add(1)
-		go p.reader(i)
+	p.wg.Add(opts.Readers)
+	p.alive.Add(int64(opts.Readers))
+	for i := range p.acc {
+		go p.reader(&p.acc[i])
 	}
-	p.wg.Add(1)
-	p.alive.Add(1)
-	go p.retrainer()
 	return p
 }
 
-// reader serves one dispatch channel: look each task's key up in its
-// pinned version, account probes locally, release the version reference.
-func (p *Plane) reader(i int) {
+// reader drains the work queue: look each task's key up in its snapshot
+// and account the probes locally.
+func (p *Plane) reader(acc *readerAcc) {
 	defer p.wg.Done()
 	defer p.alive.Add(-1)
-	acc := &p.acc[i]
-	for b := range p.chans[i] {
+	for b := range p.work {
 		for _, t := range b {
-			r := t.v.snap.Lookup(t.key)
+			r := t.snap.Lookup(t.key)
 			acc.probes += int64(r.Probes)
 			acc.hist.Record(int64(r.Probes))
-			t.v.Release()
 		}
 		p.putBuf(b)
 		p.batchWG.Done()
 	}
 }
 
-// retrainer runs epoch-end rebuild jobs off the writer's critical path;
-// in-flight read batches drain concurrently against their frozen versions
-// while the live backend rebuilds.
-func (p *Plane) retrainer() {
-	defer p.wg.Done()
-	defer p.alive.Add(-1)
-	for job := range p.retrainCh {
-		job()
-		p.retrainDone <- struct{}{}
-	}
-}
-
-// Close shuts the plane down: channels close, readers drain their
-// backlogs, every goroutine joins. Idempotent.
+// Close shuts the plane down: the work queue closes, readers drain the
+// backlog, every reader joins. Idempotent.
 func (p *Plane) Close() {
 	p.once.Do(func() {
-		for _, ch := range p.chans {
-			close(ch)
-		}
-		close(p.retrainCh)
+		close(p.work)
 		p.wg.Wait()
 	})
 }
 
-// Goroutines reports the plane's live goroutine count (0 after Close) —
-// the leak witness the clean-shutdown test asserts on.
+// Goroutines reports the plane's live reader count (0 after Close) — the
+// leak witness the clean-shutdown test asserts on.
 func (p *Plane) Goroutines() int64 { return p.alive.Load() }
-
-// Chain exposes the version chain (writer-side inspection in tests).
-func (p *Plane) Chain() *Chain { return p.chain }
 
 func (p *Plane) getBuf() []task {
 	select {
@@ -437,28 +424,25 @@ type concExec struct {
 	plane *Plane
 	pipe  *index.Pipeline
 
-	cur     *Version
-	lastRev uint64
-	batch   []task
-	next    int // round-robin reader cursor
-	pending int // dispatched, un-joined retrains
+	snap       index.Snapshot
+	lastRev    uint64
+	batch      []task
+	retraining sync.WaitGroup // the epoch's background retrain
 }
 
-func newConcExec(p *Plane) *concExec {
-	return &concExec{plane: p, batch: p.getBuf()}
+func (e *concExec) bind(p *index.Pipeline) {
+	e.pipe = p
+	e.batch = e.plane.getBuf()
 }
 
-func (e *concExec) bind(p *index.Pipeline) { e.pipe = p }
-
-// read pins the current read-plane version — re-capturing only when the
-// pipeline's ReadRevision moved — and enqueues the lookup for the readers.
+// read queues the lookup with the current read-plane snapshot, re-captured
+// only when the pipeline's ReadRevision moved.
 func (e *concExec) read(key int64) {
-	if rev := e.pipe.ReadRevision(); e.cur == nil || rev != e.lastRev {
-		e.cur = e.plane.chain.Publish(e.pipe.Snapshot())
+	if rev := e.pipe.ReadRevision(); e.snap == nil || rev != e.lastRev {
+		e.snap = e.pipe.Snapshot()
 		e.lastRev = rev
 	}
-	e.cur.refs.Add(1)
-	e.batch = append(e.batch, task{v: e.cur, key: key})
+	e.batch = append(e.batch, task{snap: e.snap, key: key})
 	if len(e.batch) >= e.plane.opts.BatchSize {
 		e.send()
 	}
@@ -469,31 +453,30 @@ func (e *concExec) send() {
 		return
 	}
 	e.plane.batchWG.Add(1)
-	e.plane.chans[e.next] <- e.batch
-	e.next = (e.next + 1) % len(e.plane.chans)
+	e.plane.work <- e.batch
 	e.batch = e.plane.getBuf()
 }
 
-// retrain ships the pipeline's maintenance step to the background
-// retrainer. The driver's next pipeline interaction goes through flush,
-// which joins the job — single-writer discipline is preserved while
-// already-dispatched read batches drain concurrently with the rebuild.
+// retrain runs the pipeline's maintenance step on a background goroutine.
+// The scenario loop's next pipeline interaction goes through flush, which
+// joins it — single-writer discipline is preserved while already-dispatched
+// read batches drain concurrently with the rebuild.
 func (e *concExec) retrain() {
-	pipe := e.pipe
-	e.pending++
-	e.plane.retrainCh <- func() { pipe.Retrain() }
+	e.retraining.Add(1)
+	go func() {
+		defer e.retraining.Done()
+		e.pipe.Retrain()
+	}()
 }
 
 // flush is the epoch barrier: dispatch the partial batch, wait for every
 // read batch to drain, join the background retrain, then fold the readers'
 // private accounting (a commutative integer merge — any reader partition
-// yields identical bytes) and trim the version chain.
+// yields identical bytes). The next epoch captures a fresh snapshot.
 func (e *concExec) flush(h *Histogram) int64 {
 	e.send()
 	e.plane.batchWG.Wait()
-	for ; e.pending > 0; e.pending-- {
-		<-e.plane.retrainDone
-	}
+	e.retraining.Wait()
 	var probes int64
 	for i := range e.plane.acc {
 		acc := &e.plane.acc[i]
@@ -502,7 +485,6 @@ func (e *concExec) flush(h *Histogram) int64 {
 		acc.probes = 0
 		acc.hist.Reset()
 	}
-	e.cur = nil
-	e.plane.chain.Reclaim()
+	e.snap = nil
 	return probes
 }

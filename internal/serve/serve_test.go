@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"cdfpoison/internal/alex"
 	"cdfpoison/internal/btree"
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/defense"
@@ -48,9 +49,17 @@ type factory struct {
 }
 
 // backendFactories enumerates every index.Backend implementation, plus the
-// buffer-policy flavors of the two that have retrain policies.
+// buffer-policy flavors of the two that have retrain policies and a
+// self-splitting flavor of the gapped array. The gapped array's leaf target
+// of 4 is small enough that the poisoned fixture splits leaves mid-epoch.
 func backendFactories() map[string]factory {
 	return map[string]factory{
+		"alex": {manual: true, build: func(ks keys.Set) (index.Backend, error) {
+			return alex.New(ks, 4)
+		}},
+		"alex-split": {build: func(ks keys.Set) (index.Backend, error) {
+			return alex.New(ks, 4)
+		}},
 		"dynamic": {manual: true, build: func(ks keys.Set) (index.Backend, error) {
 			return dynamic.New(ks, dynamic.ManualPolicy())
 		}},
@@ -187,6 +196,12 @@ func assertSchedulerEquivalence(t *testing.T, f factory, n int, opts serve.Scena
 	for _, po := range []serve.Options{
 		{Readers: 1, BatchSize: 1},
 		{Readers: 4, BatchSize: 8},
+		// Many readers serving snapshots while the writer inserts and a
+		// retrain runs: one read per batch spreads an epoch's reads over
+		// up to one reader each.
+		{Readers: 64, BatchSize: 1},
+		// Knobs far beyond what an epoch can use are bounded by it.
+		{Readers: 1 << 12, BatchSize: 1 << 62},
 	} {
 		conc := run(func() ([]serve.EpochMetrics, error) {
 			return serve.RunConcurrent(context.Background(), mk(), opts, po)
@@ -252,8 +267,8 @@ func waitGoroutines(baseline int) int {
 func TestPlaneCleanShutdown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := serve.NewPlane(serve.Options{Readers: 8})
-	if got := p.Goroutines(); got != 9 { // 8 readers + 1 retrainer
-		t.Fatalf("plane reports %d goroutines, want 9", got)
+	if got := p.Goroutines(); got != 8 {
+		t.Fatalf("plane reports %d goroutines, want 8", got)
 	}
 	p.Close()
 	if got := p.Goroutines(); got != 0 {
