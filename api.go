@@ -149,7 +149,9 @@ var (
 // prunes whole blocks of gaps before evaluation (DESIGN.md §11), so the
 // scan is sublinear in practice with an O(n) worst case — bit-identical to
 // the exhaustive sweep either way (see WithExhaustiveScan). The result's
-// BlocksVisited/BlocksTotal fields report how much the pruning saved.
+// BlocksVisited/BlocksTotal fields count evaluated and total 16-gap leaf
+// blocks, so they report how much the pruning saved; both stay zero on
+// sets under 64 gaps, which take the full scan.
 func OptimalSinglePoint(ks KeySet, opts ...AttackOption) (SinglePointResult, error) {
 	return core.OptimalSinglePoint(ks, opts...)
 }

@@ -175,20 +175,42 @@ func TestStreamScenariosOnMaxInt64Keys(t *testing.T) {
 	}
 }
 
-// TestThroughputOversizedKnobs: -batch and -readers far beyond what an
-// epoch can use change no metric, so each run must succeed; the plane
-// bounds them by the epoch instead of allocating what they ask for.
-func TestThroughputOversizedKnobs(t *testing.T) {
+// spacedKeyFile writes 200 keys 37 apart and returns its path.
+func spacedKeyFile(t *testing.T) string {
+	t.Helper()
 	var ks strings.Builder
 	for i := 0; i < 200; i++ {
 		fmt.Fprintln(&ks, 5+37*i)
 	}
-	in := writeFile(t, "keys.txt", ks.String())
+	return writeFile(t, "keys.txt", ks.String())
+}
+
+// TestThroughputOversizedKnobs: -batch and -readers far beyond what an
+// epoch can use change no metric, so each run must succeed; the plane
+// bounds them by the epoch instead of allocating what they ask for.
+func TestThroughputOversizedKnobs(t *testing.T) {
+	in := spacedKeyFile(t)
 	for _, knob := range [][]string{
 		{"-batch", "4611686018427387904"},
 		{"-readers", "100000000"},
 	} {
 		args := append([]string{"throughput", "-in", in, "-epochs", "2"}, knob...)
+		if err := run(args); err != nil {
+			t.Errorf("lispoison %v: %v", args, err)
+		}
+	}
+}
+
+// TestHugePercentBudget: a -percent whose key budget dwarfs the free key
+// slots runs the greedy attack until it stops or the slots run out, so
+// each run must succeed instead of reserving the whole budget up front.
+func TestHugePercentBudget(t *testing.T) {
+	in := spacedKeyFile(t)
+	out := filepath.Join(t.TempDir(), "p.txt")
+	for _, args := range [][]string{
+		{"attack", "-in", in, "-percent", "1e18", "-o", out},
+		{"serve", "-in", in, "-epochs", "2", "-percent", "1e18", "-o", out},
+	} {
 		if err := run(args); err != nil {
 			t.Errorf("lispoison %v: %v", args, err)
 		}

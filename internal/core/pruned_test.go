@@ -177,6 +177,32 @@ func TestPrunedScanAccounting(t *testing.T) {
 	}
 }
 
+// TestPrunedScanGreedyGrowsPastScratch: a greedy run that starts at the
+// pruning threshold and more than triples its gap count outgrows the
+// scratch buffers sized at its first step; every step must still match
+// the full scan bit for bit.
+func TestPrunedScanGreedyGrowsPastScratch(t *testing.T) {
+	ks, err := dataset.Uniform(xrand.New(65), prunedMinGaps+1, int64(prunedMinGaps)*400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 3 * ks.Len()
+	full, err := GreedyMultiPoint(ks, budget, WithFullScan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := GreedyMultiPoint(ks, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pruned.Poison) < 2*ks.Len() {
+		t.Fatalf("only %d of %d keys inserted; the set never outgrew its first-step scratch", len(pruned.Poison), budget)
+	}
+	if !reflect.DeepEqual(pruned.Poison, full.Poison) || !reflect.DeepEqual(pruned.Trajectory, full.Trajectory) {
+		t.Fatalf("pruned greedy diverged from the full scan")
+	}
+}
+
 // TestPrunedScanSmallSetFallsBack: below prunedMinGaps the pruned path must
 // defer to the plain scan — zero block accounting, classic candidate count.
 func TestPrunedScanSmallSetFallsBack(t *testing.T) {

@@ -29,16 +29,19 @@ func LossSequence(ks keys.Set, opts ...Option) ([]LossPoint, float64, error) {
 		return nil, 0, err
 	}
 	ex := newExec(opts)
+	origin := ks.Min()
 	// Each chunk of neighbour pairs emits its slice of the sequence; chunk
 	// slices concatenate in chunk order, reproducing the sequential scan.
 	chunks, err := engine.MapChunks(ex.ctx, ex.pool, ks.Len()-1, engine.GrainFor(ks.Len()-1, ex.pool),
 		func(clo, chi int) ([]LossPoint, error) {
 			var part []LossPoint
+			cf, suf := pre.ClosedForm(), pre.Suffix(clo+1)
 			for i := clo; i < chi; i++ {
 				pos := i + 1
 				for k := ks.At(i) + 1; k < ks.At(i+1); k++ {
-					part = append(part, LossPoint{Key: k, Loss: pre.PoisonedLoss(k, pos)})
+					part = append(part, LossPoint{Key: k, Loss: cf.Loss(k, pos, suf)})
 				}
+				suf -= ks.At(i+1) - origin
 			}
 			return part, nil
 		})
@@ -104,14 +107,15 @@ func CheckGapConvexity(ks keys.Set, opts ...Option) ([]GapConvexityReport, error
 			return nil, nil
 		}
 		pos := g.Rank - 1
-		epMax := pre.PoisonedLoss(g.Lo, pos)
-		if l := pre.PoisonedLoss(g.Hi, pos); l > epMax {
+		cf, suf := pre.ClosedForm(), pre.Suffix(pos)
+		epMax := cf.Loss(g.Lo, pos, suf)
+		if l := cf.Loss(g.Hi, pos, suf); l > epMax {
 			epMax = l
 		}
 		inMax := 0.0
 		first := true
 		for k := g.Lo + 1; k < g.Hi; k++ {
-			l := pre.PoisonedLoss(k, pos)
+			l := cf.Loss(k, pos, suf)
 			if first || l > inMax {
 				inMax, first = l, false
 			}

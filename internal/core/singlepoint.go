@@ -39,11 +39,12 @@ type SinglePointResult struct {
 	CleanLoss    float64 // MSE of the optimal regression before poisoning
 	PoisonedLoss float64 // MSE of the optimal regression after poisoning
 	Candidates   int     // number of candidate locations evaluated
-	// Pruned-scan accounting (DESIGN.md §11): of BlocksTotal fixed-size gap
+	// Pruned-scan accounting (DESIGN.md §11): of BlocksTotal 16-gap leaf
 	// blocks, BlocksVisited had their endpoints evaluated; the rest were
-	// excluded by closed-form loss bounds. Both stay zero when the full scan
-	// ran (small sets, WithFullScan, BruteForceSinglePoint). The visited set
-	// is deterministic — identical for every worker count.
+	// excluded by closed-form loss bounds, on the leaf itself or on the
+	// 128-gap block around it. Both stay zero when the full scan ran (small
+	// sets, WithFullScan, BruteForceSinglePoint). The visited set is
+	// deterministic — identical for every worker count.
 	BlocksVisited int
 	BlocksTotal   int
 }
@@ -71,10 +72,11 @@ func SafeRatio(poisoned, clean float64) float64 {
 // By Theorem 2 the loss sequence restricted to one gap (a maximal run of
 // unoccupied keys) is convex, so its maximum over the gap is attained at one
 // of the two endpoints; at most 2(n−1) candidates exist, each evaluated in
-// O(1) via regression.Prefix. On large sets the pruned scan (pruned.go)
-// excludes most gap blocks via closed-form loss bounds before any endpoint
-// is touched, for the same — bit-identical — answer sublinearly in practice;
-// WithFullScan forces the exhaustive O(n) endpoint sweep.
+// O(1) via regression.ClosedForm. On sets of 64 gaps or more the pruned
+// scan (pruned.go) excludes most gap blocks via closed-form loss bounds
+// before any endpoint is touched, for the same — bit-identical — answer
+// sublinearly in practice; WithFullScan forces the exhaustive O(n) endpoint
+// sweep.
 //
 // Ties are broken toward the smaller key so results are deterministic, for
 // any worker count (see WithWorkers).
@@ -122,12 +124,13 @@ const endpointGrainFloor = 1024
 // endpointScan is the optimal single-point inner loop bound to one Prefix:
 // the chunk callback and the chunk-result buffer are allocated once per
 // attack, not once per step, so the greedy loop — which runs one scan per
-// inserted key — reaches a zero-allocation steady state. run() re-reads the
-// Prefix's (possibly mutable) key view each call, so the same scan instance
-// stays valid across kernel Inserts.
+// inserted key — reaches a zero-allocation steady state. Each step
+// refreshes the Prefix's (possibly mutable) key view and its ClosedForm
+// snapshot, so the same scan instance stays valid across kernel Inserts.
 type endpointScan struct {
 	pre *regression.Prefix
-	ks  keys.Set // view refreshed by run(); read-only during a scan
+	ks  keys.Set              // view refreshed by refresh(); read-only during a scan
+	cf  regression.ClosedForm // this step's snapshot; read-only during a scan
 	buf []candidateBest
 	fn  func(clo, chi int) (candidateBest, error)
 }
@@ -138,35 +141,45 @@ func newEndpointScan(pre *regression.Prefix) *endpointScan {
 	return s
 }
 
+// refresh re-reads the key view and derives this step's ClosedForm.
+func (s *endpointScan) refresh() {
+	s.ks = s.pre.Set()
+	s.cf = s.pre.ClosedForm()
+}
+
 // chunk scans neighbour pairs [clo, chi) and reduces them locally; chunk
 // results fold in index order (foldBest), preserving the sequential
-// tie-break contract.
+// tie-break contract. The rank-shift term is looked up once and then
+// carried: each gap passed subtracts its upper key.
 func (s *endpointScan) chunk(clo, chi int) (candidateBest, error) {
 	ks := s.ks
+	origin := ks.Min()
+	suf := s.pre.Suffix(clo + 1)
 	b := candidateBest{loss: -1}
 	for i := clo; i < chi; i++ {
-		lo, hi := ks.At(i)+1, ks.At(i+1)-1
-		if lo > hi {
-			continue // no gap between these neighbours
-		}
+		next := ks.At(i + 1)
+		lo, hi := ks.At(i)+1, next-1
 		pos := i + 1 // keys strictly smaller than any key in this gap
-		if l := s.pre.PoisonedLoss(lo, pos); l > b.loss {
-			b.key, b.rank, b.loss = lo, pos+1, l
-		}
-		b.candidates++
-		if hi != lo {
-			if l := s.pre.PoisonedLoss(hi, pos); l > b.loss {
-				b.key, b.rank, b.loss = hi, pos+1, l
+		if lo <= hi {
+			if l := s.cf.Loss(lo, pos, suf); l > b.loss {
+				b.key, b.rank, b.loss = lo, pos+1, l
 			}
 			b.candidates++
+			if hi != lo {
+				if l := s.cf.Loss(hi, pos, suf); l > b.loss {
+					b.key, b.rank, b.loss = hi, pos+1, l
+				}
+				b.candidates++
+			}
 		}
+		suf -= next - origin
 	}
 	return b, nil
 }
 
 // run executes one chunked endpoint scan across the exec's worker pool.
 func (s *endpointScan) run(ex exec) (SinglePointResult, error) {
-	s.ks = s.pre.Set()
+	s.refresh()
 	res := SinglePointResult{CleanLoss: s.pre.CleanLoss(), PoisonedLoss: -1}
 	grain := engine.GrainForMin(s.ks.Len()-1, ex.pool, endpointGrainFloor)
 	chunks, err := engine.MapChunksInto(ex.ctx, ex.pool, s.ks.Len()-1, grain, s.buf, s.fn)
@@ -195,20 +208,24 @@ func BruteForceSinglePoint(ks keys.Set, opts ...Option) (SinglePointResult, erro
 		return SinglePointResult{}, err
 	}
 	ex := newExec(opts)
+	origin := ks.Min()
 	res := SinglePointResult{CleanLoss: pre.CleanLoss(), PoisonedLoss: -1}
 	// Chunk over neighbour pairs; per-pair cost is the gap width, so chunks
 	// stay small (GrainFor) to let the pool balance wide gaps dynamically.
+	// Each chunk derives its own O(1) ClosedForm, which stays on its stack.
 	chunks, err := engine.MapChunks(ex.ctx, ex.pool, ks.Len()-1, engine.GrainFor(ks.Len()-1, ex.pool),
 		func(clo, chi int) (candidateBest, error) {
 			b := candidateBest{loss: -1}
+			cf, suf := pre.ClosedForm(), pre.Suffix(clo+1)
 			for i := clo; i < chi; i++ {
 				pos := i + 1
 				for k := ks.At(i) + 1; k < ks.At(i+1); k++ {
-					if l := pre.PoisonedLoss(k, pos); l > b.loss {
+					if l := cf.Loss(k, pos, suf); l > b.loss {
 						b.key, b.rank, b.loss = k, pos+1, l
 					}
 					b.candidates++
 				}
+				suf -= ks.At(i+1) - origin
 			}
 			return b, nil
 		})
@@ -238,8 +255,9 @@ type GreedyResult struct {
 	// trajectory non-decreasing and guarantees RatioLoss() >= 1.
 	Stopped bool
 	// Scan accounting, summed over all steps (DESIGN.md §11): Candidates
-	// endpoint evaluations were spent in total; of BlocksTotal gap blocks
-	// considered across the steps, BlocksVisited were actually scanned.
+	// endpoint evaluations were spent in total; of BlocksTotal 16-gap leaf
+	// blocks considered across the steps, BlocksVisited were actually
+	// scanned.
 	// The block counters stay zero when every step ran the full scan
 	// (small sets or WithFullScan) — block accounting exists only under
 	// pruning, while Candidates accumulates either way.
@@ -272,14 +290,14 @@ func (g GreedyResult) RatioLoss() float64 { return SafeRatio(g.FinalLoss(), g.Cl
 // attack kernel: the key set and the regression moments live in mutable,
 // capacity-reserved storage (keys.MutableSet + regression.NewPrefixMutable)
 // and absorb each chosen key in place, so a greedy step costs one candidate
-// scan plus memmove-class updates — no per-step set copy, no O(n) prefix
-// rebuild, and zero allocations after setup. The kernel's exact integer
-// moments guarantee every chosen key, loss, and trajectory entry is
-// bit-identical to rebuilding the prefix state from scratch each step (see
-// DESIGN.md §2, "Incremental kernel invariants"; where the pre-kernel
-// float64 accumulators had already lost exactness — sums beyond 2⁵³ —
-// values can differ from THAT implementation in final ulps, in the exact
-// arithmetic's favor).
+// scan, one key memmove and one pass over the n/16 stored suffix sums — no
+// per-step set copy, no O(n) prefix rebuild, and zero allocations after
+// setup. The kernel's exact integer moments guarantee every chosen key,
+// loss, and trajectory entry is bit-identical to rebuilding the prefix
+// state from scratch each step (see DESIGN.md §2, "Incremental kernel
+// invariants"; where the pre-kernel float64 accumulators had already lost
+// exactness — sums beyond 2⁵³ — values can differ from THAT implementation
+// in final ulps, in the exact arithmetic's favor).
 //
 // The per-step candidate scan parallelizes across WithWorkers(n) workers;
 // the chosen keys, trajectory, and all losses are identical for every
@@ -291,7 +309,11 @@ func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) 
 	if ks.Len() < 2 {
 		return GreedyResult{}, ErrTooFew
 	}
-	mut := keys.NewMutable(ks, p)
+	// Reserve for at most n poison keys, a 100% budget. A larger budget can
+	// exceed the free slots by far, so it must not be allocated up front;
+	// past the reserve the kernel grows by append.
+	reserve := min(p, ks.Len())
+	mut := keys.NewMutable(ks, reserve)
 	pre, err := regression.NewPrefixMutable(mut)
 	if err != nil {
 		return GreedyResult{}, err
@@ -324,8 +346,8 @@ func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) 
 			return GreedyResult{}, fmt.Errorf("core: internal error inserting chosen poison key: %w", err)
 		}
 		if res.Poison == nil {
-			res.Poison = make([]int64, 0, p)
-			res.Trajectory = make([]float64, 0, p)
+			res.Poison = make([]int64, 0, reserve)
+			res.Trajectory = make([]float64, 0, reserve)
 		}
 		res.Poison = append(res.Poison, step.Key)
 		res.Trajectory = append(res.Trajectory, step.PoisonedLoss)

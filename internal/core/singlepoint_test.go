@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -258,6 +259,28 @@ func TestGreedyTruncatesOnSaturation(t *testing.T) {
 	}
 	if !g.Poisoned.Saturated() {
 		t.Fatal("domain should be saturated after truncation")
+	}
+}
+
+// TestGreedyHugeBudget: a budget far beyond the free slots must not be
+// reserved up front. It must give exactly the result of the budget that
+// names every free interior slot; past the reserve the kernel grows.
+func TestGreedyHugeBudget(t *testing.T) {
+	ks := mustSet(t, []int64{0, 5, 9, 100})
+	free := int(ks.FreeSlots()) // 4 + 3 + 90 = 97
+	want, err := GreedyMultiPoint(ks, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := GreedyMultiPoint(ks, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("budget 1<<62 differs from budget %d:\n got: %+v\nwant: %+v", free, got, want)
+	}
+	if len(got.Poison) <= ks.Len() {
+		t.Fatalf("%d poison keys never exercise growth past the %d-key reserve", len(got.Poison), ks.Len())
 	}
 }
 

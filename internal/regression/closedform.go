@@ -7,7 +7,7 @@ package regression
 // (see DESIGN.md §11, "Closed-form oracle & pruned scan").
 //
 // Derivation. Write n for the clean count, n1 = n+1, S1 = Σx, S2 = Σx²,
-// SR = Σx·r over the clean centered keys, and T(g) = sufX[g+1] for the
+// SR = Σx·r over the clean centered keys, and T(g) = Suffix(g+1) for the
 // exact rank-shift term of a candidate landing in gap g (between the keys
 // at positions g and g+1, insertion rank t = g+2). With mr = (n+2)/2 and
 // varR = n(n+2)/12, the poisoned loss of candidate x in gap g is
@@ -40,15 +40,16 @@ package regression
 import "math"
 
 // ClosedForm is the per-step snapshot of the closed-form oracle: the float64
-// images of the exact integer moments, hoisted once so Loss replicates
-// PoisonedLoss's float operation sequence bit-for-bit, plus the cleared
-// coefficients the block bound needs. It is valid until the next Insert on
-// the parent Prefix (rebuild with Prefix.ClosedForm afterwards).
+// images of the exact integer moments, hoisted once so every candidate
+// evaluation (Loss, and through it Prefix.PoisonedLoss) runs the same float
+// operation sequence, plus the cleared coefficients the block bound needs.
+// It is valid until the next Insert on the parent Prefix (rebuild with
+// Prefix.ClosedForm afterwards).
 type ClosedForm struct {
 	origin int64
 	n      int     // clean key count
-	sufX   []int64 // shared with the Prefix; read-only
-	s1     float64 // float64(Σx) — the exact conversions PoisonedLoss uses
+	pre    *Prefix // read-only: Bound's suffix sums
+	s1     float64 // float64(Σx), converted once per step
 	s2     float64 // float64(Σx²)
 	sr     float64 // float64(Σx·r)
 	n1     float64 // float64(n+1)
@@ -65,7 +66,7 @@ func (p *Prefix) ClosedForm() ClosedForm {
 	c := ClosedForm{
 		origin: p.origin,
 		n:      p.n,
-		sufX:   p.sufX,
+		pre:    p,
 		s1:     float64(p.sumX),
 		s2:     p.sumXX.float(),
 		sr:     p.sumXR.float(),
@@ -87,17 +88,19 @@ func (p *Prefix) ClosedForm() ClosedForm {
 	return c
 }
 
-// Loss is PoisonedLoss evaluated through the snapshot: same inputs, same
-// float64 operation order, bit-identical result (pinned by
-// FuzzClosedFormLoss). Exists so callers holding a ClosedForm never need the
-// Prefix on the hot path.
-func (c *ClosedForm) Loss(kp int64, pos int) float64 {
+// Loss returns the optimal-regression MSE of K ∪ {kp}, where kp is a key
+// NOT in the set, pos is the number of keys strictly smaller than kp, and
+// suf is Prefix.Suffix(pos), the exact rank-shift term. Scans carry suf
+// from gap to gap instead of looking it up; the float operation sequence
+// is the historical Prefix.PoisonedLoss one, pinned bit-for-bit by
+// TestClosedFormLossMatchesPoisonedLoss and FuzzClosedFormLoss.
+func (c *ClosedForm) Loss(kp int64, pos int, suf int64) float64 {
 	xp := float64(kp - c.origin)
 	t := float64(pos + 1)
 
 	sumX := c.s1 + xp
 	sumXX := c.s2 + xp*xp
-	sumXR := c.sr + float64(c.sufX[pos]) + xp*t
+	sumXR := c.sr + float64(suf) + xp*t
 
 	mx := sumX / c.n1
 	mxx := sumXX / c.n1
@@ -121,7 +124,7 @@ func (c *ClosedForm) VarR() float64 { return c.varR }
 
 // w evaluates W(x) for a candidate x in gap g: v(g) + u(g)·x.
 func (c *ClosedForm) w(g int, x float64) float64 {
-	v := 2*(c.sr+float64(c.sufX[g+1])) - c.np2*c.s1
+	v := 2*(c.sr+float64(c.pre.Suffix(g+1))) - c.np2*c.s1
 	return v + float64(2*g+2-c.n)*x
 }
 
@@ -130,7 +133,7 @@ func (c *ClosedForm) bq(x float64) float64 {
 	return (c.fn*x-2*c.s1)*x + c.b0
 }
 
-// Bound returns an upper bound on Loss(kp, g+1) over every candidate in the
+// Bound returns an upper bound on Loss(kp, g+1, ·) over every candidate in the
 // gap range [gapLo, gapHi) with key kp ∈ [kLo, kHi] (kLo above the set
 // minimum; gap g lies between the keys at positions g and g+1). The bound
 // dominates the float64-computed Loss of every covered candidate; it

@@ -18,9 +18,46 @@ func sweepGapCandidates(ks keys.Set, fn func(kp int64, pos, gap int)) {
 	}
 }
 
-// TestClosedFormLossMatchesPoisonedLoss: the snapshot evaluator must agree
-// with Prefix.PoisonedLoss to the last bit on EVERY candidate of random
-// sets — the foundation of the pruned scan's bit-identity claim.
+// refPoisonedLoss is the historical Prefix.PoisonedLoss, kept verbatim as
+// the bit-for-bit reference of the float operation sequence ClosedForm.Loss
+// must reproduce. Its rank-shift term is summed naively over the key set,
+// independently of the stored suffix sums.
+func refPoisonedLoss(p *Prefix, kp int64, pos int) float64 {
+	var suf int64
+	for _, k := range p.Set().Keys()[pos:] {
+		suf += k - p.origin
+	}
+	xp := float64(kp - p.origin)
+	t := float64(pos + 1)
+	n1 := float64(p.n + 1)
+
+	sumX := float64(p.sumX) + xp
+	sumXX := p.sumXX.float() + xp*xp
+	sumXR := p.sumXR.float() + float64(suf) + xp*t
+
+	mx := sumX / n1
+	mxx := sumXX / n1
+	mxr := sumXR / n1
+	mr := rankMean(p.n + 1)
+
+	varX := mxx - mx*mx
+	cov := mxr - mx*mr
+	varR := rankVar(p.n + 1)
+	if varX <= 0 {
+		return varR
+	}
+	loss := varR - cov*cov/varX
+	if loss < 0 {
+		return 0
+	}
+	return loss
+}
+
+// TestClosedFormLossMatchesPoisonedLoss: the snapshot evaluator, fed the
+// stored suffix sums, and Prefix.PoisonedLoss must agree with the
+// historical PoisonedLoss float sequence to the last bit on EVERY
+// candidate of random sets — the foundation of the pruned scan's
+// bit-identity claim.
 func TestClosedFormLossMatchesPoisonedLoss(t *testing.T) {
 	rng := xrand.New(808)
 	for trial := 0; trial < 30; trial++ {
@@ -31,8 +68,13 @@ func TestClosedFormLossMatchesPoisonedLoss(t *testing.T) {
 		}
 		cf := p.ClosedForm()
 		sweepGapCandidates(p.Set(), func(kp int64, pos, _ int) {
-			if got, want := cf.Loss(kp, pos), p.PoisonedLoss(kp, pos); got != want {
-				t.Fatalf("trial %d: Loss(%d, %d) = %v, PoisonedLoss = %v (diff %g)",
+			want := refPoisonedLoss(p, kp, pos)
+			if got := cf.Loss(kp, pos, p.Suffix(pos)); got != want {
+				t.Fatalf("trial %d: Loss(%d, %d) = %v, reference = %v (diff %g)",
+					trial, kp, pos, got, want, got-want)
+			}
+			if got := p.PoisonedLoss(kp, pos); got != want {
+				t.Fatalf("trial %d: PoisonedLoss(%d, %d) = %v, reference = %v (diff %g)",
 					trial, kp, pos, got, want, got-want)
 			}
 		})
@@ -138,7 +180,7 @@ func TestClosedFormVarRCeiling(t *testing.T) {
 	cf := p.ClosedForm()
 	ceiling := cf.VarR() * (1 + 1e-6)
 	sweepGapCandidates(p.Set(), func(kp int64, pos, _ int) {
-		if l := cf.Loss(kp, pos); l > ceiling || l < 0 {
+		if l := cf.Loss(kp, pos, p.Suffix(pos)); l > ceiling || l < 0 {
 			t.Fatalf("Loss(%d, %d) = %v outside [0, varR=%v]", kp, pos, l, cf.VarR())
 		}
 	})
@@ -146,9 +188,9 @@ func TestClosedFormVarRCeiling(t *testing.T) {
 
 // FuzzClosedFormLoss is the differential fuzz of the closed-form evaluator:
 // arbitrary byte scripts drive random key sets, candidate probes, and
-// interleaved inserts; ClosedForm.Loss must equal Prefix.PoisonedLoss to
-// the last bit on every probed candidate, and Bound must dominate every
-// probed candidate it covers.
+// interleaved inserts; ClosedForm.Loss must equal the historical
+// PoisonedLoss sequence (refPoisonedLoss) to the last bit on every probed
+// candidate, and Bound must dominate every probed candidate it covers.
 func FuzzClosedFormLoss(f *testing.F) {
 	f.Add(uint64(1), []byte{0x00, 0x10, 0x80, 0xFF, 0x42, 0x07})
 	f.Add(uint64(42), []byte{0xAA, 0xBB, 0xCC, 0x01, 0x02, 0x03})
@@ -191,9 +233,9 @@ func FuzzClosedFormLoss(f *testing.F) {
 				continue
 			}
 			kp := lo + int64(sel)%(hi-lo+1)
-			got, want := cf.Loss(kp, g+1), p.PoisonedLoss(kp, g+1)
+			got, want := cf.Loss(kp, g+1, p.Suffix(g+1)), refPoisonedLoss(p, kp, g+1)
 			if got != want {
-				t.Fatalf("Loss(%d, %d) = %v, PoisonedLoss = %v (diff %g)",
+				t.Fatalf("Loss(%d, %d) = %v, reference = %v (diff %g)",
 					kp, g+1, got, want, got-want)
 			}
 			// Bound over a block containing the probed gap must cover it.

@@ -3,8 +3,9 @@ package regression
 // The incremental attack kernel: Algorithm 1 historically paid three O(n)
 // passes per greedy step — a copy-on-insert of the key set, a from-scratch
 // NewPrefix rebuild, and the allocations backing both. Insert collapses a
-// step to O(1) moment updates plus two memmove-class passes over
-// pre-reserved storage, with zero allocations after setup.
+// step to O(1) moment updates, one pass over the n/sufStride stored suffix
+// sums and one key memmove into pre-reserved storage, with zero
+// allocations after setup.
 //
 // Why this cannot change a single output bit: the moments are exact
 // integers (see the Prefix type comment), so the state Insert produces is
@@ -54,9 +55,9 @@ func (a u128) float() float64 {
 
 // Insert adds the poisoning key kp to the kernel in place: the underlying
 // mutable key set absorbs kp with one memmove, the scalar moments update in
-// O(1), and the suffix sums update with one memmove plus one vectorizable
-// add-constant pass — no allocation as long as the reserve NewMutable set
-// aside has room. It returns the 0-based position kp took.
+// O(1), and the ⌈(n+1)/sufStride⌉ stored suffix sums update in one pass —
+// no allocation as long as the reserve NewMutable set aside has room. It
+// returns the 0-based position kp took.
 //
 // Requirements (all returned as errors, never silently mis-accounted):
 // the Prefix must come from NewPrefixMutable; kp must be absent; kp must be
@@ -79,34 +80,36 @@ func (p *Prefix) Insert(kp int64) (pos int, err error) {
 	if p.sumX > math.MaxInt64-xp {
 		return 0, ErrRange
 	}
+	// The keys at positions >= pos each gain one unit of rank; their key sum
+	// is the old Suffix(pos), the exact term the rank shift adds to Σx·r.
+	shifted := p.Suffix(pos)
 	if _, ok := p.mut.Insert(kp); !ok {
 		return 0, fmt.Errorf("regression: mutable set rejected key %d", kp)
 	}
+	p.ks = p.mut.View()
 
-	n := p.n
-	// The keys at positions >= pos each gain one unit of rank; their key sum
-	// is the old sufX[pos], the exact term the rank shift adds to Σx·r.
-	shifted := p.sufX[pos]
-
-	// Suffix sums: entries above pos slide right one slot (they cover the
-	// same key suffixes as before), entries at and below pos gain xp (their
-	// suffixes now contain kp). Both passes are exact integer arithmetic,
-	// so the result equals the from-scratch suffix scan bit-for-bit.
-	if cap(p.sufX) > n+1 {
-		p.sufX = p.sufX[:n+2]
-	} else {
-		p.sufX = append(p.sufX, 0) // reserve exhausted: pay growth once
+	// Stored suffix sums: one at a position at or below pos now also covers
+	// kp; one above pos now starts one key earlier in the old order, so it
+	// gains the old key to its left, which the memmove just placed at its
+	// own position. Both updates are exact integer arithmetic, so the result
+	// equals the from-scratch suffix scan bit-for-bit.
+	ks := p.ks.Keys()
+	split := pos/sufStride + 1
+	for b := range p.sufB[:split] {
+		p.sufB[b] += xp
 	}
-	copy(p.sufX[pos+1:], p.sufX[pos:n+1])
-	for i := 0; i <= pos; i++ {
-		p.sufX[i] += xp
+	for b := split; b < len(p.sufB); b++ {
+		p.sufB[b] += ks[b*sufStride] - p.origin
+	}
+	n := p.n + 1
+	if n%sufStride == 0 {
+		p.sufB = append(p.sufB, 0) // new stored position n: the empty suffix
 	}
 
 	uxp := uint64(xp)
 	p.sumX += xp
 	p.sumXX = p.sumXX.add(u128Mul(uxp, uxp))
 	p.sumXR = p.sumXR.add(u128Mul(uxp, uint64(pos+1))).addU64(uint64(shifted))
-	p.n = n + 1
-	p.ks = p.mut.View()
+	p.n = n
 	return pos, nil
 }

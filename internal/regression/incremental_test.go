@@ -21,9 +21,9 @@ func freshPrefix(t testing.TB, m *keys.MutableSet) *Prefix {
 }
 
 // assertPrefixBitIdentical compares every observable of the incremental and
-// the from-scratch kernel with == (no tolerance): clean loss, a full sweep
-// of candidate losses, and full candidate models. This is the central
-// guarantee that lets GreedyMultiPoint skip the per-step rebuild.
+// the from-scratch kernel with == (no tolerance): clean loss and a full
+// sweep of candidate losses. This is the central guarantee that lets
+// GreedyMultiPoint skip the per-step rebuild.
 func assertPrefixBitIdentical(t *testing.T, inc, fresh *Prefix) {
 	t.Helper()
 	if inc.N() != fresh.N() {
@@ -43,10 +43,6 @@ func assertPrefixBitIdentical(t *testing.T, inc, fresh *Prefix) {
 			if li, lf := inc.PoisonedLoss(kp, pos), fresh.PoisonedLoss(kp, pos); li != lf {
 				t.Fatalf("PoisonedLoss(%d, %d): %v != %v (diff %g)", kp, pos, li, lf, li-lf)
 			}
-			mi, mf := inc.PoisonedModel(kp, pos), fresh.PoisonedModel(kp, pos)
-			if mi != mf {
-				t.Fatalf("PoisonedModel(%d, %d): %+v != %+v", kp, pos, mi, mf)
-			}
 		}
 	}
 }
@@ -63,8 +59,8 @@ func randomMutable(rng *xrand.RNG, minN, maxN int, domain int64, reserve int) *k
 
 // TestPrefixInsertMatchesFreshRebuild is the differential property test of
 // the incremental kernel: random insert sequences through Prefix.Insert
-// must leave the kernel bit-identical — losses AND models — to a
-// from-scratch NewPrefix on the augmented set, at every step.
+// must leave the kernel's losses bit-identical to a from-scratch NewPrefix
+// on the augmented set, at every step.
 func TestPrefixInsertMatchesFreshRebuild(t *testing.T) {
 	rng := xrand.New(515)
 	for trial := 0; trial < 40; trial++ {
@@ -94,6 +90,64 @@ func TestPrefixInsertMatchesFreshRebuild(t *testing.T) {
 				t.Fatalf("Insert(%d) returned pos %d, want %d", kp, pos, wantPos)
 			}
 			assertPrefixBitIdentical(t, inc, freshPrefix(t, m))
+		}
+	}
+}
+
+// assertSuffixNaive checks Suffix at every position 0..n against the naive
+// Σ_{j≥pos}(k_j − min) over the backing set — a reference that shares
+// nothing with the stored suffix sums, so a boundary bug common to
+// NewPrefix and Insert cannot hide behind a differential comparison.
+func assertSuffixNaive(t *testing.T, p *Prefix) {
+	t.Helper()
+	ks := p.Set().Keys()
+	if len(ks) != p.N() {
+		t.Fatalf("set holds %d keys, prefix counts %d", len(ks), p.N())
+	}
+	var want int64
+	for pos := len(ks); pos >= 0; pos-- {
+		if pos < len(ks) {
+			want += ks[pos] - ks[0]
+		}
+		if got := p.Suffix(pos); got != want {
+			t.Fatalf("n=%d: Suffix(%d) = %d, naive sum %d", len(ks), pos, got, want)
+		}
+	}
+}
+
+// TestPrefixSuffixMatchesNaive drives random Insert sequences from sets
+// whose length starts just below, at, and just above a multiple of the
+// suffix-sum stride, well past the reserve, and checks every suffix after
+// every step against the naive sum.
+func TestPrefixSuffixMatchesNaive(t *testing.T) {
+	rng := xrand.New(1616)
+	for _, n := range []int{
+		sufStride - 1, sufStride, sufStride + 1,
+		2*sufStride - 1, 2 * sufStride, 2*sufStride + 1,
+		5*sufStride - 1, 5 * sufStride, 5*sufStride + 1,
+	} {
+		s, err := keys.New(xrand.SampleInt64s(rng, n, 20*int64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reserve = 3
+		m := keys.NewMutable(s, reserve)
+		p, err := NewPrefixMutable(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSuffixNaive(t, p)
+		for inserted := 0; inserted < 3*sufStride+reserve; {
+			view := m.View()
+			kp := view.Min() + 1 + rng.Int63n(view.Max()-view.Min()+sufStride)
+			if _, free := view.InsertedRank(kp); !free {
+				continue
+			}
+			if _, err := p.Insert(kp); err != nil {
+				t.Fatalf("n=%d: Insert(%d): %v", n, kp, err)
+			}
+			inserted++
+			assertSuffixNaive(t, p)
 		}
 	}
 }

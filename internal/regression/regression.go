@@ -195,17 +195,23 @@ type Prefix struct {
 	sumX   int64 // Σ x_i, exact (guarded against int64 overflow)
 	sumXX  u128  // Σ x_i², exact
 	sumXR  u128  // Σ x_i·r_i, exact
-	// sufX[i] = Σ_{j >= i} x_j (0-based positions), sufX[n] = 0. When a
-	// poisoning key lands at position i (i keys strictly smaller), exactly
-	// the keys at positions i..n−1 gain one unit of rank, contributing
-	// sufX[i] to Σ x·r. Entries are bounded by sumX, so int64 is safe
-	// wherever sumX is.
-	sufX []int64
+	// sufB[b] = Σ_{j >= b·sufStride} x_j (0-based positions): the suffix
+	// sums at every sufStride-th position up to n, where the sum is 0. When
+	// a poisoning key lands at position i (i keys strictly smaller),
+	// exactly the keys at positions i..n−1 gain one unit of rank,
+	// contributing Suffix(i) to Σ x·r. Entries are bounded by sumX, so
+	// int64 is safe wherever sumX is.
+	sufB []int64
 	ks   keys.Set
 	// mut is non-nil when the Prefix was built by NewPrefixMutable and owns
 	// an insertable key set; ks is then a live view of it (see Insert).
 	mut *keys.MutableSet
 }
+
+// sufStride is the spacing of the stored suffix sums. Any other suffix is
+// the stored one at or below it minus at most sufStride−1 keys, and Insert
+// updates only the ⌈(n+1)/sufStride⌉ stored sums.
+const sufStride = 16
 
 // ErrRange is returned when the centered key sum Σ(kᵢ−min) does not fit in
 // int64, the bound under which the exact kernel's accumulators cannot
@@ -227,7 +233,7 @@ func NewPrefixMutable(m *keys.MutableSet) (*Prefix, error) {
 	return newPrefix(m.View(), m, m.Cap())
 }
 
-// newPrefix accumulates the exact moments; sufCap reserves suffix-array
+// newPrefix accumulates the exact moments; sufCap reserves suffix-sum
 // capacity for sufCap keys (≥ n), pre-paying Insert growth.
 func newPrefix(ks keys.Set, mut *keys.MutableSet, sufCap int) (*Prefix, error) {
 	n := ks.Len()
@@ -235,7 +241,7 @@ func newPrefix(ks keys.Set, mut *keys.MutableSet, sufCap int) (*Prefix, error) {
 		return nil, fmt.Errorf("regression: NewPrefix needs n >= 2, got %d", n)
 	}
 	p := &Prefix{origin: ks.Min(), n: n, ks: ks, mut: mut,
-		sufX: make([]int64, n+1, sufCap+1)}
+		sufB: make([]int64, n/sufStride+1, sufCap/sufStride+1)}
 	for i := 0; i < n; i++ {
 		x := ks.At(i) - p.origin // >= 0: keys are sorted
 		if p.sumX > math.MaxInt64-x {
@@ -246,8 +252,12 @@ func newPrefix(ks keys.Set, mut *keys.MutableSet, sufCap int) (*Prefix, error) {
 		p.sumXX = p.sumXX.add(u128Mul(ux, ux))
 		p.sumXR = p.sumXR.add(u128Mul(ux, uint64(i+1)))
 	}
+	var suf int64
 	for i := n - 1; i >= 0; i-- {
-		p.sufX[i] = p.sufX[i+1] + (ks.At(i) - p.origin)
+		suf += ks.At(i) - p.origin
+		if i%sufStride == 0 {
+			p.sufB[i/sufStride] = suf
+		}
 	}
 	return p, nil
 }
@@ -259,6 +269,20 @@ func (p *Prefix) N() int { return p.n }
 // a live view: it reflects Inserts and shares their backing array, so it is
 // only valid until the next Insert (snapshot with Clone if needed longer).
 func (p *Prefix) Set() keys.Set { return p.ks }
+
+// Suffix returns Σ_{j >= pos} x_j over the centered keys, 0 <= pos <= n:
+// the exact rank-shift term of a candidate that takes 0-based position pos.
+// It subtracts at most sufStride−1 keys from the stored sum at or below
+// pos. A scan over consecutive gaps calls it once and then carries the
+// value, subtracting one key per gap (Suffix(i+1) = Suffix(i) − x_i).
+func (p *Prefix) Suffix(pos int) int64 {
+	b := pos / sufStride
+	s := p.sufB[b]
+	for _, k := range p.ks.Keys()[b*sufStride : pos] {
+		s -= k - p.origin
+	}
+	return s
+}
 
 // CleanLoss returns the MSE of the optimal regression on the unpoisoned set.
 func (p *Prefix) CleanLoss() float64 {
@@ -278,32 +302,12 @@ func (p *Prefix) CleanLoss() float64 {
 
 // PoisonedLoss returns the optimal-regression MSE of K ∪ {kp}, where kp is a
 // key NOT in the set and pos is the number of keys strictly smaller than kp
-// (i.e. kp would take 1-based rank pos+1). It runs in O(1).
+// (i.e. kp would take 1-based rank pos+1). It is ClosedForm.Loss on a fresh
+// snapshot, O(1); scans over many candidates hold one snapshot and carry
+// the suffix instead.
 func (p *Prefix) PoisonedLoss(kp int64, pos int) float64 {
-	xp := float64(kp - p.origin)
-	t := float64(pos + 1)
-	n1 := float64(p.n + 1)
-
-	sumX := float64(p.sumX) + xp
-	sumXX := p.sumXX.float() + xp*xp
-	sumXR := p.sumXR.float() + float64(p.sufX[pos]) + xp*t
-
-	mx := sumX / n1
-	mxx := sumXX / n1
-	mxr := sumXR / n1
-	mr := rankMean(p.n + 1)
-
-	varX := mxx - mx*mx
-	cov := mxr - mx*mr
-	varR := rankVar(p.n + 1)
-	if varX <= 0 {
-		return varR
-	}
-	loss := varR - cov*cov/varX
-	if loss < 0 {
-		return 0
-	}
-	return loss
+	cf := p.ClosedForm()
+	return cf.Loss(kp, pos, p.Suffix(pos))
 }
 
 // PoisonedLossAuto is PoisonedLoss with the insertion position looked up via
@@ -314,42 +318,6 @@ func (p *Prefix) PoisonedLossAuto(kp int64) (loss float64, ok bool) {
 		return 0, false
 	}
 	return p.PoisonedLoss(kp, rank-1), true
-}
-
-// PoisonedModel returns the full refitted model for K ∪ {kp}, used when the
-// caller needs the line itself (figures, defense analysis), not just the
-// loss. O(1) like PoisonedLoss.
-func (p *Prefix) PoisonedModel(kp int64, pos int) Model {
-	xp := float64(kp - p.origin)
-	t := float64(pos + 1)
-	n1 := float64(p.n + 1)
-
-	sumX := float64(p.sumX) + xp
-	sumXX := p.sumXX.float() + xp*xp
-	sumXR := p.sumXR.float() + float64(p.sufX[pos]) + xp*t
-
-	mx := sumX / n1
-	mxx := sumXX / n1
-	mxr := sumXR / n1
-	mr := rankMean(p.n + 1)
-
-	varX := mxx - mx*mx
-	cov := mxr - mx*mr
-	varR := rankVar(p.n + 1)
-	m := Model{N: p.n + 1}
-	if varX <= 0 {
-		m.Line = Line{W: 0, B: mr}
-		m.Loss = varR
-		return m
-	}
-	w := cov / varX
-	loss := varR - cov*cov/varX
-	if loss < 0 {
-		loss = 0
-	}
-	m.Line = Line{W: w, B: (mr - w*mx) - w*float64(p.origin)}
-	m.Loss = loss
-	return m
 }
 
 // MaxAbsResidual returns the largest |predicted − actual rank| of the model

@@ -290,36 +290,6 @@ func TestPoisonedLossAuto(t *testing.T) {
 	}
 }
 
-func TestPoisonedModelMatchesRefit(t *testing.T) {
-	rng := xrand.New(400)
-	for trial := 0; trial < 50; trial++ {
-		ks := randomSet(rng, 3, 30, 300)
-		p, err := NewPrefix(ks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kp := int64(-1)
-		var pos int
-		for k := ks.Min() + 1; k < ks.Max(); k++ {
-			if r, free := ks.InsertedRank(k); free {
-				kp, pos = k, r-1
-				break
-			}
-		}
-		if kp < 0 {
-			continue // saturated
-		}
-		got := p.PoisonedModel(kp, pos)
-		aug, _ := ks.Insert(kp)
-		want, _ := FitCDF(aug)
-		if math.Abs(got.W-want.W) > 1e-8*(1+math.Abs(want.W)) ||
-			math.Abs(got.B-want.B) > 1e-5*(1+math.Abs(want.B)) ||
-			math.Abs(got.Loss-want.Loss) > 1e-8*(1+want.Loss) {
-			t.Fatalf("PoisonedModel %+v != refit %+v", got, want)
-		}
-	}
-}
-
 func TestNewPrefixTooFew(t *testing.T) {
 	if _, err := NewPrefix(mustSet(t, []int64{9})); err == nil {
 		t.Fatal("NewPrefix on singleton must error")
