@@ -167,9 +167,24 @@ func writeKeys(path string, ks cdfpoison.KeySet) error {
 	return ks.WriteText(f)
 }
 
+// budgetCeiling is where percentOf saturates a budget too large for an
+// int. It is far above the free slots of any key set, so a saturated
+// budget poisons exactly like the unsaturated one would: the attack runs
+// until it stops or the slots run out.
+const budgetCeiling = 1 << 62
+
 // percentOf is pct percent of n keys, rounded down: the key budget every
-// -percent flag names.
-func percentOf(n int, pct float64) int { return int(float64(n) * pct / 100) }
+// -percent flag names, saturated at ±budgetCeiling. A negative budget is
+// left for the attack to reject; NaN is an error here.
+func percentOf(n int, pct float64) (int, error) {
+	if math.IsNaN(pct) {
+		return 0, fmt.Errorf("-percent must be a number, got %v", pct)
+	}
+	if n == 0 {
+		return 0, nil // any percentage of no keys, even an infinite one
+	}
+	return int(max(-budgetCeiling, min(float64(n)*pct/100, budgetCeiling))), nil
+}
 
 func bindGen(fs *flag.FlagSet) func() error {
 	dist := fs.String("dist", "uniform", "uniform|normal|lognormal|salaries|osm")
@@ -234,7 +249,10 @@ func bindAttack(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		budget := percentOf(ks.Len(), *percent)
+		budget, err := percentOf(ks.Len(), *percent)
+		if err != nil {
+			return err
+		}
 		var (
 			poison, poisoned cdfpoison.KeySet
 			what, whole      = "poison", "poisoned"
@@ -695,7 +713,11 @@ func (f scenarioFlags) load(a *scenarioArgs, emptyPolicy func(n int) string) (*s
 	if err != nil {
 		return nil, err
 	}
-	in := &scenarioInput{scenarioArgs: *a, ks: ks, budget: percentOf(ks.Len(), a.percent)}
+	budget, err := percentOf(ks.Len(), a.percent)
+	if err != nil {
+		return nil, err
+	}
+	in := &scenarioInput{scenarioArgs: *a, ks: ks, budget: budget}
 	if in.ops == 0 {
 		in.ops = ks.Len() / 10
 	}

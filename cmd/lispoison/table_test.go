@@ -203,18 +203,47 @@ func TestThroughputOversizedKnobs(t *testing.T) {
 
 // TestHugePercentBudget: a -percent whose key budget dwarfs the free key
 // slots runs the greedy attack until it stops or the slots run out, so
-// each run must succeed instead of reserving the whole budget up front.
+// each run must succeed instead of reserving the whole budget up front. A
+// budget too large for an int saturates instead of wrapping negative, so
+// it poisons exactly like -percent 1e18; NaN is an error naming the flag.
 func TestHugePercentBudget(t *testing.T) {
 	in := spacedKeyFile(t)
-	out := filepath.Join(t.TempDir(), "p.txt")
-	for _, args := range [][]string{
-		{"attack", "-in", in, "-percent", "1e18", "-o", out},
-		{"serve", "-in", in, "-epochs", "2", "-percent", "1e18", "-o", out},
-	} {
+	dir := t.TempDir()
+	poison := func(t *testing.T, cmd, pct string) string {
+		t.Helper()
+		out := filepath.Join(dir, cmd+pct+".txt")
+		args := []string{cmd, "-in", in, "-percent", pct, "-o", out}
+		if cmd != "attack" {
+			args = append(args, "-epochs", "2")
+		}
 		if err := run(args); err != nil {
-			t.Errorf("lispoison %v: %v", args, err)
+			t.Fatalf("lispoison %v: %v", args, err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, cmd := range []string{"attack", "serve"} {
+		want := poison(t, cmd, "1e18")
+		for _, pct := range []string{"1e19", "1e300", "+Inf"} {
+			t.Run(cmd+pct, func(t *testing.T) {
+				if poison(t, cmd, pct) != want {
+					t.Errorf("%s -percent %s wrote a different poison file than -percent 1e18", cmd, pct)
+				}
+			})
 		}
 	}
+	for _, cmd := range []string{"online", "churn"} {
+		t.Run(cmd+"1e19", func(t *testing.T) { poison(t, cmd, "1e19") })
+	}
+	t.Run("attackNaN", func(t *testing.T) {
+		err := run([]string{"attack", "-in", in, "-percent", "NaN", "-o", filepath.Join(dir, "nan.txt")})
+		if err == nil || !strings.Contains(err.Error(), "-percent") {
+			t.Fatalf("attack -percent NaN: err = %v, want an error naming -percent", err)
+		}
+	})
 }
 
 // TestGenNoKeysErrors: gen -n 0 generates nothing to report min/max of.

@@ -1,14 +1,19 @@
 // The pruned endpoint scan: per greedy step, instead of evaluating every
 // gap endpoint (Θ(n) candidates), bound the attainable poisoned loss of
 // blocks of gaps with regression.ClosedForm.Bound and evaluate only the
-// blocks whose bound beats the current best. The bounds work on two
-// levels. Coarse blocks of prunedCoarseLeaves·prunedLeafGaps gaps are all
-// bounded first; 16-gap leaves are bounded only inside the coarse blocks
-// that can matter, so the bound work stays near n/128 per step while the
-// evaluated work shrinks to surviving leaves. The seed — the leaf with
-// the best bound — is evaluated first to set the pruning threshold; it is
-// found best-first, bounding the leaves of the best coarse block and then
-// of any coarse block whose bound exceeds the best leaf bound so far.
+// blocks whose bound beats the current best. The blocks form an implicit
+// tree: 16-gap leaves, 128-gap blocks above them, and each further level
+// prunedFanout times wider, added only while it keeps prunedMinBlocks
+// blocks — so sets under about 65k gaps have exactly the two levels, and
+// n=1e5 gets a third of 1,024-gap blocks. Every top-level block is
+// bounded each step; a block's children are bounded only when a walk
+// descends into it, at most once per step, so the bound work stays near
+// the top level's size while the evaluated work shrinks to surviving
+// leaves. The seed — the leaf with the best bound — is evaluated first to
+// set the pruning threshold; it is found best-first, descending at every
+// level into the best-bound child and then into any sibling whose bound
+// exceeds the best leaf bound so far. A depth-first walk in gap order then
+// keeps the leaves whose every enclosing block beats the threshold.
 // Surviving leaves are evaluated by the UNCHANGED endpointScan.chunk and
 // fold through foldBest in leaf order, so the chosen key, rank, and losses
 // are bit-identical to the sequential full scan — same first-maximum
@@ -16,8 +21,8 @@
 // "Closed-form oracle & pruned scan"; the equivalence is pinned by
 // differential and property tests in pruned_test.go).
 //
-// Determinism: the bound sweeps, the seed selection, and the threshold
-// pass run on the calling goroutine and depend only on (moments, key set,
+// Determinism: the top-level sweep, the seed walk, and the threshold walk
+// run on the calling goroutine and depend only on (moments, key set,
 // block sizes), so the visited-leaf set — and with it BlocksVisited and
 // Candidates — is identical for every worker count. Only the survivor
 // evaluation fans out across the pool, and its results fold in leaf order.
@@ -37,11 +42,16 @@ import (
 // hundred keys) still split into enough leaves to prune.
 const prunedLeafGaps = 16
 
-// prunedCoarseLeaves is the number of leaves per coarse block. Every
-// coarse block is bounded each step, so its width sets the bound work
-// (~n/128 bounds); a finer sweep over all leaves would cost n/16 bounds
-// per step, which is more than the evaluations it saves.
-const prunedCoarseLeaves = 8
+// prunedFanout is the number of blocks of one level inside a block of the
+// next wider level. Every top-level block is bounded each step, so the
+// widths set the bound work; a flat sweep over all leaves would cost n/16
+// bounds per step, which is more than the evaluations it saves.
+const prunedFanout = 8
+
+// prunedMinBlocks is the fewest blocks a level above the 128-gap one must
+// keep to be added. Wider blocks bound more loosely, so a top level of a
+// handful of blocks would prune little and push the work down a level.
+const prunedMinBlocks = 64
 
 // prunedTaskLeaves is the fewest surviving leaves one pool task evaluates:
 // the same gap count as the full scan's chunk floor, so a step whose
@@ -54,60 +64,49 @@ const prunedTaskLeaves = endpointGrainFloor / prunedLeafGaps
 // the dispatch itself cannot break determinism.
 const prunedMinGaps = 4 * prunedLeafGaps
 
-// prunedScan wraps an endpointScan with the two-level bound sweep. Like
+// prunedScan wraps an endpointScan with the block-tree bound walks. Like
 // endpointScan, every buffer lives on the struct so the greedy loop
 // reaches a zero-allocation steady state; run() refreshes the key view and
 // the ClosedForm snapshot from the (possibly mutated) Prefix each call.
 type prunedScan struct {
-	scan      *endpointScan
+	scan      endpointScan
 	nGaps     int
-	nLeaves   int
+	lv        []pruneLevel  // this step's levels, leaves first
 	seedLeaf  int           // leaf evaluated first
 	seedBest  candidateBest // its local best: the pruning threshold
 	seedGap   int           // gap index of seedBest (tie-break anchor)
-	coarse    []coarseBlock
-	leafBd    []float64 // per-leaf loss upper bounds, valid where expanded
-	survivors []int     // visited leaves, seed included, ascending
+	bdBuf     []float64     // backing store of every level's bd
+	openBuf   []bool        // backing store of every level's open
+	survivors []int         // visited leaves, seed included, ascending
 	evalBuf   []candidateBest
 	survFn    func(clo, chi int) (candidateBest, error)
 }
 
-// coarseBlock is one coarse block's state within a step.
-type coarseBlock struct {
-	bound    float64 // loss upper bound over the block's candidates
-	expanded bool    // its leaves' bounds are in leafBd
+// pruneLevel is one level of the block tree within a step.
+type pruneLevel struct {
+	width int       // gaps per block
+	bd    []float64 // per-block loss upper bounds, valid under an open parent
+	open  []bool    // whether a block's children are bounded; nil at the leaves
 }
 
 func newPrunedScan(pre *regression.Prefix) *prunedScan {
-	s := &prunedScan{scan: newEndpointScan(pre)}
-	s.survFn = s.survChunk // bind once; a per-step method value would allocate
+	s := &prunedScan{}
+	s.bind(pre)
 	return s
+}
+
+// bind points s at pre and binds the chunk callbacks once; a per-step
+// method value would allocate.
+func (s *prunedScan) bind(pre *regression.Prefix) {
+	s.scan.pre = pre
+	s.scan.fn = s.scan.chunk
+	s.survFn = s.survChunk
 }
 
 // span returns the gap range of block i when blocks are width gaps wide.
 func (s *prunedScan) span(i, width int) (glo, ghi int) {
 	glo = i * width
 	return glo, min(glo+width, s.nGaps)
-}
-
-// leaves returns the leaf range of coarse block c.
-func (s *prunedScan) leaves(c int) (l0, l1 int) {
-	l0 = c * prunedCoarseLeaves
-	return l0, min(l0+prunedCoarseLeaves, s.nLeaves)
-}
-
-// expand returns the leaf bounds of coarse block c, computing them on the
-// first call of the step: the seed search and the threshold pass both
-// need them.
-func (s *prunedScan) expand(c int) []float64 {
-	l0, l1 := s.leaves(c)
-	if !s.coarse[c].expanded {
-		s.coarse[c].expanded = true
-		for l := l0; l < l1; l++ {
-			s.leafBd[l] = s.bound(s.span(l, prunedLeafGaps))
-		}
-	}
-	return s.leafBd[l0:l1]
 }
 
 // bound bounds the losses of every candidate in gaps [glo, ghi); a
@@ -120,6 +119,62 @@ func (s *prunedScan) bound(glo, ghi int) float64 {
 		return math.Inf(-1)
 	}
 	return s.scan.cf.Bound(glo, ghi, kA+1, kB-1)
+}
+
+// layout sizes this step's block tree — the leaves, the 128-gap level,
+// and each wider level that keeps prunedMinBlocks blocks — and carves
+// every level's bounds and flags out of buffers kept across steps.
+func (s *prunedScan) layout() {
+	levels, nBd := 0, 0
+	for w := prunedLeafGaps; levels < 2 || (s.nGaps+w-1)/w >= prunedMinBlocks; w *= prunedFanout {
+		levels++
+		nBd += (s.nGaps + w - 1) / w
+	}
+	nLeaves := (s.nGaps + prunedLeafGaps - 1) / prunedLeafGaps
+	if cap(s.lv) < levels {
+		s.lv = make([]pruneLevel, levels)
+	}
+	if len(s.bdBuf) < nBd || len(s.openBuf) < nBd-nLeaves || cap(s.survivors) < nLeaves {
+		// Size the scratch buffers for twice the worst case (every leaf
+		// survives) up front; the greedy loop grows the set one key per
+		// step, so the block count crosses the capacity rarely and the
+		// steady state stays allocation-free (DESIGN.md §2, "Allocation
+		// budget"). The chunk results need only one entry per
+		// prunedTaskLeaves survivors.
+		s.bdBuf = make([]float64, 2*nBd)
+		s.openBuf = make([]bool, 2*(nBd-nLeaves))
+		s.survivors = make([]int, 0, 2*nLeaves)
+		s.evalBuf = make([]candidateBest, 0, 2*nLeaves/prunedTaskLeaves+1)
+	}
+	s.lv = s.lv[:levels]
+	bd, open := s.bdBuf, s.openBuf
+	for k, w := 0, prunedLeafGaps; k < levels; k, w = k+1, w*prunedFanout {
+		blocks := (s.nGaps + w - 1) / w
+		s.lv[k] = pruneLevel{width: w, bd: bd[:blocks]}
+		bd = bd[blocks:]
+		if k > 0 {
+			s.lv[k].open, open = open[:blocks], open[blocks:]
+		}
+	}
+}
+
+// children bounds the children of block b at level k >= 1 the first time a
+// step asks — the seed walk and the threshold walk both need them — and
+// returns their index range at level k−1.
+func (s *prunedScan) children(k, b int) (c0, c1 int) {
+	child := &s.lv[k-1]
+	c0 = b * prunedFanout
+	c1 = min(c0+prunedFanout, len(child.bd))
+	if !s.lv[k].open[b] {
+		s.lv[k].open[b] = true
+		for c := c0; c < c1; c++ {
+			child.bd[c] = s.bound(s.span(c, child.width))
+			if child.open != nil {
+				child.open[c] = false
+			}
+		}
+	}
+	return c0, c1
 }
 
 // seedPick chooses the seed among the blocks offered, in any order: the
@@ -153,11 +208,42 @@ func (p *seedPick) choice() int {
 	return p.open
 }
 
-// offerLeaves offers every leaf of coarse block c to p.
-func (s *prunedScan) offerLeaves(p *seedPick, c int) {
-	for i, bd := range s.expand(c) {
-		p.offer(c*prunedCoarseLeaves+i, bd)
+// seed offers the leaves under blocks [c0, c1) of level k, whose bounds
+// are known, to leaf best-first: it descends into the best-bound block,
+// then into each other block whose bound exceeds the best leaf bound so
+// far. A leaf can beat that bound only if every block around it does. On
+// large sets the bounds are tight and few blocks qualify; on small sets
+// they are loose and most do, which costs little there. A loose pick
+// cannot affect correctness — it only weakens the threshold, admitting
+// more survivors.
+func (s *prunedScan) seed(leaf *seedPick, k, c0, c1 int) {
+	bd := s.lv[k].bd[c0:c1]
+	if k == 0 {
+		for i, b := range bd {
+			leaf.offer(c0+i, b)
+		}
+		return
 	}
+	pick := newSeedPick()
+	for i, b := range bd {
+		pick.offer(i, b)
+	}
+	first := pick.choice() // −1 only when every block is saturated
+	if first < 0 {
+		return
+	}
+	s.seedUnder(leaf, k, c0+first)
+	for i, b := range bd {
+		if i != first && b > leaf.best {
+			s.seedUnder(leaf, k, c0+i)
+		}
+	}
+}
+
+// seedUnder runs seed over the children of block b at level k.
+func (s *prunedScan) seedUnder(leaf *seedPick, k, b int) {
+	lo, hi := s.children(k, b)
+	s.seed(leaf, k-1, lo, hi)
 }
 
 // beats reports whether a block with bound bd whose first gap is glo can
@@ -167,6 +253,27 @@ func (s *prunedScan) offerLeaves(p *seedPick, c int) {
 func (s *prunedScan) beats(bd float64, glo int) bool {
 	t := s.seedBest.loss
 	return bd > t || (bd == t && glo < s.seedGap)
+}
+
+// keep appends, in leaf order, the leaves under blocks [c0, c1) of level
+// k that survive the threshold: it skips each block that fails beats with
+// its whole subtree, keeping only the seed leaf if it lies inside.
+func (s *prunedScan) keep(k, c0, c1 int) {
+	l := &s.lv[k]
+	leaves := l.width / prunedLeafGaps
+	for c := c0; c < c1; c++ {
+		switch {
+		case !s.beats(l.bd[c], c*l.width):
+			if s.seedLeaf/leaves == c {
+				s.survivors = append(s.survivors, s.seedLeaf)
+			}
+		case k == 0:
+			s.survivors = append(s.survivors, c)
+		default:
+			lo, hi := s.children(k, c)
+			s.keep(k-1, lo, hi)
+		}
+	}
 }
 
 // survChunk evaluates visited leaves [clo, chi) through the unchanged
@@ -195,79 +302,38 @@ func (s *prunedScan) survChunk(clo, chi int) (candidateBest, error) {
 // the plain sequential-equivalent full scan (BlocksVisited/BlocksTotal stay
 // zero there: no pruning happened).
 func (s *prunedScan) run(ex exec) (SinglePointResult, error) {
-	sc := s.scan
+	sc := &s.scan
 	s.nGaps = sc.pre.Set().Len() - 1
 	if ex.fullScan || s.nGaps < prunedMinGaps {
 		return sc.run(ex)
 	}
 	sc.refresh()
-	const coarseGaps = prunedCoarseLeaves * prunedLeafGaps
-	nLeaves := (s.nGaps + prunedLeafGaps - 1) / prunedLeafGaps
-	nCoarse := (nLeaves + prunedCoarseLeaves - 1) / prunedCoarseLeaves
-	s.nLeaves = nLeaves
-	if len(s.leafBd) < nLeaves {
-		// Size the scratch buffers for twice the worst case (every leaf
-		// survives) up front; the greedy loop grows the set one key per
-		// step, so the block count crosses the capacity rarely and the
-		// steady state stays allocation-free (DESIGN.md §2, "Allocation
-		// budget"). The chunk results need only one entry per
-		// prunedTaskLeaves survivors.
-		s.coarse = make([]coarseBlock, 2*nCoarse)
-		s.leafBd = make([]float64, 2*nLeaves)
-		s.survivors = make([]int, 0, 2*nLeaves)
-		s.evalBuf = make([]candidateBest, 0, 2*nLeaves/prunedTaskLeaves+1)
-	}
+	s.layout()
 
-	// Coarse sweep, then the seed: the best-bound leaf, found best-first.
-	// Start from the leaves of the best-bound coarse block; a leaf elsewhere
-	// can beat the best leaf bound so far only if its coarse block's bound
-	// does, so only those blocks are bounded leaf by leaf. On large sets
-	// the coarse bounds are tight and few blocks qualify; on small sets
-	// they are loose and most do, which costs little there. A loose pick
-	// cannot affect correctness — it only weakens the threshold, admitting
-	// more survivors.
-	coarsePick := newSeedPick()
-	for c := 0; c < nCoarse; c++ {
-		s.coarse[c] = coarseBlock{bound: s.bound(s.span(c, coarseGaps))}
-		coarsePick.offer(c, s.coarse[c].bound)
+	// Top-level sweep, then the seed: the best-bound leaf, found
+	// best-first from the top.
+	k := len(s.lv) - 1
+	top := &s.lv[k]
+	for b := range top.bd {
+		top.bd[b] = s.bound(s.span(b, top.width))
+		top.open[b] = false
 	}
-	seedCoarse := coarsePick.choice()
-	if seedCoarse == -1 {
+	leaf := newSeedPick()
+	s.seed(&leaf, k, 0, len(top.bd))
+	if s.seedLeaf = leaf.choice(); s.seedLeaf == -1 {
 		return SinglePointResult{}, ErrNoGap // fully saturated key range
 	}
-	leafPick := newSeedPick()
-	s.offerLeaves(&leafPick, seedCoarse)
-	for c := 0; c < nCoarse; c++ {
-		if c != seedCoarse && s.coarse[c].bound > leafPick.best {
-			s.offerLeaves(&leafPick, c)
-		}
-	}
-	s.seedLeaf = leafPick.choice() // an unsaturated block has an unsaturated leaf
-	glo, ghi := s.span(s.seedLeaf, prunedLeafGaps)
-	seed, err := sc.chunk(glo, ghi)
+	seed, err := sc.chunk(s.span(s.seedLeaf, prunedLeafGaps))
 	if err != nil {
 		return SinglePointResult{}, err
 	}
 	s.seedBest = seed
 	s.seedGap = seed.rank - 2 // chunk sets rank = gap index + 2
 
-	// Threshold pass: descend into each coarse block that beats the seed
-	// and keep its leaves that do too. Visited leaves, the seed among them,
-	// accumulate in leaf order.
+	// Threshold walk: visited leaves, the seed among them, accumulate in
+	// leaf order.
 	s.survivors = s.survivors[:0]
-	for c := 0; c < nCoarse; c++ {
-		if !s.beats(s.coarse[c].bound, c*coarseGaps) {
-			if c == s.seedLeaf/prunedCoarseLeaves {
-				s.survivors = append(s.survivors, s.seedLeaf)
-			}
-			continue
-		}
-		for i, bd := range s.expand(c) {
-			if l := c*prunedCoarseLeaves + i; l == s.seedLeaf || s.beats(bd, l*prunedLeafGaps) {
-				s.survivors = append(s.survivors, l)
-			}
-		}
-	}
+	s.keep(k, 0, len(top.bd))
 
 	// Evaluate the visited leaves across the pool; the chunk results come
 	// back in leaf order, and foldBest reproduces the sequential scan's
@@ -282,7 +348,7 @@ func (s *prunedScan) run(ex exec) (SinglePointResult, error) {
 		CleanLoss:     sc.pre.CleanLoss(),
 		PoisonedLoss:  -1,
 		BlocksVisited: len(s.survivors),
-		BlocksTotal:   nLeaves,
+		BlocksTotal:   len(s.lv[0].bd),
 	}
 	foldBest(chunks, &res)
 	if res.PoisonedLoss < 0 {

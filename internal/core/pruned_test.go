@@ -6,6 +6,7 @@ import (
 
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/keys"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
 )
 
@@ -223,5 +224,72 @@ func TestPrunedScanSmallSetFallsBack(t *testing.T) {
 	}
 	if res != full {
 		t.Fatalf("small-set scan differs from full scan: %+v vs %+v", res, full)
+	}
+}
+
+// TestPrunedScanThirdLevel runs the equivalence checks on sets large
+// enough for a block level above the 128-gap one: n=1e5 uniform and
+// log-normal keys over a 1e7 domain, whose tree tops out at 98 blocks of
+// 1,024 gaps. The prunedSets fixtures stay under 65k gaps and keep two
+// levels. The visited-leaf ceilings are the two-level scan's counts on
+// these sets; the wider level may only prune more.
+func TestPrunedScanThirdLevel(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		gen        func(*xrand.RNG) (keys.Set, error)
+		maxVisited int
+	}{
+		{"uniform", func(r *xrand.RNG) (keys.Set, error) { return dataset.Uniform(r, 100_000, 10_000_000) }, 536},
+		{"lognormal", func(r *xrand.RNG) (keys.Set, error) { return dataset.LogNormal(r, 100_000, 10_000_000, 0, 2) }, 21},
+	} {
+		ks, err := c.gen(xrand.New(616))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := regression.NewPrefix(ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := newPrunedScan(pre)
+		pruned, err := scan.run(newExec(nil))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(scan.lv) < 3 {
+			t.Fatalf("%s: %d gaps laid out %d levels; the test needs a third", c.name, ks.Len()-1, len(scan.lv))
+		}
+		full, err := OptimalSinglePoint(ks, WithFullScan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned.Key != full.Key || pruned.Rank != full.Rank ||
+			pruned.CleanLoss != full.CleanLoss || pruned.PoisonedLoss != full.PoisonedLoss {
+			t.Fatalf("%s: pruned single point diverged\n got: %+v\nwant: %+v", c.name, pruned, full)
+		}
+
+		const budget = 12
+		fullG, err := GreedyMultiPoint(ks, budget, WithFullScan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := GreedyMultiPoint(ks, budget, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Poison, fullG.Poison) || !reflect.DeepEqual(want.Trajectory, fullG.Trajectory) {
+			t.Fatalf("%s: pruned greedy diverged from the full scan\n got: %v %v\nwant: %v %v",
+				c.name, want.Poison, want.Trajectory, fullG.Poison, fullG.Trajectory)
+		}
+		if want.BlocksVisited > c.maxVisited {
+			t.Fatalf("%s: visited %d of %d leaves, more than the two-level scan's %d",
+				c.name, want.BlocksVisited, want.BlocksTotal, c.maxVisited)
+		}
+		got, err := GreedyMultiPoint(ks, budget, WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: workers=4 diverged from workers=1\n got: %+v\nwant: %+v", c.name, got, want)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"cdfpoison/internal/engine"
@@ -73,7 +73,8 @@ type RMIAttackResult struct {
 	PoisonedRMILoss float64
 	// Budget and Injected are the requested (φ·n) and achieved totals.
 	Budget, Injected int
-	// Moves counts applied greedy exchanges; Threshold is t.
+	// Moves counts applied greedy exchanges; Threshold is t, capped at
+	// Budget (0 when Alpha disables the cap).
 	Moves, Threshold int
 }
 
@@ -168,8 +169,23 @@ type rmiAttackState struct {
 	loss   []float64 // current poisoned loss per model
 	thresh int
 	ex     exec
+	inner  exec // the range runs': sequential, under ex's context
 
 	memo *rangeMemo
+	// ws holds one greedy workspace per pool worker for the whole call; a
+	// range run takes one and puts it back. A slot starts nil and gets its
+	// workspace on first use. No Map phase runs more tasks at once than the
+	// pool has workers, and a task holds one workspace at a time, so a
+	// take never waits.
+	ws chan *greedyWS
+}
+
+// take returns one of the call's workspaces; put it back with st.ws <- w.
+func (st *rmiAttackState) take() *greedyWS {
+	if w := <-st.ws; w != nil {
+		return w
+	}
+	return newGreedyWS()
 }
 
 // evalRange runs the greedy attack (Algorithm 1) on the key range
@@ -178,7 +194,7 @@ type rmiAttackState struct {
 //
 // Safe for concurrent use: the memo is shard-locked and the greedy attack
 // itself runs outside any lock. Two workers may race to evaluate the same
-// triple, but GreedyMultiPoint is deterministic, so both compute the same
+// triple, but the greedy attack is deterministic, so both compute the same
 // value and the double store is harmless.
 //
 // The attack context is threaded into the inner greedy attack so a
@@ -192,14 +208,15 @@ func (st *rmiAttackState) evalRange(lo, hi, budget int) memoVal {
 	}
 	var v memoVal
 	if hi-lo >= 2 {
-		sub := st.ks.Slice(lo, hi)
-		g, err := GreedyMultiPoint(sub, budget, WithContext(st.ex.ctx))
+		w := st.take()
+		g, err := w.run(st.ks.Slice(lo, hi), budget, st.inner)
+		v = memoVal{loss: g.FinalLoss(), injected: len(g.Poison)}
+		st.ws <- w
 		if err != nil {
 			// Cancelled mid-attack (ErrTooFew is excluded by the guard
 			// above): return a zero value without memoizing it.
 			return memoVal{}
 		}
-		v = memoVal{loss: g.FinalLoss(), injected: len(g.Poison)}
 	}
 	st.memo.put(k, v)
 	return v
@@ -302,6 +319,7 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 		maxMoves = 8 * N
 	}
 
+	ex := newExec(execOpts)
 	st := &rmiAttackState{
 		ks:     ks,
 		n:      n,
@@ -310,7 +328,12 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 		budget: make([]int, N),
 		loss:   make([]float64, N),
 		memo:   newRangeMemo(4 * N),
-		ex:     newExec(execOpts),
+		ex:     ex,
+		inner:  newExec([]Option{WithContext(ex.ctx)}),
+		ws:     make(chan *greedyWS, min(ex.pool.Workers(), N)),
+	}
+	for range cap(st.ws) {
+		st.ws <- nil
 	}
 
 	// Equal-size contiguous partitioning, first n%N chunks one key larger
@@ -334,9 +357,11 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 	}
 
 	// Per-model threshold t = ceil(α·φ·n/N). The uniform share is φ·n/N, so
-	// α=2,3 allow skewing up to 2–3× the even split.
+	// α=2,3 allow skewing up to 2–3× the even split. t is computed in
+	// float64 and capped at the total budget, which no model can exceed, so
+	// the cap never binds and a huge α cannot wrap the int conversion.
 	if opts.Alpha > 0 {
-		st.thresh = int(math.Ceil(opts.Alpha * float64(total) / float64(N)))
+		st.thresh = int(min(math.Ceil(opts.Alpha*float64(total)/float64(N)), float64(total)))
 		if st.thresh < 1 {
 			st.thresh = 1
 		}
@@ -391,15 +416,23 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 	if !opts.DisableExchanges && N > 1 {
 		fwd := make([]exchange, N-1)
 		bwd := make([]exchange, N-1)
+		// fill recomputes the entries [lo, hi) concurrently. Its task
+		// closure is built once, so a move allocates only the result slice.
 		type fbPair struct{ f, b exchange }
-		table, err := engine.Map(st.ex.ctx, st.ex.pool, N-1, func(i int) (fbPair, error) {
-			return fbPair{st.computeForward(i), st.computeBackward(i)}, nil
-		})
-		if err != nil {
-			return RMIAttackResult{}, err
+		var j0 int // the first entry of the current fill
+		pair := func(t int) (fbPair, error) {
+			return fbPair{st.computeForward(j0 + t), st.computeBackward(j0 + t)}, nil
 		}
-		for i, p := range table {
-			fwd[i], bwd[i] = p.f, p.b
+		fill := func(lo, hi int) error {
+			j0 = lo
+			pairs, err := engine.Map(st.ex.ctx, st.ex.pool, hi-lo, pair)
+			for t, p := range pairs {
+				fwd[lo+t], bwd[lo+t] = p.f, p.b
+			}
+			return err
+		}
+		if err := fill(0, N-1); err != nil {
+			return RMIAttackResult{}, err
 		}
 		for moves < maxMoves {
 			bestDelta := eps
@@ -430,25 +463,8 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 			moves++
 			// Only entries referencing models i−1, i, i+1, i+2 changed;
 			// recompute those (up to three fwd/bwd pairs) concurrently.
-			var touched []int
-			for _, j := range []int{i - 1, i, i + 1} {
-				if j >= 0 && j < N-1 {
-					touched = append(touched, j)
-				}
-			}
-			type jPair struct {
-				j    int
-				f, b exchange
-			}
-			recomputed, err := engine.Map(st.ex.ctx, st.ex.pool, len(touched), func(t int) (jPair, error) {
-				j := touched[t]
-				return jPair{j, st.computeForward(j), st.computeBackward(j)}, nil
-			})
-			if err != nil {
+			if err := fill(max(i-1, 0), min(i+2, N-1)); err != nil {
 				return RMIAttackResult{}, err
-			}
-			for _, p := range recomputed {
-				fwd[p.j], bwd[p.j] = p.f, p.b
 			}
 		}
 	}
@@ -469,20 +485,18 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 			Budget:    st.budget[i],
 		}
 		rep.CleanLoss = st.evalRange(lo, hi, 0).loss
+		rep.PoisonedLoss = rep.CleanLoss
 		if hi-lo >= 2 && st.budget[i] > 0 {
-			g, err := GreedyMultiPoint(st.ks.Slice(lo, hi), st.budget[i], WithContext(st.ex.ctx))
-			if err != nil && !errors.Is(err, ErrNoGap) {
+			w := st.take()
+			g, err := w.run(st.ks.Slice(lo, hi), st.budget[i], st.inner)
+			rep.Injected, rep.PoisonedLoss = len(g.Poison), g.FinalLoss()
+			if rep.Injected > 0 {
+				rep.Poison = slices.Clone(g.Poison) // g aliases the workspace
+			}
+			st.ws <- w
+			if err != nil {
 				return ModelReport{}, fmt.Errorf("core: final attack on model %d: %w", i, err)
 			}
-			if err == nil {
-				rep.Injected = len(g.Poison)
-				rep.Poison = g.Poison
-				rep.PoisonedLoss = g.FinalLoss()
-			} else {
-				rep.PoisonedLoss = rep.CleanLoss
-			}
-		} else {
-			rep.PoisonedLoss = rep.CleanLoss
 		}
 		rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
 		return rep, nil

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
@@ -356,4 +358,73 @@ func BenchmarkRangeMemoContention(b *testing.B) {
 			}
 		})
 	})
+}
+
+// TestRMIAttackHugeAlphaIsUncapped: a per-model threshold α·total/N too
+// large for an int never binds, exactly like Alpha 0. It once wrapped to a
+// negative int, was clamped to 1, and capped every model at one key.
+func TestRMIAttackHugeAlphaIsUncapped(t *testing.T) {
+	ks, err := dataset.LogNormal(xrand.New(7), 2_000, 200_000, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RMIAttackOptions{NumModels: 10, Percent: 10}
+	want, err := RMIAttack(ks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Moves == 0 {
+		t.Fatal("the uncapped attack made no exchange; the comparison would prove nothing")
+	}
+	for _, alpha := range []float64{1e300, math.Inf(1)} {
+		opts.Alpha = alpha
+		got, err := RMIAttack(ks, opts)
+		if err != nil {
+			t.Fatalf("alpha %v: %v", alpha, err)
+		}
+		if got.Threshold != got.Budget {
+			t.Errorf("alpha %v: threshold %d, want the budget %d", alpha, got.Threshold, got.Budget)
+		}
+		if !reflect.DeepEqual(got.Models, want.Models) || !got.Poison.Equal(want.Poison) ||
+			got.CleanRMILoss != want.CleanRMILoss || got.PoisonedRMILoss != want.PoisonedRMILoss ||
+			got.Injected != want.Injected || got.Moves != want.Moves {
+			t.Fatalf("alpha %v: %d/%d injected, %d moves, loss %v; alpha 0: %d/%d injected, %d moves, loss %v",
+				alpha, got.Injected, got.Budget, got.Moves, got.PoisonedRMILoss,
+				want.Injected, want.Budget, want.Moves, want.PoisonedRMILoss)
+		}
+	}
+}
+
+// TestRMIAttackAllocsFlatInRangeRuns: Algorithm 2's range runs reuse one
+// greedy workspace per pool worker, so more exchanges — each a few more
+// range runs — add only the move's own bookkeeping, not a key copy, a
+// kernel and scan buffers per run (about 27 allocations each before the
+// workspaces).
+func TestRMIAttackAllocsFlatInRangeRuns(t *testing.T) {
+	ks, err := dataset.LogNormal(xrand.New(31), 10_000, 1_000_000, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(maxMoves int) (moves int, allocs float64) {
+		opts := RMIAttackOptions{NumModels: 20, Percent: 1, Alpha: 3, MaxMoves: maxMoves}
+		res, err := RMIAttack(ks, opts, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Moves, testing.AllocsPerRun(2, func() {
+			if _, err := RMIAttack(ks, opts, WithWorkers(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fewMoves, few := run(8)
+	manyMoves, many := run(64)
+	extra := manyMoves - fewMoves
+	if extra < 32 {
+		t.Fatalf("MaxMoves 64 made only %d more moves than MaxMoves 8; the comparison needs more range runs", extra)
+	}
+	if many-few > 4*float64(extra) {
+		t.Fatalf("%d extra moves cost %.0f extra allocations (%.0f vs %.0f), over 4 per move",
+			extra, many-few, many, few)
+	}
 }

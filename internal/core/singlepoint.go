@@ -41,8 +41,8 @@ type SinglePointResult struct {
 	Candidates   int     // number of candidate locations evaluated
 	// Pruned-scan accounting (DESIGN.md §11): of BlocksTotal 16-gap leaf
 	// blocks, BlocksVisited had their endpoints evaluated; the rest were
-	// excluded by closed-form loss bounds, on the leaf itself or on the
-	// 128-gap block around it. Both stay zero when the full scan ran (small
+	// excluded by closed-form loss bounds, on the leaf itself or on a wider
+	// block around it. Both stay zero when the full scan ran (small
 	// sets, WithFullScan, BruteForceSinglePoint). The visited set is
 	// deterministic — identical for every worker count.
 	BlocksVisited int
@@ -122,23 +122,18 @@ func foldBest(chunks []candidateBest, res *SinglePointResult) {
 const endpointGrainFloor = 1024
 
 // endpointScan is the optimal single-point inner loop bound to one Prefix:
-// the chunk callback and the chunk-result buffer are allocated once per
-// attack, not once per step, so the greedy loop — which runs one scan per
-// inserted key — reaches a zero-allocation steady state. Each step
-// refreshes the Prefix's (possibly mutable) key view and its ClosedForm
-// snapshot, so the same scan instance stays valid across kernel Inserts.
+// the chunk callback (bound once by prunedScan.bind) and the chunk-result
+// buffer are allocated once per attack, not once per step, so the greedy
+// loop — which runs one scan per inserted key — reaches a zero-allocation
+// steady state. Each step refreshes the Prefix's (possibly mutable) key
+// view and its ClosedForm snapshot, so the same scan instance stays valid
+// across kernel Inserts.
 type endpointScan struct {
 	pre *regression.Prefix
 	ks  keys.Set              // view refreshed by refresh(); read-only during a scan
 	cf  regression.ClosedForm // this step's snapshot; read-only during a scan
 	buf []candidateBest
 	fn  func(clo, chi int) (candidateBest, error)
-}
-
-func newEndpointScan(pre *regression.Prefix) *endpointScan {
-	s := &endpointScan{pre: pre}
-	s.fn = s.chunk // bind the method value once; a per-call closure would allocate
-	return s
 }
 
 // refresh re-reads the key view and derives this step's ClosedForm.
@@ -288,7 +283,7 @@ func (g GreedyResult) RatioLoss() float64 { return SafeRatio(g.FinalLoss(), g.Cl
 //
 // This is the repository's hottest loop, and it runs on the incremental
 // attack kernel: the key set and the regression moments live in mutable,
-// capacity-reserved storage (keys.MutableSet + regression.NewPrefixMutable)
+// capacity-reserved storage (keys.MutableSet + regression.Prefix.Reset)
 // and absorb each chosen key in place, so a greedy step costs one candidate
 // scan, one key memmove and one pass over the n/16 stored suffix sums — no
 // per-step set copy, no O(n) prefix rebuild, and zero allocations after
@@ -303,6 +298,42 @@ func (g GreedyResult) RatioLoss() float64 { return SafeRatio(g.FinalLoss(), g.Cl
 // the chosen keys, trajectory, and all losses are identical for every
 // worker count (index-ordered reduction — see internal/engine).
 func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) {
+	w := newGreedyWS()
+	res, err := w.run(ks, p, newExec(opts))
+	if err != nil {
+		return GreedyResult{}, err
+	}
+	res.Poisoned = ks
+	if len(res.Poison) > 0 {
+		res.Poisoned = w.mut.Freeze()
+	}
+	return res, nil
+}
+
+// greedyWS is one Algorithm 1 workspace: the key buffer, the incremental
+// kernel over it, the pruned scan and the record of the chosen keys. run
+// refills all of them in place, so a workspace reused across runs — as
+// RMIAttack's pool workers reuse theirs across range runs — allocates only
+// when a run outgrows every earlier one. A workspace serves one run at a
+// time.
+type greedyWS struct {
+	mut    keys.MutableSet
+	pre    regression.Prefix
+	scan   prunedScan
+	poison []int64   // keys inserted by the last run, in insertion order
+	traj   []float64 // the loss after each of them
+}
+
+func newGreedyWS() *greedyWS {
+	w := &greedyWS{}
+	w.scan.bind(&w.pre)
+	return w
+}
+
+// run executes Algorithm 1 on ks with budget p. The returned Poison and
+// Trajectory alias the workspace and stay valid only until its next run;
+// Poisoned is left unset.
+func (w *greedyWS) run(ks keys.Set, p int, ex exec) (GreedyResult, error) {
 	if p < 0 {
 		return GreedyResult{}, fmt.Errorf("core: negative poison budget %d", p)
 	}
@@ -313,20 +344,15 @@ func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) 
 	// exceed the free slots by far, so it must not be allocated up front;
 	// past the reserve the kernel grows by append.
 	reserve := min(p, ks.Len())
-	mut := keys.NewMutable(ks, reserve)
-	pre, err := regression.NewPrefixMutable(mut)
-	if err != nil {
+	w.mut.Reset(ks, reserve)
+	if err := w.pre.Reset(&w.mut); err != nil {
 		return GreedyResult{}, err
 	}
-	ex := newExec(opts)
-	res := GreedyResult{
-		CleanLoss: pre.CleanLoss(),
-		Poisoned:  ks,
-	}
+	w.poison, w.traj = w.poison[:0], w.traj[:0]
+	res := GreedyResult{CleanLoss: w.pre.CleanLoss()}
 	current := res.CleanLoss
-	scan := newPrunedScan(pre)
 	for j := 0; j < p; j++ {
-		step, err := scan.run(ex)
+		step, err := w.scan.run(ex)
 		if errors.Is(err, ErrNoGap) {
 			res.Truncated = true
 			break
@@ -342,18 +368,18 @@ func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) 
 			break
 		}
 		current = step.PoisonedLoss
-		if _, err := pre.Insert(step.Key); err != nil {
+		if _, err := w.pre.Insert(step.Key); err != nil {
 			return GreedyResult{}, fmt.Errorf("core: internal error inserting chosen poison key: %w", err)
 		}
-		if res.Poison == nil {
-			res.Poison = make([]int64, 0, reserve)
-			res.Trajectory = make([]float64, 0, reserve)
+		if len(w.poison) == 0 && cap(w.poison) < reserve {
+			w.poison = make([]int64, 0, reserve)
+			w.traj = make([]float64, 0, reserve)
 		}
-		res.Poison = append(res.Poison, step.Key)
-		res.Trajectory = append(res.Trajectory, step.PoisonedLoss)
+		w.poison = append(w.poison, step.Key)
+		w.traj = append(w.traj, step.PoisonedLoss)
 	}
-	if len(res.Poison) > 0 {
-		res.Poisoned = mut.Freeze()
+	if len(w.poison) > 0 {
+		res.Poison, res.Trajectory = w.poison, w.traj
 	}
 	return res, nil
 }

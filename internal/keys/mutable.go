@@ -44,12 +44,21 @@ type MutableSet struct {
 // NewMutable copies s into a MutableSet with capacity for reserve further
 // inserts. reserve < 0 is treated as 0.
 func NewMutable(s Set, reserve int) *MutableSet {
-	if reserve < 0 {
-		reserve = 0
+	m := new(MutableSet)
+	m.Reset(s, reserve)
+	return m
+}
+
+// Reset refills m in place with a copy of s, keeping capacity for reserve
+// further inserts (reserve < 0 is treated as 0). The backing array is
+// reused when it has room and replaced otherwise, so a workspace that
+// refills one MutableSet per run allocates only when a run outgrows every
+// earlier one. Views taken before the Reset must not be used after it.
+func (m *MutableSet) Reset(s Set, reserve int) {
+	if need := s.Len() + max(reserve, 0); cap(m.ks) < need {
+		m.ks = make([]int64, 0, need)
 	}
-	ks := make([]int64, s.Len(), s.Len()+reserve)
-	copy(ks, s.Keys())
-	return &MutableSet{ks: ks}
+	m.ks = append(m.ks[:0], s.Keys()...)
 }
 
 // Len returns the number of keys currently stored.

@@ -116,6 +116,31 @@ func TestMutableSetInsertZeroAllocWithinReserve(t *testing.T) {
 	}
 }
 
+// TestMutableSetResetReusesStorage: Reset refills the set in place with a
+// copy of its source, keeps the requested reserve, and allocates only when
+// content plus reserve outgrow the capacity.
+func TestMutableSetResetReusesStorage(t *testing.T) {
+	m := NewMutable(mustNew(t, []int64{1, 2, 3, 4, 5, 6}), 10)
+	small := mustNew(t, []int64{10, 20, 30})
+	if allocs := testing.AllocsPerRun(5, func() { m.Reset(small, 4) }); allocs != 0 {
+		t.Fatalf("Reset within capacity allocated %v times", allocs)
+	}
+	if !m.View().Equal(small) || m.Cap()-m.Len() < 4 {
+		t.Fatalf("after Reset: %v", m)
+	}
+	if _, ok := m.Insert(15); !ok || !small.Equal(mustNew(t, []int64{10, 20, 30})) {
+		t.Fatal("Reset aliased its source")
+	}
+	big := make([]int64, 20)
+	for i := range big {
+		big[i] = int64(3 * i)
+	}
+	m.Reset(mustNew(t, big), 3)
+	if !m.View().Equal(mustNew(t, big)) || m.Cap()-m.Len() < 3 {
+		t.Fatalf("after a growing Reset: %v", m)
+	}
+}
+
 func TestMutableSetGrowthBeyondReserve(t *testing.T) {
 	m := NewMutable(mustNew(t, []int64{0, 100}), 0)
 	for _, k := range []int64{50, 25, 75} {

@@ -60,13 +60,13 @@ func (a u128) float() float64 {
 // returns the 0-based position kp took.
 //
 // Requirements (all returned as errors, never silently mis-accounted):
-// the Prefix must come from NewPrefixMutable; kp must be absent; kp must be
-// greater than the set minimum so the centering origin is stable — the
-// paper's attacks only ever insert strictly interior keys, so the
-// constraint is free; and the new Σx must still fit int64 (ErrRange).
+// the Prefix must come from NewPrefixMutable or Reset; kp must be absent;
+// kp must be greater than the set minimum so the centering origin is
+// stable — the paper's attacks only ever insert strictly interior keys, so
+// the constraint is free; and the new Σx must still fit int64 (ErrRange).
 func (p *Prefix) Insert(kp int64) (pos int, err error) {
 	if p.mut == nil {
-		return 0, fmt.Errorf("regression: Insert on an immutable Prefix (build with NewPrefixMutable)")
+		return 0, fmt.Errorf("regression: Insert on an immutable Prefix (build with NewPrefixMutable or Reset)")
 	}
 	if kp <= p.origin {
 		return 0, fmt.Errorf("regression: Insert key %d not above the origin %d", kp, p.origin)

@@ -184,6 +184,67 @@ func TestPrefixInsertLargeMagnitude(t *testing.T) {
 	}
 }
 
+// assertMomentsNaive recomputes Σx, Σx² and Σx·r with a plain forward
+// sum over the centred keys, the reference the one-pass backward build
+// must match exactly.
+func assertMomentsNaive(t *testing.T, p *Prefix) {
+	t.Helper()
+	ks := p.Set().Keys()
+	var sumX int64
+	var sumXX, sumXR u128
+	for i, k := range ks {
+		x := uint64(k - ks[0])
+		sumX += int64(x)
+		sumXX = sumXX.add(u128Mul(x, x))
+		sumXR = sumXR.add(u128Mul(x, uint64(i+1)))
+	}
+	if p.origin != ks[0] || p.sumX != sumX || p.sumXX != sumXX || p.sumXR != sumXR {
+		t.Fatalf("n=%d: moments (%d, %d, %v, %v), naive (%d, %d, %v, %v)",
+			len(ks), p.origin, p.sumX, p.sumXX, p.sumXR, ks[0], sumX, sumXX, sumXR)
+	}
+}
+
+// TestPrefixResetMatchesFresh reuses one MutableSet and one Prefix across
+// sets that shrink and grow around multiples of the suffix stride, as a
+// greedy workspace does. After each Reset the moments must equal a naive
+// forward sum, every suffix a naive suffix sum, and every loss the fresh
+// kernel's; Inserts after the Reset must keep all three.
+func TestPrefixResetMatchesFresh(t *testing.T) {
+	rng := xrand.New(2323)
+	var (
+		m keys.MutableSet
+		p Prefix
+	)
+	for _, n := range []int{5*sufStride + 3, 2 * sufStride, sufStride + 1, 7 * sufStride, 3, 4*sufStride - 1} {
+		s, err := keys.New(xrand.SampleInt64s(rng, n, 50*int64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reserve = 4
+		m.Reset(s, reserve)
+		if err := p.Reset(&m); err != nil {
+			t.Fatal(err)
+		}
+		for inserted := 0; ; {
+			assertMomentsNaive(t, &p)
+			assertSuffixNaive(t, &p)
+			assertPrefixBitIdentical(t, &p, freshPrefix(t, &m))
+			if inserted == reserve {
+				break
+			}
+			view := m.View()
+			kp := view.Min() + 1 + rng.Int63n(view.Max()-view.Min()-1)
+			if _, free := view.InsertedRank(kp); !free {
+				continue
+			}
+			if _, err := p.Insert(kp); err != nil {
+				t.Fatalf("n=%d: Insert(%d): %v", n, kp, err)
+			}
+			inserted++
+		}
+	}
+}
+
 // TestPrefixInsertZeroAllocSteadyState: after setup, Insert within the
 // reserve must not allocate — the kernel's headline contract.
 func TestPrefixInsertZeroAllocSteadyState(t *testing.T) {

@@ -203,8 +203,9 @@ type Prefix struct {
 	// int64 is safe wherever sumX is.
 	sufB []int64
 	ks   keys.Set
-	// mut is non-nil when the Prefix was built by NewPrefixMutable and owns
-	// an insertable key set; ks is then a live view of it (see Insert).
+	// mut is non-nil when the Prefix was built by NewPrefixMutable or Reset
+	// and owns an insertable key set; ks is then a live view of it (see
+	// Insert).
 	mut *keys.MutableSet
 }
 
@@ -222,7 +223,11 @@ var ErrRange = errors.New("regression: key span too large for the exact kernel (
 // NewPrefix builds the O(1)-evaluation state for the key set.
 // The set must contain at least two keys to admit a meaningful regression.
 func NewPrefix(ks keys.Set) (*Prefix, error) {
-	return newPrefix(ks, nil, ks.Len())
+	p := new(Prefix)
+	if err := p.build(ks, nil, ks.Len()); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // NewPrefixMutable builds the incremental attack kernel over a mutable key
@@ -230,36 +235,60 @@ func NewPrefix(ks keys.Set) (*Prefix, error) {
 // for the set's spare capacity so that a greedy step never allocates. The
 // caller must not mutate m except through Prefix.Insert.
 func NewPrefixMutable(m *keys.MutableSet) (*Prefix, error) {
-	return newPrefix(m.View(), m, m.Cap())
-}
-
-// newPrefix accumulates the exact moments; sufCap reserves suffix-sum
-// capacity for sufCap keys (≥ n), pre-paying Insert growth.
-func newPrefix(ks keys.Set, mut *keys.MutableSet, sufCap int) (*Prefix, error) {
-	n := ks.Len()
-	if n < 2 {
-		return nil, fmt.Errorf("regression: NewPrefix needs n >= 2, got %d", n)
-	}
-	p := &Prefix{origin: ks.Min(), n: n, ks: ks, mut: mut,
-		sufB: make([]int64, n/sufStride+1, sufCap/sufStride+1)}
-	for i := 0; i < n; i++ {
-		x := ks.At(i) - p.origin // >= 0: keys are sorted
-		if p.sumX > math.MaxInt64-x {
-			return nil, ErrRange
-		}
-		p.sumX += x
-		ux := uint64(x)
-		p.sumXX = p.sumXX.add(u128Mul(ux, ux))
-		p.sumXR = p.sumXR.add(u128Mul(ux, uint64(i+1)))
-	}
-	var suf int64
-	for i := n - 1; i >= 0; i-- {
-		suf += ks.At(i) - p.origin
-		if i%sufStride == 0 {
-			p.sufB[i/sufStride] = suf
-		}
+	p := new(Prefix)
+	if err := p.Reset(m); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// Reset rebuilds p in place as the incremental kernel over m, exactly as
+// NewPrefixMutable(m) would, reusing p's suffix-sum storage when it has
+// room for m's capacity. A greedy workspace resets one Prefix per run
+// instead of allocating a fresh one. After an error p is unusable until
+// the next successful Reset.
+func (p *Prefix) Reset(m *keys.MutableSet) error {
+	return p.build(m.View(), m, m.Cap())
+}
+
+// build accumulates the exact moments in one backward pass; sufCap
+// reserves suffix-sum capacity for sufCap keys (≥ n), pre-paying Insert
+// growth. The running suffix is Σx at the end and the stored suffix sums
+// on the way, and Σx·r is the sum of the running suffixes
+// (Σᵢ xᵢ·(i+1) = Σₚ Suffix(p)), so only Σx² needs a 128-bit product. Keys
+// are sorted, so x >= 0 and the running suffix overflows int64 exactly
+// when Σx does.
+func (p *Prefix) build(ks keys.Set, mut *keys.MutableSet, sufCap int) error {
+	n := ks.Len()
+	if n < 2 {
+		return fmt.Errorf("regression: NewPrefix needs n >= 2, got %d", n)
+	}
+	sufB := p.sufB
+	if cap(sufB) < sufCap/sufStride+1 {
+		sufB = make([]int64, 0, sufCap/sufStride+1)
+	}
+	sufB = sufB[:n/sufStride+1]
+	origin, xs := ks.Min(), ks.Keys()
+	var (
+		suf          int64
+		sumXX, sumXR u128
+	)
+	for b := len(sufB) - 1; b >= 0; b-- {
+		for i := min(n, (b+1)*sufStride) - 1; i >= b*sufStride; i-- {
+			x := xs[i] - origin
+			if suf > math.MaxInt64-x {
+				return ErrRange
+			}
+			suf += x
+			ux := uint64(x)
+			sumXX = sumXX.add(u128Mul(ux, ux))
+			sumXR = sumXR.addU64(uint64(suf))
+		}
+		sufB[b] = suf // the empty suffix, 0, when b·sufStride == n
+	}
+	*p = Prefix{origin: origin, n: n, sumX: suf, sumXX: sumXX, sumXR: sumXR,
+		sufB: sufB, ks: ks, mut: mut}
+	return nil
 }
 
 // N returns the number of legitimate keys backing the prefix.
