@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -443,8 +444,8 @@ func bindDefense(fs *flag.FlagSet) func() error {
 			}
 		}
 		if *rate != "" {
-			if n, err := fmt.Sscanf(*rate, "%d:%d", &spec.RateBudget, &spec.RateWindow); n != 2 || err != nil {
-				return fmt.Errorf("-rate wants BUDGET:WINDOW, got %q", *rate)
+			if spec.RateBudget, spec.RateWindow, err = parseRate(*rate); err != nil {
+				return err
 			}
 		}
 
@@ -468,6 +469,22 @@ func bindDefense(fs *flag.FlagSet) func() error {
 			rep.HonestBlockedFrac()*100, rep.CleanFlagged, rep.CleanThrottled, rep.CleanAttempts)
 		return nil
 	}
+}
+
+// parseRate parses -rate's BUDGET:WINDOW: exactly two integers, each at
+// least 1, since a limiter with either below 1 would not be armed at all.
+func parseRate(s string) (budget, window int, err error) {
+	b, w, ok := strings.Cut(s, ":")
+	if ok {
+		budget, err = strconv.Atoi(b)
+		if err == nil {
+			window, err = strconv.Atoi(w)
+		}
+		if err == nil && budget >= 1 && window >= 1 {
+			return budget, window, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("-rate wants BUDGET:WINDOW, two integers >= 1, got %q", s)
 }
 
 // damageRatio is victim/clean, with 0/0 = 1 and x/0 = +Inf.

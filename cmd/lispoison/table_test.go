@@ -256,3 +256,18 @@ func TestGenNoKeysErrors(t *testing.T) {
 		t.Fatalf("gen -n 0 wrote %s", out)
 	}
 }
+
+// TestDefenseRejectsBadRate: -rate takes exactly two integers, each at
+// least 1. Trailing input, and values that would leave the limiter
+// unarmed, are errors naming the flag instead of a run without it.
+func TestDefenseRejectsBadRate(t *testing.T) {
+	in := spacedKeyFile(t)
+	for _, rate := range []string{"4:20:7", "4:20x", "0:20", "4:0", "-3:5"} {
+		t.Run(rate, func(t *testing.T) {
+			err := run([]string{"defense", "-in", in, "-scenario", "serve", "-rate", rate})
+			if err == nil || !strings.Contains(err.Error(), "-rate") {
+				t.Fatalf("defense -rate %s: err = %v, want an error naming -rate", rate, err)
+			}
+		})
+	}
+}

@@ -59,21 +59,24 @@ func (o *GuardOptions) fill() {
 // write-count retrain policies — a guard also (incidentally) protects an
 // EveryK schedule from the duplicate-write lever documented in
 // internal/dynamic.
-// A Guard is single-writer THROUGH the guard: once wrapped, all mutation
-// must go through the Guard's Insert/Retrain (mutating the inner backend
-// directly would leave the guard's content copy behind it).
+//
+// Policies read the backend's content through a Content (DESIGN.md §10).
+// When the backend implements index.Ranker (dynamic.Index, and so the
+// single-model RMI, and shard.Index) they read it live, and only a
+// lossspike kernel keeps a copy of the keys. For any other backend the
+// guard keeps a private sorted copy of the keys, and then it is
+// single-writer THROUGH the guard: once wrapped, all mutation must go
+// through the Guard's Insert/Retrain, since mutating the inner backend
+// directly would leave the copy behind it.
 type Guard struct {
 	backend  index.Backend
 	policies []Policy
 	flagged  int
-	// content is the guard's own copy of backend.Keys() (plus the lazily
-	// built loss oracle), built once on the first screened insert and then
-	// kept current in place: an accepted insert adds its key in O(log n)
-	// plus one memmove, so no offer re-materializes the backend's content
-	// (O(n); per-shard unions plus a concatenation on a sharded backend).
-	// Retrains leave the content unchanged and keep the copy. nil until
-	// first use, and again after the copy refuses a key the backend
-	// accepted, so the next offer rebuilds it from the backend.
+	// content is built on the first screened insert and kept for the
+	// guard's life; retrains leave it valid, since they refit models over
+	// the same keys. It is nil until first use, and again after the
+	// fallback's copy refuses a key the backend accepted, so the next
+	// offer rebuilds it from the backend.
 	content *Content
 }
 
@@ -95,11 +98,11 @@ func (g *Guard) Policies() []Policy { return g.policies }
 // Unwrap returns the guarded backend.
 func (g *Guard) Unwrap() index.Backend { return g.backend }
 
-// suspicious builds the content copy on first use and runs the policy
-// chain; any policy flagging k rejects it.
+// suspicious builds the content on first use and runs the policy chain;
+// any policy flagging k rejects it.
 func (g *Guard) suspicious(k int64) bool {
 	if g.content == nil {
-		g.content = newMirroredContent(g.backend.Keys())
+		g.content = newContent(g.backend)
 	}
 	for _, p := range g.policies {
 		if p.Suspicious(g.content, k) {
@@ -109,9 +112,10 @@ func (g *Guard) suspicious(k int64) bool {
 	return false
 }
 
-// Insert screens k and forwards it only when its neighbourhood density is
-// unsuspicious; a rejected key reports (false, false) without touching the
-// backend. An accepted key joins the guard's content copy.
+// Insert screens k and forwards it only when no policy flags it; a
+// rejected key reports (false, false) without touching the backend. An
+// accepted key joins the guard's content (the fallback's copy and the
+// lossspike kernel).
 func (g *Guard) Insert(k int64) (accepted, retrained bool) {
 	if k >= 0 && g.suspicious(k) {
 		g.flagged++
@@ -129,8 +133,8 @@ func (g *Guard) Insert(k int64) (accepted, retrained bool) {
 func (g *Guard) Lookup(k int64) index.LookupResult { return g.backend.Lookup(k) }
 
 // Retrain delegates. A retrain refits models over the same keys, so the
-// guard's content copy stays valid (TestGuardMirrorMatchesReference pins
-// this on every backend).
+// guard's content stays valid (TestGuardMirrorMatchesReference pins this on
+// every backend).
 func (g *Guard) Retrain() { g.backend.Retrain() }
 
 // RetrainParallel forwards the pooled rebuild when the wrapped backend

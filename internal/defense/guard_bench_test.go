@@ -9,17 +9,22 @@ package defense
 // serving scenarios' hottest evaluation path; this benchmark records the
 // delta so a regression back to the per-key loop is visible.
 //
-// BenchmarkGuardInsert and TestGuardRejectAllocs cover the write side: the
-// cost of a screened insert with the incrementally maintained content, and
-// a zero-allocation rejected offer.
+// BenchmarkGuardInsert, TestGuardRejectAllocs and
+// TestLossSpikeKernelSurvivesInserts cover the write side: the cost of a
+// screened insert, a zero-allocation rejected offer, and a lossspike
+// kernel kept current instead of rebuilt per write.
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"cdfpoison/internal/btree"
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/shard"
 	"cdfpoison/internal/xrand"
 )
@@ -58,26 +63,32 @@ func benchProbeSum(b *testing.B, build func(b *testing.B) index.Backend) {
 
 // guardInsertFixture is the write-path fixture: a BufferLimit(64) shard-8
 // index over n uniform keys behind the density/dupmass chain, with its
-// content copy already built.
+// content already built.
 func guardInsertFixture(tb testing.TB, ks keys.Set) *Guard {
+	return guardFixture(tb, ks, "density:8:3|dupmass:3:3")
+}
+
+// guardFixture is guardInsertFixture behind the chain spec, with its
+// content (and a lossspike kernel) already built.
+func guardFixture(tb testing.TB, ks keys.Set, spec string) *Guard {
 	tb.Helper()
 	s, err := shard.New(ks, 8, dynamic.BufferLimit(64))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	chain, err := ParsePolicyChain("density:8:3|dupmass:3:3")
+	chain, err := ParsePolicyChain(spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	g := NewGuard(s, GuardOptions{Policies: chain})
-	g.suspicious(ks.Min()) // warm the content copy
+	g.suspicious(ks.Min()) // warm the content
 	return g
 }
 
 // BenchmarkGuardInsert times one honest uniform write through the guard:
-// screening plus the backend insert plus the content copy's update. Every
-// 4096 writes the fixture is rebuilt off the clock so the index size stays
-// near n.
+// screening plus the backend insert plus the content's update (the
+// lossspike kernel's Insert under the lossspike chain). Every 4096 writes
+// the fixture is rebuilt off the clock so the index size stays near n.
 func BenchmarkGuardInsert(b *testing.B) {
 	const n, domain, cycle = 10_000, 1_000_000, 4096
 	ks, err := dataset.Uniform(xrand.New(3), n, domain)
@@ -89,16 +100,113 @@ func BenchmarkGuardInsert(b *testing.B) {
 	for i := range writes {
 		writes[i] = rng.Int63n(domain)
 	}
-	var g *Guard
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%cycle == 0 {
-			b.StopTimer()
-			g = guardInsertFixture(b, ks)
-			b.StartTimer()
-		}
-		g.Insert(writes[i%cycle])
+	for _, spec := range []string{"density:8:3|dupmass:3:3", "lossspike:1.5"} {
+		b.Run(spec, func(b *testing.B) {
+			var g *Guard
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%cycle == 0 {
+					b.StopTimer()
+					g = guardFixture(b, ks, spec)
+					b.StartTimer()
+				}
+				g.Insert(writes[i%cycle])
+			}
+		})
+	}
+}
+
+// TestLossSpikeKernelSurvivesInserts: the lossspike kernel is built once
+// and then absorbs each accepted insert instead of being rebuilt, on the
+// rank path (shard-8) and on the fallback (B-Tree), where it inserts
+// through the mirror instead of keeping a second copy. Interior keys go
+// through Prefix.Insert; a new minimum moves the kernel's origin, so the
+// kernel re-bases in place over its own keys, without a fresh copy. Its
+// moments stay those of a from-scratch build, so decisions do not change.
+func TestLossSpikeKernelSurvivesInserts(t *testing.T) {
+	raw, err := dataset.Uniform(xrand.New(3), 2000, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := make([]int64, raw.Len())
+	for i, k := range raw.Keys() {
+		shifted[i] = k + 1_000_000 // room for a run of new minimums
+	}
+	ks, err := keys.New(shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]func() (index.Backend, error){
+		"shard-8": func() (index.Backend, error) { return shard.New(ks, 8, dynamic.BufferLimit(64)) },
+		"btree":   func() (index.Backend, error) { return btree.Bulk(32, ks.Keys()) },
+	}
+	for name, build := range backends {
+		t.Run(name, func(t *testing.T) {
+			b, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewGuard(b, GuardOptions{Policies: []Policy{LossSpikePolicy{Ratio: 1.5}}})
+			g.suspicious(ks.Min() + 1)
+			kernel := g.content.oracle
+			if kernel == nil {
+				t.Fatal("kernel not built")
+			}
+			if g.content.mirror != nil && !kernelSharesMirror(g.content) {
+				t.Fatal("the fallback's kernel keeps a second key copy beside the mirror")
+			}
+			matchesFresh := func(when string) {
+				t.Helper()
+				want, err := regression.NewPrefix(b.Keys())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := g.content.LossOracle()
+				if got != kernel {
+					t.Fatalf("%s: kernel rebuilt", when)
+				}
+				if math.Float64bits(got.CleanLoss()) != math.Float64bits(want.CleanLoss()) {
+					t.Fatalf("%s: kernel CleanLoss %v, from scratch %v", when, got.CleanLoss(), want.CleanLoss())
+				}
+				for _, q := range []int64{ks.Min() + 3, ks.At(700) + 1, ks.Max() - 5, ks.Max() + 1000} {
+					gl, gok := got.PoisonedLossAuto(q)
+					wl, wok := want.PoisonedLossAuto(q)
+					if gok != wok || math.Float64bits(gl) != math.Float64bits(wl) {
+						t.Fatalf("%s: PoisonedLossAuto(%d) = (%v, %v), from scratch (%v, %v)", when, q, gl, gok, wl, wok)
+					}
+				}
+			}
+			rng := xrand.New(17)
+			accepted := 0
+			for i := 0; i < 1000 && accepted < 40; i++ {
+				k := ks.Min() + 1 + rng.Int63n(ks.Max()-ks.Min()-1)
+				if ok, _ := g.Insert(k); ok {
+					accepted++
+				}
+				if g.content.oracle != kernel {
+					t.Fatalf("kernel rebuilt after %d accepted interior inserts", accepted)
+				}
+			}
+			if accepted < 40 {
+				t.Fatalf("only %d interior inserts accepted", accepted)
+			}
+			matchesFresh("after interior inserts")
+			const run = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for j := int64(1); j <= run; j++ {
+				if ok, _ := g.Insert(ks.Min() - j); !ok {
+					t.Fatalf("new minimum %d refused", ks.Min()-j)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			// A fresh copy of the keys would cost 8 bytes per key.
+			if per := (after.TotalAlloc - before.TotalAlloc) / run; per > 2*uint64(ks.Len()) {
+				t.Fatalf("a new minimum allocated %d bytes, over a quarter of one key copy", per)
+			}
+			matchesFresh("after a run of new minimums")
+		})
 	}
 }
 

@@ -1,14 +1,17 @@
 package defense
 
-// Differential suite for the Guard's incrementally maintained content: a
-// guarded backend and a reference guard — which rebuilds its content from
-// backend.Keys() on every offer, the from-scratch algorithm — run the same
-// seeded op stream over twin backends. After every op the guard's content
-// copy must equal its backend's Keys(), and every accept/reject and the
-// Flagged count must equal the reference's.
+// Differential suite for the Guard's content: a guarded backend and a
+// reference guard — which rebuilds its content from backend.Keys() on every
+// offer, the from-scratch algorithm — run the same seeded op stream over
+// twin backends. After every op the guard's content, read through its rank
+// methods, and its lossspike kernel must equal its backend's Keys(), and
+// every accept/reject and the Flagged count must equal the reference's.
+// Each backend also pins which content path the guard took: live rank
+// queries for the backends with index.Ranker, a private mirror otherwise.
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"cdfpoison/internal/alex"
@@ -18,6 +21,7 @@ import (
 	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/rmi"
 	"cdfpoison/internal/shard"
 	"cdfpoison/internal/xrand"
@@ -33,7 +37,7 @@ type refGuard struct {
 
 func (r *refGuard) Insert(k int64) (accepted, retrained bool) {
 	if k >= 0 {
-		c := NewContent(r.backend.Keys())
+		c := contentOf(r.backend.Keys())
 		for _, p := range r.policies {
 			if p.Suspicious(c, k) {
 				r.flagged++
@@ -43,6 +47,30 @@ func (r *refGuard) Insert(k int64) (accepted, retrained bool) {
 	}
 	return r.backend.Insert(k)
 }
+
+// sameContent reports whether c, read through its rank methods, holds
+// exactly ks, and so does its lossspike kernel when built.
+func sameContent(c *Content, ks keys.Set) bool {
+	if c.Len() != ks.Len() {
+		return false
+	}
+	for i := 0; i < ks.Len(); i++ {
+		if c.At(i) != ks.At(i) {
+			return false
+		}
+	}
+	return c.oracle == nil || c.oracle.Set().Equal(ks)
+}
+
+// kernelSharesMirror reports whether c's lossspike kernel is built over the
+// mirror's own storage rather than over a second copy of the keys.
+func kernelSharesMirror(c *Content) bool {
+	return &c.oracle.Set().Keys()[0] == &c.mirror.View().Keys()[0]
+}
+
+// mirrored names the mirrorBackends entries without index.Ranker, which
+// the guard must screen through a private mirror.
+var mirrored = map[string]bool{"btree": true, "alex": true, "pipeline-shard": true}
 
 func mirrorBackends() map[string]func(keys.Set) (index.Backend, error) {
 	return map[string]func(keys.Set) (index.Backend, error){
@@ -158,9 +186,15 @@ func TestGuardMirrorMatchesReference(t *testing.T) {
 					if g.Flagged() != ref.flagged {
 						t.Fatalf("op %d: Flagged = %d, reference %d", op, g.Flagged(), ref.flagged)
 					}
-					if g.content != nil && !g.content.Keys.Equal(inner.Keys()) {
-						t.Fatalf("op %d: content copy diverged from backend.Keys()", op)
+					if g.content != nil && !sameContent(g.content, inner.Keys()) {
+						t.Fatalf("op %d: content diverged from backend.Keys()", op)
 					}
+				}
+				if c := g.content; c != nil && (c.mirror != nil) != mirrored[bname] {
+					t.Fatalf("guard kept a mirror: %v, want %v", c.mirror != nil, mirrored[bname])
+				}
+				if c := g.content; c != nil && c.oracle != nil && mirrored[bname] && !kernelSharesMirror(c) {
+					t.Fatal("lossspike kernel keeps a second key copy beside the mirror")
 				}
 				if !inner.Keys().Equal(twin.Keys()) {
 					t.Fatal("guarded and reference backends diverged")
@@ -175,11 +209,13 @@ func TestGuardMirrorMatchesReference(t *testing.T) {
 }
 
 // lyingBackend reports every insert accepted, including duplicates it did
-// not store — a backend/copy disagreement the guard must survive.
-type lyingBackend struct{ *dynamic.Index }
+// not store — a backend/copy disagreement the guard must survive. It embeds
+// the interface, not the concrete index, so it hides index.Ranker and the
+// guard takes the mirror path.
+type lyingBackend struct{ index.Backend }
 
 func (l lyingBackend) Insert(k int64) (bool, bool) {
-	_, retrained := l.Index.Insert(k)
+	_, retrained := l.Backend.Insert(k)
 	return true, retrained
 }
 
@@ -197,7 +233,7 @@ func TestGuardDropsContentOnMirrorRefusal(t *testing.T) {
 	}
 	g := NewGuard(lyingBackend{d}, GuardOptions{Policies: []Policy{}})
 	g.Insert(ks.Max() + 500) // builds the copy, then adds the key
-	if g.content == nil {
+	if g.content == nil || g.content.mirror == nil {
 		t.Fatal("content copy not built")
 	}
 	g.Insert(ks.At(100)) // duplicate: the backend "accepts", the copy refuses
@@ -205,7 +241,42 @@ func TestGuardDropsContentOnMirrorRefusal(t *testing.T) {
 		t.Fatal("content copy kept after refusing an accepted key")
 	}
 	g.Insert(ks.Max() + 900)
-	if g.content == nil || !g.content.Keys.Equal(d.Keys()) {
+	if g.content == nil || !g.content.mirror.View().Equal(d.Keys()) {
 		t.Fatal("content copy not rebuilt from the backend")
+	}
+}
+
+// TestGuardRankPathReadsBackendLive: over a backend with index.Ranker the
+// guard keeps no copy of the keys, so a key written to the backend around
+// the guard is in what the policies read next, and the lossspike kernel,
+// which did not see that key, is rebuilt instead of pricing stale moments.
+func TestGuardRankPathReadsBackendLive(t *testing.T) {
+	ks, err := dataset.Uniform(xrand.New(9), 500, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dynamic.New(ks, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGuard(d, GuardOptions{Policies: []Policy{LossSpikePolicy{Ratio: 1.5}}})
+	g.suspicious(ks.At(250) + 1) // builds the content and the kernel
+	if g.content.mirror != nil || g.content.oracle == nil {
+		t.Fatalf("rank path not taken: mirror %v, kernel %v", g.content.mirror != nil, g.content.oracle != nil)
+	}
+	direct := ks.Max() + 7_000 // far out: moves the clean loss
+	if ok, _ := d.Insert(direct); !ok {
+		t.Fatal("direct insert refused")
+	}
+	if g.content.Len() != d.Len() || g.content.Max() != direct {
+		t.Fatal("the guard's content missed a key written to its backend")
+	}
+	want, err := regression.NewPrefix(d.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.content.LossOracle(); got.N() != d.Len() ||
+		math.Float64bits(got.CleanLoss()) != math.Float64bits(want.CleanLoss()) {
+		t.Fatalf("kernel over %d keys, clean loss %v; backend %d keys, %v", got.N(), got.CleanLoss(), d.Len(), want.CleanLoss())
 	}
 }

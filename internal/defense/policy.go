@@ -25,59 +25,105 @@ import (
 	"strconv"
 	"strings"
 
+	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 )
 
-// Content is the screened backend's current content plus the lazily built
-// loss oracle the lossspike policy consults.
+// Content is what a Guard's policies read: the screened backend's current
+// keys, by rank, and the exact-moment loss kernel the lossspike policy
+// consults. A Guard builds one Content on its first screened insert and
+// keeps it for its whole life (DESIGN.md §10). It takes one of two paths,
+// chosen by a type assertion on the backend:
 //
-// A Guard keeps one Content for its whole life and updates it in place on
-// every accepted insert, so Keys aliases the Guard's private mutable copy:
-// it is valid only for the duration of one Suspicious call, and policies
-// must not retain it (the next accepted insert shifts keys underneath it).
+//   - the rank path, for a backend with index.Ranker: ranks is the backend
+//     itself, read live, so only a lossspike kernel copies the keys;
+//   - the fallback, for any other backend: ranks is mirror, a private
+//     sorted copy of the keys that add keeps current on every accepted
+//     insert.
+//
+// Policies read it only through its methods, and only within one
+// Suspicious call: the next insert changes what they return.
 type Content struct {
-	Keys keys.Set
+	ranks  index.Ranker
+	mirror *keys.MutableSet // the fallback's key copy; nil on the rank path
+	// keysOf materializes the content when the kernel needs keys of its
+	// own: on the rank path, where there is no mirror to build it over.
+	keysOf func() keys.Set
 
-	// mirror backs Keys for a Guard's incrementally maintained content;
-	// nil for a Content built by NewContent.
-	mirror     *keys.MutableSet
-	prefix     *regression.Prefix
-	prefixInit bool
+	// oracle is the lossspike kernel over oracleKeys: the mirror on the
+	// fallback, a copy of its own on the rank path. It is built on first
+	// use and then fed each accepted key (add), so no offer rebuilds it;
+	// its keys grow as Prefix.Insert appends once their reserve runs out.
+	// oracleInit marks a build attempt since the last accepted insert; a
+	// failed one leaves oracle nil and the loss policies abstain.
+	oracle     *regression.Prefix
+	oracleKeys *keys.MutableSet
+	oracleInit bool
 }
 
-// NewContent wraps a key set for policy evaluation (tests and offline
-// screening; the Guard builds its own mutable copy).
-func NewContent(ks keys.Set) *Content { return &Content{Keys: ks} }
-
-// newMirroredContent copies ks into a private mutable set with a small
-// growth reserve. It must copy: backends may return their live storage
-// from Keys.
-func newMirroredContent(ks keys.Set) *Content {
-	m := keys.NewMutable(ks, mirrorReserve(ks.Len()))
-	return &Content{Keys: m.View(), mirror: m}
+// newContent builds the content over b: the rank path when b implements
+// index.Ranker, else a mirror of b.Keys(). The mirror must copy: backends
+// may return their live storage from Keys.
+func newContent(b index.Backend) *Content {
+	if r, ok := b.(index.Ranker); ok {
+		return &Content{ranks: r, keysOf: b.Keys}
+	}
+	m := keys.NewMutable(b.Keys(), copyReserve(b.Len()))
+	return &Content{ranks: m, mirror: m}
 }
 
-// mirrorReserve is the spare capacity a mirror of n keys carries: 1/32 of
-// n, so the copy's slack stays under 4% of its size while a regrowth (one
-// O(n) copy) is amortized over n/32 inserts.
-func mirrorReserve(n int) int { return n/32 + 8 }
+// copyReserve is the spare capacity a private copy of n keys starts with:
+// 1/32 of n, so the mirror's slack stays under 4% of its size while a
+// regrowth (one O(n) copy) is amortized over n/32 inserts.
+func copyReserve(n int) int { return n/32 + 8 }
 
-// add records an accepted insert of k: k joins the mirror (one binary
-// search and one memmove within the reserve), Keys is re-pointed at the new
-// view, and the loss oracle is dropped so it is rebuilt on next use. It
-// reports false, leaving the content unchanged, when the mirror refuses k
-// (negative or already present).
+// Len returns the number of stored keys.
+func (c *Content) Len() int { return c.ranks.Len() }
+
+// CountLess returns how many stored keys are below k, the 0-based
+// insertion index of an absent k.
+func (c *Content) CountLess(k int64) int { return c.ranks.CountLess(k) }
+
+// At returns the stored key of 0-based rank i.
+func (c *Content) At(i int) int64 { return c.ranks.At(i) }
+
+// Min returns the smallest stored key.
+func (c *Content) Min() int64 { return c.ranks.At(0) }
+
+// Max returns the largest stored key.
+func (c *Content) Max() int64 { return c.ranks.At(c.ranks.Len() - 1) }
+
+// add records an accepted insert of k. A built kernel absorbs k (on the
+// fallback its Insert places k in the mirror too); otherwise k joins the
+// mirror directly. It reports false, leaving the content unchanged, when
+// the mirror refuses k (negative or already present).
 func (c *Content) add(k int64) bool {
+	if c.oracle != nil {
+		if _, err := c.oracle.Insert(k); err == nil {
+			return true
+		}
+		// Insert refuses a key at or below the kernel's origin (a new
+		// minimum), and ErrRange. Place k in the kernel's keys and rebuild
+		// the moments over them in place: one O(n) pass, no fresh copy.
+		if _, ok := c.oracleKeys.Insert(k); ok {
+			if c.oracle.Reset(c.oracleKeys) != nil {
+				c.oracle, c.oracleInit = nil, false
+			}
+			return true
+		}
+		c.oracle = nil // a duplicate: the kernel disagrees with the backend
+	}
+	c.oracleInit = false
+	if c.mirror == nil {
+		return true
+	}
 	if c.mirror.Len() == c.mirror.Cap() {
-		c.mirror = keys.NewMutable(c.mirror.View(), mirrorReserve(c.mirror.Len()))
+		c.mirror = keys.NewMutable(c.mirror.View(), copyReserve(c.mirror.Len()))
+		c.ranks = c.mirror
 	}
-	if _, ok := c.mirror.Insert(k); !ok {
-		return false
-	}
-	c.Keys = c.mirror.View()
-	c.prefix, c.prefixInit = nil, false
-	return true
+	_, ok := c.mirror.Insert(k)
+	return ok
 }
 
 // LossOracle returns the exact-moment loss oracle over the content, built
@@ -85,13 +131,22 @@ func (c *Content) add(k int64) bool {
 // keys, or keys outside the oracle's exact integer range), in which case
 // loss-based policies abstain.
 func (c *Content) LossOracle() *regression.Prefix {
-	if !c.prefixInit {
-		c.prefixInit = true
-		if p, err := regression.NewPrefix(c.Keys); err == nil {
-			c.prefix = p
+	if c.oracle != nil && c.oracle.N() != c.ranks.Len() {
+		// The backend took keys the guard did not see (possible only on the
+		// rank path, which reads the backend live): rebuild.
+		c.oracle, c.oracleInit = nil, false
+	}
+	if !c.oracleInit {
+		c.oracleInit = true
+		m := c.mirror
+		if m == nil {
+			m = keys.NewMutable(c.keysOf(), copyReserve(c.ranks.Len()))
+		}
+		if p, err := regression.NewPrefixMutable(m); err == nil {
+			c.oracle, c.oracleKeys = p, m
 		}
 	}
-	return c.prefix
+	return c.oracle
 }
 
 // Policy is one poisoning detector in a Guard's chain. Suspicious reports
@@ -124,17 +179,16 @@ func (p DensityPolicy) Name() string { return fmt.Sprintf("density:%d:%g", p.Win
 
 // Suspicious implements the screen.
 func (p DensityPolicy) Suspicious(c *Content, k int64) bool {
-	content := c.Keys
-	n := content.Len()
+	n := c.Len()
 	if n < 3 {
 		return false
 	}
-	span := content.Max() - content.Min()
+	span := c.Max() - c.Min()
 	if span <= 0 {
 		return false
 	}
 	global := float64(n) / float64(span)
-	pos := content.CountLess(k) // 0-based insertion index
+	pos := c.CountLess(k) // 0-based insertion index
 	side := func(lo, hi int) float64 {
 		if lo < 0 {
 			lo = 0
@@ -145,7 +199,7 @@ func (p DensityPolicy) Suspicious(c *Content, k int64) bool {
 		if hi <= lo {
 			return 0
 		}
-		width := content.At(hi) - content.At(lo)
+		width := c.At(hi) - c.At(lo)
 		if width <= 0 {
 			width = 1
 		}
@@ -185,7 +239,7 @@ func (p DupMassPolicy) Suspicious(c *Content, k int64) bool {
 	if k > math.MaxInt64-p.Window-1 {
 		hi = math.MaxInt64 - 1
 	}
-	neighbours := c.Keys.CountLess(hi+1) - c.Keys.CountLess(lo)
+	neighbours := c.CountLess(hi+1) - c.CountLess(lo)
 	return neighbours >= p.Count
 }
 
@@ -206,14 +260,13 @@ func (p GapOutlierPolicy) Name() string { return fmt.Sprintf("gapout:%g", p.Rati
 
 // Suspicious measures the candidate's two gap sides.
 func (p GapOutlierPolicy) Suspicious(c *Content, k int64) bool {
-	content := c.Keys
-	n := content.Len()
-	pos := content.CountLess(k)
+	n := c.Len()
+	pos := c.CountLess(k)
 	if pos == 0 || pos == n {
 		return false // at most one side exists; nothing to compare
 	}
-	lo := k - content.At(pos-1)
-	hi := content.At(pos) - k
+	lo := k - c.At(pos-1)
+	hi := c.At(pos) - k
 	if lo <= 0 || hi <= 0 {
 		return false // duplicate; the backend rejects it anyway
 	}

@@ -15,6 +15,13 @@ func policySet(t *testing.T, ks []int64) keys.Set {
 	return s
 }
 
+// contentOf is the policies' content over a fixed key set, read through
+// the set's own rank methods: the from-scratch content the reference
+// guard (guard_mirror_test.go) builds on every offer.
+func contentOf(ks keys.Set) *Content {
+	return &Content{ranks: ks, keysOf: func() keys.Set { return ks }}
+}
+
 // sparse builds the honest fixture: keys spaced widely and evenly.
 func sparse(t *testing.T, n int, step int64) keys.Set {
 	t.Helper()
@@ -30,14 +37,14 @@ func TestDupMassPolicy(t *testing.T) {
 	// A poison run of adjacent keys around 5000.
 	withRun := base.Union(policySet(t, []int64{5001, 5002, 5003}))
 	p := DupMassPolicy{Window: 3, Count: 3}
-	if p.Suspicious(NewContent(base), 5050) {
+	if p.Suspicious(contentOf(base), 5050) {
 		t.Error("mid-gap honest key flagged by dupmass")
 	}
-	if !p.Suspicious(NewContent(withRun), 5004) {
+	if !p.Suspicious(contentOf(withRun), 5004) {
 		t.Error("key extending a dense adjacent run not flagged")
 	}
 	// Extreme keys must not overflow the window arithmetic.
-	c := NewContent(base)
+	c := contentOf(base)
 	p.Suspicious(c, 1<<62)
 	p.Suspicious(c, -(1 << 62))
 }
@@ -45,7 +52,7 @@ func TestDupMassPolicy(t *testing.T) {
 func TestGapOutlierPolicy(t *testing.T) {
 	base := sparse(t, 50, 1000)
 	p := GapOutlierPolicy{Ratio: 8}
-	c := NewContent(base)
+	c := contentOf(base)
 	if p.Suspicious(c, 5500) {
 		t.Error("mid-gap honest key flagged by gapout")
 	}
@@ -68,12 +75,12 @@ func TestLossSpikePolicy(t *testing.T) {
 	// far-corner insert into the widest gap spikes it.
 	base := sparse(t, 200, 10)
 	p := LossSpikePolicy{Ratio: 3}
-	c := NewContent(base)
+	c := contentOf(base)
 	if p.Suspicious(c, 1005) {
 		t.Error("mid-gap honest key flagged by lossspike on a near-perfect line")
 	}
 	// Two keys is too few for the oracle: the policy must abstain.
-	tiny := NewContent(policySet(t, []int64{5}))
+	tiny := contentOf(policySet(t, []int64{5}))
 	if p.Suspicious(tiny, 7) {
 		t.Error("lossspike fired without a loss oracle")
 	}

@@ -51,8 +51,12 @@ import (
 )
 
 // Index implements index.Backend, the contract the serving scenarios and
-// the backend comparison sweep are written against.
-var _ index.Backend = (*Index)(nil)
+// the backend comparison sweep are written against, and the optional rank
+// face index.Ranker.
+var (
+	_ index.Backend = (*Index)(nil)
+	_ index.Ranker  = (*Index)(nil)
+)
 
 // ErrTooFew is returned when constructing an index over fewer than two keys:
 // a CDF regression needs at least two points to be meaningful.
@@ -344,6 +348,43 @@ func (x *Index) Snapshot() index.Snapshot {
 
 // Len returns the total number of stored keys (base + buffer).
 func (x *Index) Len() int { return x.v.Len() }
+
+// CountLess returns how many stored keys (base and buffer) are below k
+// (index.Ranker): one binary search over each sorted array.
+func (x *Index) CountLess(k int64) int {
+	buf := x.v.buffer
+	return x.v.base.CountLess(k) + sort.Search(len(buf), func(i int) bool { return buf[i] >= k })
+}
+
+// At returns the stored key of 0-based rank i (index.Ranker): a select over
+// the two sorted, disjoint arrays in O(log n), without merging them.
+func (x *Index) At(i int) int64 {
+	a, b := x.v.base.Keys(), x.v.buffer
+	// c, how many buffer keys are among the i+1 smallest, lies in
+	// [lo, hi]. For j in (lo, hi], taking j buffer keys is too many exactly
+	// when b[j-1] sorts after a[i+1-j], the smallest base key that j would
+	// leave out (j > lo keeps that index inside a). The test is false up to
+	// c and true after it.
+	lo, hi := max(0, i+1-len(a)), min(len(b), i+1)
+	for lo < hi {
+		j := (lo + hi + 1) / 2
+		if b[j-1] > a[i+1-j] {
+			hi = j - 1
+		} else {
+			lo = j
+		}
+	}
+	c := lo
+	// The answer is the larger of the last buffer key and the last base key
+	// taken.
+	if c == 0 {
+		return a[i]
+	}
+	if i-c < 0 || b[c-1] > a[i-c] {
+		return b[c-1]
+	}
+	return a[i-c]
+}
 
 // BufferLen returns the number of keys waiting in the delta buffer.
 func (x *Index) BufferLen() int { return len(x.v.buffer) }

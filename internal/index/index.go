@@ -25,6 +25,12 @@
 // (internal/defense) — can be swapped under any scenario without touching
 // the scenario.
 //
+// Beside the planes, a backend may implement optional faces that callers
+// discover by type assertion: BatchReader (a sorted-batch probe kernel),
+// ParallelRetrainer, RebuildSizer and TriggerPredictor (what the retrain
+// pipeline uses), and Ranker (rank queries against the live content, which
+// a defense.Guard reads instead of copying the keys).
+//
 // On top of the planes, this package provides the deterministic
 // background-retrain pipeline (pipeline.go): a wrapper that decouples WHEN
 // a rebuild's result becomes visible to the read plane from WHEN the write
@@ -154,6 +160,21 @@ type Backend interface {
 	Writer
 	Admin
 	PointReader
+}
+
+// Ranker is the optional order-statistics face a Backend may implement:
+// rank queries against the CURRENT content without materializing Keys().
+// For every k, CountLess(k) equals Keys().CountLess(k), and for every i in
+// [0, Len()), At(i) equals Keys().At(i) (TestRankerConformance pins both).
+// A defense.Guard screens writes through it instead of keeping a private
+// copy of the keys.
+type Ranker interface {
+	// Len returns the total number of stored keys.
+	Len() int
+	// CountLess returns how many stored keys are below k.
+	CountLess(k int64) int
+	// At returns the stored key of 0-based rank i.
+	At(i int) int64
 }
 
 // ProbeSum is the reference batch evaluation: the exact per-key Lookup sum.

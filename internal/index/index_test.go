@@ -6,6 +6,7 @@ package index_test
 // rather than a hope: a new backend only has to join the factory table.
 
 import (
+	"math"
 	"testing"
 
 	"cdfpoison/internal/alex"
@@ -148,6 +149,83 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatalf("Stats().Buffered = %d after retrain", st.Buffered)
 			}
 		})
+	}
+}
+
+// TestRankerConformance pins the optional rank face against Keys() for
+// every factory whose backend implements index.Ranker, plus a sharded one
+// whose buffer policy retrains mid-stream. A seeded stream of base and
+// buffer inserts, duplicates, negative keys, retrains, and snapshots each
+// followed by an insert (the copy-on-write step) runs through each; after
+// every op At(i) must equal Keys().At(i) for every i, and CountLess must
+// equal Keys().CountLess at the int64 extremes, −1, Min−1, every key and
+// key+1, and Max+1.
+func TestRankerConformance(t *testing.T) {
+	initial := fixture(t, 300)
+	factories := backendFactories()
+	factories["shard-buffer"] = func(ks keys.Set) (index.Backend, error) {
+		return shard.New(ks, 4, dynamic.BufferLimit(5))
+	}
+	covered := 0
+	for name, build := range factories {
+		b, err := build(initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := b.(index.Ranker)
+		if !ok {
+			continue
+		}
+		covered++
+		t.Run(name, func(t *testing.T) {
+			check := func(op int) {
+				t.Helper()
+				ks := b.Keys()
+				if r.Len() != ks.Len() {
+					t.Fatalf("op %d: Len = %d, Keys().Len() = %d", op, r.Len(), ks.Len())
+				}
+				for i := 0; i < ks.Len(); i++ {
+					if got := r.At(i); got != ks.At(i) {
+						t.Fatalf("op %d: At(%d) = %d, Keys().At = %d", op, i, got, ks.At(i))
+					}
+				}
+				queries := []int64{math.MinInt64, -1, ks.Min() - 1, ks.Max() + 1, math.MaxInt64}
+				for _, k := range ks.Keys() {
+					queries = append(queries, k, k+1)
+				}
+				for _, q := range queries {
+					if got, want := r.CountLess(q), ks.CountLess(q); got != want {
+						t.Fatalf("op %d: CountLess(%d) = %d, Keys().CountLess = %d", op, q, got, want)
+					}
+				}
+			}
+			check(-1)
+			rng := xrand.New(31)
+			domain := 2 * (initial.Max() + 1)
+			var snaps []index.Snapshot
+			for op := 0; op < 300; op++ {
+				switch c := rng.Intn(100); {
+				case c < 55:
+					b.Insert(rng.Int63n(domain))
+				case c < 70:
+					b.Insert(b.Keys().At(rng.Intn(b.Len())))
+				case c < 78:
+					b.Insert(-1 - rng.Int63n(domain))
+				case c < 88:
+					b.Retrain()
+				default:
+					snaps = append(snaps, b.Snapshot())
+					b.Insert(rng.Int63n(domain))
+				}
+				check(op)
+			}
+			if len(snaps) == 0 || b.Len() == initial.Len() {
+				t.Fatalf("vacuous stream: %d snapshots, %d keys added", len(snaps), b.Len()-initial.Len())
+			}
+		})
+	}
+	if covered < 4 {
+		t.Fatalf("only %d factories implement index.Ranker, want dynamic, rmi-single and two shards", covered)
 	}
 }
 

@@ -50,7 +50,10 @@ import (
 // shard the two keys its model needs.
 var ErrTooFewPerShard = errors.New("shard: need at least two initial keys per shard")
 
-var _ index.Backend = (*Index)(nil)
+var (
+	_ index.Backend = (*Index)(nil)
+	_ index.Ranker  = (*Index)(nil)
+)
 
 // Index is the range-partitioned sharded index.
 type Index struct {
@@ -321,6 +324,28 @@ func (x *Index) Len() int {
 		n += s.Len()
 	}
 	return n
+}
+
+// CountLess returns how many stored keys are below k (index.Ranker): the
+// router names k's shard, every key of a shard below it is below k, and no
+// key of a shard above it is.
+func (x *Index) CountLess(k int64) int {
+	s, _ := x.route(k)
+	n := x.shards[s].CountLess(k)
+	for _, below := range x.shards[:s] {
+		n += below.Len()
+	}
+	return n
+}
+
+// At returns the stored key of 0-based rank i (index.Ranker): shard
+// contents concatenate in shard order, so the shard lengths locate i.
+func (x *Index) At(i int) int64 {
+	s := 0
+	for ; s < len(x.shards)-1 && i >= x.shards[s].Len(); s++ {
+		i -= x.shards[s].Len()
+	}
+	return x.shards[s].At(i)
 }
 
 // Keys materializes the full content. Shard ranges are disjoint and
