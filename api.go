@@ -13,7 +13,6 @@ import (
 	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
-	"cdfpoison/internal/nn"
 	"cdfpoison/internal/pla"
 	"cdfpoison/internal/regression"
 	"cdfpoison/internal/rmi"
@@ -588,11 +587,7 @@ type RootKind = rmi.RootKind
 const (
 	RootPerfect = rmi.RootPerfect
 	RootLinear  = rmi.RootLinear
-	RootNN      = rmi.RootNN
 )
-
-// NNConfig configures stage-1 neural-network training.
-type NNConfig = nn.Config
 
 // LookupResult reports an index point query.
 type LookupResult = rmi.LookupResult

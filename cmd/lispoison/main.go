@@ -246,6 +246,9 @@ func bindAttack(fs *flag.FlagSet) func() error {
 		if *in == "" || *out == "" {
 			return errors.New("-in and -o are required")
 		}
+		if *modelSize < 0 {
+			return fmt.Errorf("-modelsize must be >= 0, got %d", *modelSize)
+		}
 		ks, err := readKeys(*in)
 		if err != nil {
 			return err
@@ -322,6 +325,9 @@ func bindEval(fs *flag.FlagSet) func() error {
 	return func() error {
 		if *cleanPath == "" || *poisonPath == "" {
 			return errors.New("-clean and -poison are required")
+		}
+		if *modelSize < 0 {
+			return fmt.Errorf("-modelsize must be >= 0, got %d", *modelSize)
 		}
 		clean, err := readKeys(*cleanPath)
 		if err != nil {

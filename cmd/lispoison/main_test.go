@@ -97,6 +97,47 @@ func TestGenRejectsBadInput(t *testing.T) {
 	if err := cmdGen([]string{"-dist", "uniform"}); err == nil {
 		t.Fatal("missing -o accepted")
 	}
+	// Non-finite log-normal parameters, and sigma 0, are errors naming the
+	// parameter, not a saturated run of keys.
+	for _, c := range [][2]string{
+		{"-sigma", "NaN"}, {"-sigma", "Inf"}, {"-sigma", "0"}, {"-mu", "NaN"}, {"-mu", "-Inf"},
+	} {
+		out := tmpPath(t, "g.txt")
+		err := cmdGen([]string{"-dist", "lognormal", "-n", "1000", c[0], c[1], "-o", out})
+		if err == nil || !strings.Contains(err.Error(), c[0][1:]) {
+			t.Errorf("gen -dist lognormal %s %s: err = %v, want one naming %s", c[0], c[1], err, c[0])
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("gen -dist lognormal %s %s wrote %s", c[0], c[1], out)
+		}
+	}
+}
+
+// TestRMIFlagsRejectBadValues: a negative -modelsize and a NaN -alpha are
+// errors naming the flag, not a silent fanout-1 or uncapped run.
+func TestRMIFlagsRejectBadValues(t *testing.T) {
+	keysFile := tmpPath(t, "keys.txt")
+	poisonFile := tmpPath(t, "poison.txt")
+	if err := cmdGen([]string{"-dist", "uniform", "-n", "300", "-domain", "12000", "-o", keysFile}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdAttack([]string{"-in", keysFile, "-percent", "5", "-o", poisonFile}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		run  func([]string) error
+		args []string
+		want string
+	}{
+		{cmdAttack, []string{"-in", keysFile, "-o", tmpPath(t, "p.txt"), "-modelsize", "-5"}, "-modelsize"},
+		{cmdEval, []string{"-clean", keysFile, "-poison", poisonFile, "-modelsize", "-5"}, "-modelsize"},
+		{cmdAttack, []string{"-in", keysFile, "-o", tmpPath(t, "p.txt"), "-models", "10", "-alpha", "NaN"}, "Alpha"},
+		{cmdOnline, []string{"-in", keysFile, "-epochs", "2", "-oracle", "rmi", "-models", "10", "-alpha", "NaN"}, "Alpha"},
+	} {
+		if err := c.run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one naming %s", c.args, err, c.want)
+		}
+	}
 }
 
 func TestAttackRMIMode(t *testing.T) {

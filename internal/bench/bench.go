@@ -84,10 +84,3 @@ func grid[A, B, C any](opts Options, as []A, bs []B, cell func(A, B) (C, error))
 func budgetOf(n int, pct float64) int {
 	return max(int(float64(n)*pct/100), 1)
 }
-
-// CellBox couples an experiment cell's identity with the distribution of its
-// observed ratio losses.
-type CellBox struct {
-	Label  string
-	Ratios []float64
-}

@@ -120,15 +120,6 @@ func (r CascadeResult) FinalStructRatio() float64 {
 	return r.Epochs[len(r.Epochs)-1].StructRatio
 }
 
-// TotalDamage sums the per-epoch damage scores.
-func (r CascadeResult) TotalDamage() float64 {
-	total := 0.0
-	for _, e := range r.Epochs {
-		total += e.DamageScore
-	}
-	return total
-}
-
 // cascadeCandidate is one craftable poison key: an absent integer key
 // interior to a leaf's stored range, so the router is guaranteed to deliver
 // it to that leaf.

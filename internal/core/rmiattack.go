@@ -45,6 +45,9 @@ func (o RMIAttackOptions) validate(n int) error {
 	if o.Percent <= 0 || o.Percent > 100 {
 		return fmt.Errorf("core: poisoning percent must be in (0, 100], got %v", o.Percent)
 	}
+	if math.IsNaN(o.Alpha) {
+		return fmt.Errorf("core: RMI attack Alpha must be a number, got %v", o.Alpha)
+	}
 	return nil
 }
 

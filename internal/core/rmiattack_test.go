@@ -188,6 +188,7 @@ func TestRMIAttackValidation(t *testing.T) {
 		{NumModels: 5, Percent: 0},
 		{NumModels: 5, Percent: -3},
 		{NumModels: 5, Percent: 101},
+		{NumModels: 5, Percent: 10, Alpha: math.NaN()},
 	}
 	for _, o := range bad {
 		if _, err := RMIAttack(ks, o); err == nil {

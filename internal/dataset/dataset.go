@@ -32,6 +32,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"cdfpoison/internal/keys"
@@ -88,12 +89,20 @@ func Normal(rng *xrand.RNG, n int, m int64) (keys.Set, error) {
 
 // LogNormal returns n unique keys in [0, m) whose continuous law is
 // log-normal with log-space parameters (mu, sigma); the paper's skewed
-// synthetic workload uses mu=0, sigma=2 (Section V-B). The scale factor
-// mapping variates to keys is chosen by feasibleScale; variates that would
-// land at or beyond m are redrawn (truncated upper tail).
+// synthetic workload uses mu=0, sigma=2 (Section V-B). mu must be finite
+// and sigma finite and positive. The scale factor mapping variates to keys
+// is chosen by feasibleScale, with the domain acting as an upper bound only;
+// variates that would land at or beyond m are redrawn (truncated upper
+// tail).
 func LogNormal(rng *xrand.RNG, n int, m int64, mu, sigma float64) (keys.Set, error) {
 	if err := checkNM(n, m); err != nil {
 		return keys.Set{}, err
+	}
+	if math.IsNaN(mu) || math.IsInf(mu, 0) {
+		return keys.Set{}, fmt.Errorf("dataset: log-normal mu must be finite, got %v", mu)
+	}
+	if !(sigma > 0) || math.IsInf(sigma, 1) {
+		return keys.Set{}, fmt.Errorf("dataset: log-normal sigma must be finite and > 0, got %v", sigma)
 	}
 	samples := make([]float64, n)
 	for i := range samples {
@@ -102,7 +111,7 @@ func LogNormal(rng *xrand.RNG, n int, m int64, mu, sigma float64) (keys.Set, err
 	sort.Float64s(samples)
 
 	const headroom = 1.25 // keep >=20% free slots in saturated regions
-	scale := lognormalScale(samples, headroom, m)
+	scale := feasibleScale(samples, headroom)
 	// Truncate the extreme upper tail: samples beyond the domain top under
 	// the chosen scale are redrawn, and independently of the domain the top
 	// 0.5% quantile is clipped. A sigma=2 log-normal's maximum grows like
@@ -140,7 +149,7 @@ func LogNormal(rng *xrand.RNG, n int, m int64, mu, sigma float64) (keys.Set, err
 			break
 		}
 		sort.Float64s(samples)
-		scale = lognormalScale(samples, headroom, m)
+		scale = feasibleScale(samples, headroom)
 	}
 	scaled := make([]float64, n)
 	for i, s := range samples {
@@ -161,20 +170,6 @@ func checkNM(n int, m int64) error {
 		return fmt.Errorf("%w: n=%d, m=%d", ErrInfeasible, n, m)
 	}
 	return nil
-}
-
-// lognormalScale picks the multiplier mapping log-normal variates to keys:
-// the smallest scale under which every concentrated region has room for
-// unique integers with the headroom's worth of free slots (feasibleScale).
-// The key universe [0, m) acts as an upper bound only — the skewed sample
-// concentrates in the low end of generous domains, as any fixed-scale
-// integer quantization of a sigma=2 log-normal must (filling a domain of
-// 100n slots would require the dense center to hold more unique integers
-// than it has slots). This preserves the regime the paper's log-normal
-// experiments exercise: concentrated regions whose models have tiny clean
-// loss but remain poisonable.
-func lognormalScale(sorted []float64, headroom float64, m int64) float64 {
-	return feasibleScale(sorted, headroom)
 }
 
 // feasibleScale returns a multiplier c under which the sample can be

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,27 @@ func TestLogNormalDeterministic(t *testing.T) {
 	b, _ := LogNormal(xrand.New(9), 2000, 500000, 0, 2)
 	if !a.Equal(b) {
 		t.Fatal("same seed produced different log-normal sets")
+	}
+}
+
+// TestLogNormalRejectsBadParams: a non-finite mu, or a sigma that is not
+// finite and positive, is an error naming the parameter, not a saturated
+// run of keys.
+func TestLogNormalRejectsBadParams(t *testing.T) {
+	for _, c := range []struct {
+		mu, sigma float64
+		name      string
+	}{
+		{0, math.NaN(), "sigma"},
+		{0, math.Inf(1), "sigma"},
+		{0, 0, "sigma"},
+		{math.NaN(), 2, "mu"},
+		{math.Inf(-1), 2, "mu"},
+	} {
+		_, err := LogNormal(xrand.New(1), 1000, 1000000, c.mu, c.sigma)
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("LogNormal(mu=%v, sigma=%v) = %v, want an error naming %s", c.mu, c.sigma, err, c.name)
+		}
 	}
 }
 

@@ -89,14 +89,12 @@ func NewGuard(b index.Backend, opts GuardOptions) *Guard {
 
 // Flagged returns how many inserts the guard has rejected. The count is
 // cumulative over the guard's lifetime — Retrain does not reset it — and is
-// also surfaced as Stats().Flagged so sweeps read it without unwrapping.
+// also surfaced as Stats().Flagged, so sweeps read it through the
+// index.Backend interface.
 func (g *Guard) Flagged() int { return g.flagged }
 
 // Policies returns the guard's detector chain.
 func (g *Guard) Policies() []Policy { return g.policies }
-
-// Unwrap returns the guarded backend.
-func (g *Guard) Unwrap() index.Backend { return g.backend }
 
 // suspicious builds the content on first use and runs the policy chain;
 // any policy flagging k rejects it.

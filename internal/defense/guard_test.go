@@ -108,7 +108,7 @@ func TestGuardScreensDensePoison(t *testing.T) {
 }
 
 // TestGuardFlaggedInStats: the cumulative rejected-insert count is surfaced
-// through the uniform index.Stats plane (no Unwrap needed) and survives
+// through the uniform index.Stats plane and survives
 // Retrain — the accounting contract the Pareto sweeps read.
 func TestGuardFlaggedInStats(t *testing.T) {
 	ks, err := dataset.Uniform(xrand.New(41), 300, 12_000)

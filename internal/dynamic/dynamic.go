@@ -395,9 +395,6 @@ func (x *Index) Retrains() int { return x.retrains }
 // Policy returns the index's retrain policy.
 func (x *Index) Policy() RetrainPolicy { return x.policy }
 
-// Base returns the key set the current model was trained on.
-func (x *Index) Base() keys.Set { return x.v.base }
-
 // Model returns the current fitted model (trained at the last retrain).
 func (x *Index) Model() regression.Model { return x.v.model }
 

@@ -93,7 +93,7 @@ func TestRetrainOnEveryInsert(t *testing.T) {
 			t.Fatalf("retrains = %d after %d inserts", x.Retrains(), i+1)
 		}
 	}
-	if got := x.Base().Len(); got != 5 {
+	if got := x.v.base.Len(); got != 5 {
 		t.Fatalf("base has %d keys, want 5", got)
 	}
 }
@@ -155,8 +155,8 @@ func TestBufferThresholdBoundary(t *testing.T) {
 	if _, retrained := x.Insert(30); !retrained {
 		t.Fatal("no retrain at buffer size 3")
 	}
-	if x.BufferLen() != 0 || x.Base().Len() != 5 {
-		t.Fatalf("merge failed: buffer=%d base=%d", x.BufferLen(), x.Base().Len())
+	if x.BufferLen() != 0 || x.v.base.Len() != 5 {
+		t.Fatalf("merge failed: buffer=%d base=%d", x.BufferLen(), x.v.base.Len())
 	}
 }
 

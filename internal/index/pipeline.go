@@ -164,9 +164,6 @@ func (p *Pipeline) WithPool(ctx context.Context, pool *engine.Pool) *Pipeline {
 	return p
 }
 
-// Unwrap returns the wrapped backend (the live, write-plane state).
-func (p *Pipeline) Unwrap() Backend { return p.backend }
-
 // Now returns the current logical tick.
 func (p *Pipeline) Now() int64 { return p.now }
 

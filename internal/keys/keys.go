@@ -242,17 +242,6 @@ func (s Set) Gaps() []Gap {
 	return gaps
 }
 
-// GapCount returns the number of gaps without allocating.
-func (s Set) GapCount() int {
-	c := 0
-	for i := 0; i+1 < len(s.ks); i++ {
-		if s.ks[i+1]-s.ks[i] >= 2 {
-			c++
-		}
-	}
-	return c
-}
-
 // FreeSlots returns the total number of unoccupied interior keys — the size
 // of the feasible poisoning-key space.
 func (s Set) FreeSlots() int64 {

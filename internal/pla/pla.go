@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"cdfpoison/internal/keys"
 )
@@ -203,19 +202,4 @@ func (idx *Index) VerifyErrorBound() float64 {
 		}
 	}
 	return worst
-}
-
-// SegmentSizes returns the number of keys covered by each segment, sorted
-// ascending — a diagnostic for how poisoning fragments the segmentation.
-func (idx *Index) SegmentSizes() []int {
-	sizes := make([]int, 0, len(idx.segs))
-	for si, s := range idx.segs {
-		endPos := idx.ks.Len() - 1
-		if si+1 < len(idx.segs) {
-			endPos = idx.segs[si+1].startPos - 1
-		}
-		sizes = append(sizes, endPos-s.startPos+1)
-	}
-	sort.Ints(sizes)
-	return sizes
 }

@@ -148,11 +148,15 @@ func TestSegmentSizesSumToN(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, s := range idx.SegmentSizes() {
-		if s < 1 {
+	for si, s := range idx.segs {
+		end := ks.Len()
+		if si+1 < len(idx.segs) {
+			end = idx.segs[si+1].startPos
+		}
+		if end-s.startPos < 1 {
 			t.Fatalf("empty segment")
 		}
-		total += s
+		total += end - s.startPos
 	}
 	if total != ks.Len() {
 		t.Fatalf("segment sizes sum %d != n %d", total, ks.Len())

@@ -118,10 +118,6 @@ func (c *ClosedForm) Loss(kp int64, pos int, suf int64) float64 {
 	return loss
 }
 
-// VarR returns the poisoned rank variance (n(n+2)/12 as float64), the
-// ceiling of every poisoned loss and the natural scale for bound margins.
-func (c *ClosedForm) VarR() float64 { return c.varR }
-
 // w evaluates W(x) for a candidate x in gap g: v(g) + u(g)·x.
 func (c *ClosedForm) w(g int, x float64) float64 {
 	v := 2*(c.sr+float64(c.pre.Suffix(g+1))) - c.np2*c.s1

@@ -178,10 +178,10 @@ func TestClosedFormVarRCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := p.ClosedForm()
-	ceiling := cf.VarR() * (1 + 1e-6)
+	ceiling := cf.varR * (1 + 1e-6)
 	sweepGapCandidates(p.Set(), func(kp int64, pos, _ int) {
 		if l := cf.Loss(kp, pos, p.Suffix(pos)); l > ceiling || l < 0 {
-			t.Fatalf("Loss(%d, %d) = %v outside [0, varR=%v]", kp, pos, l, cf.VarR())
+			t.Fatalf("Loss(%d, %d) = %v outside [0, varR=%v]", kp, pos, l, cf.varR)
 		}
 	})
 }

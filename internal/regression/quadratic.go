@@ -127,22 +127,3 @@ func abs(v float64) float64 {
 	}
 	return v
 }
-
-// EvaluateQuadCDF returns the MSE of an arbitrary parabola on the key set's
-// CDF, used when scoring a model fitted elsewhere.
-func EvaluateQuadCDF(q Quad, ks keys.Set) (float64, error) {
-	n := ks.Len()
-	if n == 0 {
-		return 0, ErrTooFew
-	}
-	var ss float64
-	for i := 0; i < n; i++ {
-		d := q.Predict(ks.At(i)) - float64(i+1)
-		ss += d * d
-	}
-	return ss / float64(n), nil
-}
-
-// QuadParams returns the storage cost in float64 parameters (3 vs the
-// linear model's 2) — the overhead the paper's Discussion cites.
-func (q Quad) QuadParams() int { return 3 }

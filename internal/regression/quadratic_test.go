@@ -59,6 +59,17 @@ func TestQuadNeverWorseThanLinear(t *testing.T) {
 	}
 }
 
+// evaluateQuadCDF is the reference MSE of an arbitrary parabola on the key
+// set's CDF.
+func evaluateQuadCDF(q Quad, ks keys.Set) float64 {
+	var ss float64
+	for i := 0; i < ks.Len(); i++ {
+		d := q.Predict(ks.At(i)) - float64(i+1)
+		ss += d * d
+	}
+	return ss / float64(ks.Len())
+}
+
 func TestFitQuadIsMinimizer(t *testing.T) {
 	rng := xrand.New(70)
 	for trial := 0; trial < 30; trial++ {
@@ -68,18 +79,20 @@ func TestFitQuadIsMinimizer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if l := evaluateQuadCDF(m.Quad, ks); math.Abs(l-m.Loss) > 1e-9*(1+m.Loss) {
+			t.Fatalf("reference MSE %v of the fit != its Loss %v", l, m.Loss)
+		}
+		// Perturb in the fit's own normalized coordinates (same Origin and
+		// Scale), where the coefficients are O(n).
 		for _, d := range []Quad{
-			{A: m.A + 1e-8, B: m.B, C: m.C},
-			{A: m.A - 1e-8, B: m.B, C: m.C},
-			{A: m.A, B: m.B + 1e-5, C: m.C},
-			{A: m.A, B: m.B, C: m.C + 1e-3},
+			{A: m.A + 1e-2, B: m.B, C: m.C},
+			{A: m.A - 1e-2, B: m.B, C: m.C},
+			{A: m.A, B: m.B + 1e-2, C: m.C},
+			{A: m.A, B: m.B, C: m.C + 1e-2},
 		} {
-			l, err := EvaluateQuadCDF(d, ks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if l < m.Loss-1e-9*(1+m.Loss) {
-				t.Fatalf("perturbed quad beats the fit: %v < %v", l, m.Loss)
+			d.Origin, d.Scale = m.Origin, m.Scale
+			if l := evaluateQuadCDF(d, ks); l <= m.Loss {
+				t.Fatalf("perturbed quad %+v does not lose to the fit: %v <= %v", d, l, m.Loss)
 			}
 		}
 	}
@@ -152,18 +165,12 @@ func TestQuadTranslationStability(t *testing.T) {
 	}
 }
 
+// TestEvaluateQuadCDF: the reference scores an exact parabola at zero; a
+// zero Scale reads as 1, so the literal is a raw-key parabola.
 func TestEvaluateQuadCDF(t *testing.T) {
 	ks, _ := keys.New([]int64{0, 10, 20})
-	// Exact line as a degenerate parabola.
-	l, err := EvaluateQuadCDF(Quad{A: 0, B: 0.1, C: 1}, ks)
-	if err != nil || l > 1e-12 {
-		t.Fatalf("exact parabola mse %v, err %v", l, err)
-	}
-	if _, err := EvaluateQuadCDF(Quad{}, keys.Set{}); err == nil {
-		t.Fatal("empty set accepted")
-	}
-	if (Quad{}).QuadParams() != 3 {
-		t.Fatal("param accounting")
+	if l := evaluateQuadCDF(Quad{A: 0, B: 0.1, C: 1}, ks); l > 1e-12 {
+		t.Fatalf("exact parabola mse %v", l)
 	}
 }
 

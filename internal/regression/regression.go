@@ -52,16 +52,11 @@ func (m Model) String() string {
 	return fmt.Sprintf("rank ≈ %.6g·key %+.6g  (n=%d, mse=%.6g)", m.W, m.B, m.N, m.Loss)
 }
 
-// rankMean and rankSquaredMean are the exact moments of the rank multiset
-// {1, …, n}: after any insertion the ranks are again exactly {1, …, n+1},
-// which is the structural fact (paper, Section IV-C) that makes O(1)
-// candidate evaluation possible.
+// rankMean is the exact mean of the rank multiset {1, …, n}: after any
+// insertion the ranks are again exactly {1, …, n+1}, which is the
+// structural fact (paper, Section IV-C) that makes O(1) candidate
+// evaluation possible.
 func rankMean(n int) float64 { return float64(n+1) / 2 }
-
-func rankSquaredMean(n int) float64 {
-	nf := float64(n)
-	return (nf + 1) * (2*nf + 1) / 6
-}
 
 // rankVar = Var of {1..n} = (n²−1)/12.
 func rankVar(n int) float64 {
@@ -347,18 +342,4 @@ func (p *Prefix) PoisonedLossAuto(kp int64) (loss float64, ok bool) {
 		return 0, false
 	}
 	return p.PoisonedLoss(kp, rank-1), true
-}
-
-// MaxAbsResidual returns the largest |predicted − actual rank| of the model
-// over the set — the quantity that dictates the last-mile search window in a
-// learned index.
-func MaxAbsResidual(l Line, ks keys.Set) float64 {
-	worst := 0.0
-	for i := 0; i < ks.Len(); i++ {
-		d := math.Abs(l.Predict(ks.At(i)) - float64(i+1))
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

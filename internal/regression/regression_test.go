@@ -296,18 +296,6 @@ func TestNewPrefixTooFew(t *testing.T) {
 	}
 }
 
-func TestMaxAbsResidual(t *testing.T) {
-	ks := mustSet(t, []int64{0, 10, 20})
-	// Exact line → zero residual.
-	if r := MaxAbsResidual(Line{W: 0.1, B: 1}, ks); r > 1e-12 {
-		t.Errorf("residual on exact line = %v", r)
-	}
-	// Constant 0 → worst residual is rank 3.
-	if r := MaxAbsResidual(Line{}, ks); math.Abs(r-3) > 1e-12 {
-		t.Errorf("residual = %v, want 3", r)
-	}
-}
-
 func TestModelString(t *testing.T) {
 	m, _ := FitCDF(mustSet(t, []int64{1, 5, 9}))
 	if m.String() == "" {

@@ -1,8 +1,8 @@
 // Package rmi implements the two-stage recursive model index of Kraska et
-// al. — the learned index structure the paper attacks. A stage-1 model
-// (neural network, linear model, or exact partition router) directs a queried
-// key to one of N stage-2 linear regression models; the chosen model predicts
-// the key's position in the sorted key array; a bounded "last-mile" binary
+// al. — the learned index structure the paper attacks. A stage-1 model (a
+// linear model or the exact partition router) directs a queried key to one
+// of N stage-2 linear regression models; the chosen model predicts the
+// key's position in the sorted key array; a bounded "last-mile" binary
 // search around the prediction finds the record.
 //
 // The index tracks per-model min/max prediction error bounds at build time,
@@ -23,7 +23,6 @@ import (
 	"math"
 
 	"cdfpoison/internal/keys"
-	"cdfpoison/internal/nn"
 	"cdfpoison/internal/regression"
 )
 
@@ -38,9 +37,6 @@ const (
 	// RootLinear routes with a single linear regression from key to model
 	// index — the cheapest realistic stage-1.
 	RootLinear
-	// RootNN routes with a small feed-forward network trained on the key
-	// CDF, as in the original RMI design.
-	RootNN
 )
 
 // String names the root kind for reports.
@@ -50,8 +46,6 @@ func (r RootKind) String() string {
 		return "perfect"
 	case RootLinear:
 		return "linear"
-	case RootNN:
-		return "nn"
 	default:
 		return fmt.Sprintf("RootKind(%d)", int(r))
 	}
@@ -63,8 +57,6 @@ type Config struct {
 	Fanout int
 	// Root selects the stage-1 model; default RootPerfect.
 	Root RootKind
-	// NN configures stage-1 training when Root == RootNN.
-	NN nn.Config
 }
 
 // ErrEmpty is returned when building over an empty key set.
@@ -91,7 +83,6 @@ type Index struct {
 	// Routing state; exactly one of these is active per Root kind.
 	boundaries []int64 // RootPerfect: first key of each partition
 	rootLine   regression.Line
-	rootNN     *nn.MLP
 }
 
 // Build constructs the index. Keys are assigned to second-stage models by
@@ -135,18 +126,6 @@ func Build(ks keys.Set, cfg Config) (*Index, error) {
 			return nil, fmt.Errorf("rmi: stage-1 linear fit: %w", err)
 		}
 		idx.rootLine = line
-	case RootNN:
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := 0; i < n; i++ {
-			xs[i] = float64(ks.At(i))
-			ys[i] = float64(i)
-		}
-		mlp, err := nn.Train(xs, ys, cfg.NN)
-		if err != nil {
-			return nil, fmt.Errorf("rmi: stage-1 nn training: %w", err)
-		}
-		idx.rootNN = mlp
 	default:
 		return nil, fmt.Errorf("rmi: unknown root kind %d", cfg.Root)
 	}
@@ -232,12 +211,8 @@ func (idx *Index) route(k int64) int {
 			m = 0
 		}
 		return m
-	case RootLinear:
+	default: // RootLinear
 		return clampModel(int(idx.rootLine.Predict(k)), N)
-	default: // RootNN
-		pos := idx.rootNN.Predict(float64(k))
-		m := int(pos / float64(idx.ks.Len()) * float64(N))
-		return clampModel(m, N)
 	}
 }
 
@@ -337,15 +312,6 @@ func (idx *Index) SecondStageMSE() float64 {
 	return sum / float64(len(idx.models))
 }
 
-// ModelMSEs returns every second-stage model's MSE (zero for empty models).
-func (idx *Index) ModelMSEs() []float64 {
-	out := make([]float64, len(idx.models))
-	for i, s := range idx.models {
-		out[i] = s.localMSE
-	}
-	return out
-}
-
 // Stats summarizes lookup-cost structure across second-stage models.
 type Stats struct {
 	Models         int
@@ -390,10 +356,6 @@ func (idx *Index) Stats() Stats {
 		st.MemoryBytes += len(idx.boundaries) * 8
 	case RootLinear:
 		st.MemoryBytes += 2 * 8
-	case RootNN:
-		if idx.rootNN != nil {
-			st.MemoryBytes += idx.rootNN.ParamCount() * 8
-		}
 	}
 	return st
 }

@@ -50,9 +50,6 @@ type Histogram struct {
 	max    int64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
 // bucketIndex maps a value to its bucket. Exact for v < smallCutoff;
 // logarithmic with 1/32 relative width above.
 func bucketIndex(v int64) int {
@@ -101,9 +98,6 @@ func (h *Histogram) Record(v int64) {
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.total }
-
-// Sum returns the exact sum of recorded values.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 // Min and Max return the exact extremes (0 on an empty histogram).
 func (h *Histogram) Min() int64 {
@@ -200,11 +194,4 @@ func (h *Histogram) Checksum() uint64 {
 		}
 	}
 	return hash
-}
-
-// Counts returns a copy of the raw bucket counts (tests and debugging).
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts[:])
-	return out
 }

@@ -7,7 +7,6 @@ package serve
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"cdfpoison/internal/xrand"
@@ -85,8 +84,8 @@ func TestHistogramPercentilesExact(t *testing.T) {
 			t.Fatalf("P%v over 1..50 = %d, want %d", tc.q, got, tc.want)
 		}
 	}
-	if h.Count() != 50 || h.Sum() != 50*51/2 || h.Min() != 1 || h.Max() != 50 {
-		t.Fatalf("summary stats wrong: count=%d sum=%d min=%d max=%d", h.Count(), h.Sum(), h.Min(), h.Max())
+	if h.Count() != 50 || h.sum != 50*51/2 || h.Min() != 1 || h.Max() != 50 {
+		t.Fatalf("summary stats wrong: count=%d sum=%d min=%d max=%d", h.Count(), h.sum, h.Min(), h.Max())
 	}
 
 	// Uniform 0..999: the p50 rank (500) lands in bucket [496, 503] (width
@@ -140,8 +139,8 @@ func TestHistogramMergeAssociative(t *testing.T) {
 	a, b, c := mk(500, 8), mk(300, 20), mk(700, 4)
 
 	equal := func(x, y *Histogram) bool {
-		return reflect.DeepEqual(x.Counts(), y.Counts()) &&
-			x.Count() == y.Count() && x.Sum() == y.Sum() &&
+		return x.counts == y.counts &&
+			x.Count() == y.Count() && x.sum == y.sum &&
 			x.Min() == y.Min() && x.Max() == y.Max() &&
 			x.Checksum() == y.Checksum()
 	}
@@ -175,7 +174,7 @@ func TestHistogramMergeAssociative(t *testing.T) {
 // zero — the property that keeps reader goroutines allocation-free per
 // lookup.
 func TestHistogramRecordZeroAlloc(t *testing.T) {
-	h := NewHistogram()
+	h := &Histogram{}
 	v := int64(1)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		h.Record(v)
@@ -188,7 +187,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 // BenchmarkHistogramRecord is the allocs/op budget pin in benchmark form
 // (CI runs it with -benchtime 1x as a smoke check).
 func BenchmarkHistogramRecord(b *testing.B) {
-	h := NewHistogram()
+	h := &Histogram{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(int64(i & 0xffff))

@@ -27,10 +27,9 @@
 //
 // Determinism under concurrency: mutation (Insert/Retrain) is
 // single-writer, exactly like every other backend; Lookup and ProbeSum are
-// pure reads. ProbeSumSortedParallel fans a sorted batch's per-shard
-// partitions across an engine.Pool — integer probe sums are
-// partition-invariant, so any worker count folds to the sequential total
-// byte-identically (DESIGN.md §2).
+// pure reads. RetrainParallel fans the per-shard refits across an
+// engine.Pool; each shard's refit reads only its own keys, so any worker
+// count leaves byte-identical models (DESIGN.md §2).
 package shard
 
 import (
@@ -191,9 +190,6 @@ func (x *Index) NumShards() int { return len(x.shards) }
 
 // Shard returns the i-th underlying dynamic index (read-only use).
 func (x *Index) Shard(i int) *dynamic.Index { return x.shards[i] }
-
-// Cuts returns the router's cut keys (len NumShards-1); read-only.
-func (x *Index) Cuts() []int64 { return x.cuts }
 
 // Lookup routes k and queries the owning shard, counting router
 // comparisons plus shard probes.
@@ -411,8 +407,7 @@ func (x *Index) Imbalance() float64 {
 	return float64(maxLen) / mean
 }
 
-// ProbeSum runs a lookup for every query key sequentially; integer sums
-// are partition-invariant (see ProbeSumSortedParallel).
+// ProbeSum runs a lookup for every query key sequentially.
 func (x *Index) ProbeSum(queryKeys []int64) (probes int64, notFound int) {
 	return index.ProbeSum(x, queryKeys)
 }

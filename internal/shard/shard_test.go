@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"context"
-	"sort"
 	"testing"
 
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
@@ -48,12 +45,12 @@ func TestRouterInvariants(t *testing.T) {
 		if x.NumShards() != n {
 			t.Fatalf("shards=%d: got %d", n, x.NumShards())
 		}
-		if len(x.Cuts()) != n-1 {
-			t.Fatalf("shards=%d: %d cuts", n, len(x.Cuts()))
+		if len(x.cuts) != n-1 {
+			t.Fatalf("shards=%d: %d cuts", n, len(x.cuts))
 		}
-		for i := 1; i < len(x.Cuts()); i++ {
-			if x.Cuts()[i-1] >= x.Cuts()[i] {
-				t.Fatalf("shards=%d: cuts not strictly increasing: %v", n, x.Cuts())
+		for i := 1; i < len(x.cuts); i++ {
+			if x.cuts[i-1] >= x.cuts[i] {
+				t.Fatalf("shards=%d: cuts not strictly increasing: %v", n, x.cuts)
 			}
 		}
 		total := 0
@@ -140,7 +137,7 @@ func TestShardingIsolatesDamage(t *testing.T) {
 	}
 	before := x.ShardStats()
 	// Flood the first shard's range with fresh keys.
-	cut := x.Cuts()[0]
+	cut := x.cuts[0]
 	accepted := 0
 	for k := ks.Min() + 1; k < cut && accepted < 200; k++ {
 		if ok, _ := x.Insert(k); ok {
@@ -162,29 +159,6 @@ func TestShardingIsolatesDamage(t *testing.T) {
 	}
 	if x.Imbalance() <= 1.2 {
 		t.Fatalf("imbalance %v did not register a %d-key flood", x.Imbalance(), accepted)
-	}
-}
-
-// TestProbeSumParallelEquivalence: the sorted-partition fan-out
-// (ProbeSumSortedParallel) is byte-identical to the sequential per-key sum
-// for any worker count.
-func TestProbeSumParallelEquivalence(t *testing.T) {
-	ks := fixture(t, 900)
-	x, err := New(ks, 4, dynamic.ManualPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := append(append([]int64(nil), ks.Keys()...), 1, 2, 3, 1<<50)
-	sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
-	wantProbes, wantMiss := x.ProbeSum(queries)
-	for _, w := range []int{1, 2, 3, 8, 0} {
-		p, m, err := x.ProbeSumSortedParallel(context.Background(), engine.New(w), queries)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if p != wantProbes || m != wantMiss {
-			t.Fatalf("workers=%d: (%d,%d) != sequential (%d,%d)", w, p, m, wantProbes, wantMiss)
-		}
 	}
 }
 

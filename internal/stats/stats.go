@@ -1,7 +1,5 @@
-// Package stats supplies the statistical primitives the experiments rely on:
-// exact and streaming moments, quantiles, five-number boxplot summaries (the
-// paper reports every evaluation as a boxplot of ratio losses), and fixed-bin
-// histograms for CDF visualization.
+// Package stats supplies the five-number boxplot summary the experiments
+// report: the paper shows every evaluation as a boxplot of ratio losses.
 package stats
 
 import (
@@ -9,49 +7,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Moments accumulates count, mean, and variance using Welford's online
-// algorithm, which is numerically stable for the wide magnitude ranges that
-// key data produces. The zero value is ready to use.
-type Moments struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (m *Moments) Add(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// N returns the number of observations.
-func (m *Moments) N() int { return m.n }
-
-// Mean returns the sample mean (0 for an empty accumulator).
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Var returns the population variance (divides by n), matching the paper's
-// moment-based formulation Var_X = M_X² − (M_X)². Returns 0 when n == 0.
-func (m *Moments) Var() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// SampleVar returns the Bessel-corrected variance (divides by n−1).
-func (m *Moments) SampleVar() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// Std returns the population standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Var()) }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -65,22 +20,9 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (type-7, the common default).
-// It panics on an empty slice or q outside [0,1]. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: Quantile q=%v outside [0,1]", q))
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
+// quantileSorted returns the q-th quantile (0 <= q <= 1) of sorted data
+// using linear interpolation between order statistics (type-7, the common
+// default).
 func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -147,71 +89,4 @@ func NewBoxplot(xs []float64) Boxplot {
 func (b Boxplot) String() string {
 	return fmt.Sprintf("n=%d min=%.3g q1=%.3g med=%.3g q3=%.3g max=%.3g mean=%.3g",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean)
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins spanning
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with bins <= 0")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records an observation; values outside [Lo, Hi) are tallied in
-// under/overflow counters rather than dropped silently.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i == len(h.Counts) { // defensive: x == Hi after rounding
-		i--
-	}
-	h.Counts[i]++
-}
-
-// Total returns the count of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// OutOfRange returns the number of observations below Lo and at-or-above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// GeoMean returns the geometric mean of strictly positive values; it returns
-// 0 if xs is empty or contains a non-positive value. Ratio losses are
-// naturally summarized geometrically.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
