@@ -133,6 +133,7 @@ func TestRMIFlagsRejectBadValues(t *testing.T) {
 		{cmdEval, []string{"-clean", keysFile, "-poison", poisonFile, "-modelsize", "-5"}, "-modelsize"},
 		{cmdAttack, []string{"-in", keysFile, "-o", tmpPath(t, "p.txt"), "-models", "10", "-alpha", "NaN"}, "Alpha"},
 		{cmdOnline, []string{"-in", keysFile, "-epochs", "2", "-oracle", "rmi", "-models", "10", "-alpha", "NaN"}, "Alpha"},
+		{cmdOnline, []string{"-in", keysFile, "-oracle", "rmi", "-models", "10", "-alpha", "NaN", "-percent", "0.1"}, "Alpha"},
 	} {
 		if err := c.run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want one naming %s", c.args, err, c.want)

@@ -112,6 +112,9 @@ func (o OnlineOptions) validate() error {
 		if o.RMI.NumModels < 1 {
 			return fmt.Errorf("core: OracleRMI needs RMI.NumModels >= 1, got %d", o.RMI.NumModels)
 		}
+		if err := o.RMI.validateAlpha(); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("core: unknown online oracle %d", int(o.Oracle))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -36,6 +37,7 @@ func TestOnlineValidation(t *testing.T) {
 		"negative-budget": {Epochs: 2, EpochBudget: -1},
 		"long-arrivals":   {Epochs: 1, Arrivals: [][]int64{{1}, {2}}},
 		"rmi-no-models":   {Epochs: 2, EpochBudget: 5, Oracle: OracleRMI},
+		"rmi-nan-alpha":   {Epochs: 2, Oracle: OracleRMI, RMI: RMIAttackOptions{NumModels: 5, Alpha: math.NaN()}},
 		"bad-oracle":      {Epochs: 2, EpochBudget: 5, Oracle: OnlineOracle(99)},
 		"bad-policy":      {Epochs: 2, Policy: dynamic.EveryKInserts(0)},
 	} {

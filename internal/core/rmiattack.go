@@ -45,6 +45,13 @@ func (o RMIAttackOptions) validate(n int) error {
 	if o.Percent <= 0 || o.Percent > 100 {
 		return fmt.Errorf("core: poisoning percent must be in (0, 100], got %v", o.Percent)
 	}
+	return o.validateAlpha()
+}
+
+// validateAlpha rejects a NaN Alpha, which no cap comparison would catch.
+// The online scenario calls it up front, since its epochs run Algorithm 2
+// only when their budget rounds to at least one key.
+func (o RMIAttackOptions) validateAlpha() error {
 	if math.IsNaN(o.Alpha) {
 		return fmt.Errorf("core: RMI attack Alpha must be a number, got %v", o.Alpha)
 	}

@@ -173,6 +173,10 @@ type Index struct {
 	// the next buffer mutation must clone instead of editing in place, so
 	// the snapshot keeps its capture-time contents.
 	bufShared bool
+	// snap is the view Snapshot last handed out, while it still equals v:
+	// every write to v clears it, so captures between two writes share one
+	// view.
+	snap *view
 
 	inserts  int // Insert calls since the last retrain (EveryK counter)
 	retrains int // completed retrains (the initial fit is not counted)
@@ -219,6 +223,7 @@ func (x *Index) fit(base keys.Set) error {
 	if err != nil {
 		return err
 	}
+	x.snap = nil
 	x.v.base = base
 	x.v.model = m
 	x.v.eLo, x.v.eHi = math.Inf(1), math.Inf(-1)
@@ -291,6 +296,7 @@ func (x *Index) Insert(k int64) (accepted, retrained bool) {
 func (x *Index) insertBuffer(i int, k int64) {
 	x.v.buffer = keys.InsertAt(x.v.buffer, i, k, x.bufShared)
 	x.bufShared = false
+	x.snap = nil
 }
 
 // contains reports whether k is in the base or the buffer.
@@ -339,11 +345,17 @@ func (x *Index) Retrain() {
 // Snapshot freezes the current read state in O(1): the returned view shares
 // the immutable base and model, and marks the buffer copy-on-write so the
 // next mutation clones rather than edits it. The snapshot's probe counts
-// are identical to the live index's at capture time.
+// are identical to the live index's at capture time. Until the next write
+// (an accepted insert or a retrain) every capture returns the same view, so
+// a sharded index re-capturing after a write allocates a view only for the
+// shard that changed.
 func (x *Index) Snapshot() index.Snapshot {
-	x.bufShared = true
-	s := x.v
-	return &s
+	if x.snap == nil {
+		x.bufShared = true
+		s := x.v
+		x.snap = &s
+	}
+	return x.snap
 }
 
 // Len returns the total number of stored keys (base + buffer).

@@ -307,3 +307,65 @@ func TestStatsAndGrowth(t *testing.T) {
 		t.Fatalf("model trained on %d keys, want 46", x.Model().N)
 	}
 }
+
+// TestSnapshotReuse pins when a capture may return the view it handed out
+// before: only while no write has reached the read state. A rejected
+// duplicate is not such a write; an accepted insert and a retrain, with or
+// without buffered keys, are. A held view keeps answering from its capture
+// time whatever comes after.
+func TestSnapshotReuse(t *testing.T) {
+	x, err := New(mustSet(t, []int64{0, 10, 20, 30, 40, 50, 60, 70}), ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Insert(35)
+	held := x.Snapshot()
+	if x.Snapshot() != held {
+		t.Fatal("two captures with no write between them returned different views")
+	}
+	queries := []int64{0, 5, 30, 35, 36, 70, 99}
+	want := make([]LookupResult, len(queries))
+	for i, k := range queries {
+		want[i] = held.Lookup(k)
+	}
+	wantKeys := held.Keys().Clone()
+
+	if accepted, _ := x.Insert(35); accepted {
+		t.Fatal("duplicate accepted")
+	}
+	if x.Snapshot() != held {
+		t.Fatal("a rejected duplicate produced a new view")
+	}
+	prev := held
+	for _, step := range []struct {
+		name  string
+		write func()
+	}{
+		{"accepted insert", func() { x.Insert(36) }},
+		{"buffered retrain", x.Retrain},
+		{"empty-buffer retrain", x.Retrain},
+	} {
+		step.write()
+		s := x.Snapshot()
+		if s == prev {
+			t.Fatalf("%s: capture returned the view from before the write", step.name)
+		}
+		if x.Snapshot() != s {
+			t.Fatalf("%s: two captures after the write returned different views", step.name)
+		}
+		prev = s
+	}
+	x.Insert(5)
+
+	for i, k := range queries {
+		if got := held.Lookup(k); got != want[i] {
+			t.Fatalf("held view Lookup(%d) changed: %+v -> %+v", k, want[i], got)
+		}
+	}
+	if !held.Keys().Equal(wantKeys) {
+		t.Fatal("held view's Keys changed under later writes")
+	}
+	if got := prev.Len(); got != 10 {
+		t.Fatalf("view after the retrains holds %d keys, want 10", got)
+	}
+}

@@ -190,3 +190,27 @@ func TestSkewedDataFallsBackToQuantiles(t *testing.T) {
 		t.Fatal("skewed partition lost keys")
 	}
 }
+
+// TestSnapshotAllocsPerChangedShard: a capture after one insert allocates
+// a new view only for the shard the insert reached, so an 8-shard capture
+// allocates no more objects than a 1-shard one. Both indexes see the same
+// insert stream, uniform over the fixture's domain.
+func TestSnapshotAllocsPerChangedShard(t *testing.T) {
+	ks := fixture(t, 4_000)
+	allocs := func(shards int) float64 {
+		x, err := New(ks, shards, dynamic.ManualPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Snapshot()
+		rng := xrand.New(9)
+		return testing.AllocsPerRun(200, func() {
+			x.Insert(rng.Int63n(int64(ks.Len()) * 40))
+			x.Snapshot()
+		})
+	}
+	one, eight := allocs(1), allocs(8)
+	if eight > one {
+		t.Fatalf("capture after one insert: 8 shards allocate %.2f objects, 1 shard %.2f", eight, one)
+	}
+}
