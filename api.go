@@ -316,10 +316,6 @@ type BackendLookupResult = index.LookupResult
 // BackendStats is the uniform backend summary.
 type BackendStats = index.Stats
 
-// BackendFactory builds a fresh backend over an initial key set; scenarios
-// call it once per index they need (victim + clean counterfactual).
-type BackendFactory = core.BackendFactory
-
 // ParseRetrainPolicy parses the policy spec syntax shared by the lispoison
 // online and serve subcommands: "manual", "every:K", or "buffer:K".
 func ParseRetrainPolicy(s string) (RetrainPolicy, error) { return dynamic.ParsePolicy(s) }
@@ -580,15 +576,6 @@ type Index = rmi.Index
 // RMIConfig configures BuildRMI.
 type RMIConfig = rmi.Config
 
-// RootKind selects the RMI's stage-1 model.
-type RootKind = rmi.RootKind
-
-// Stage-1 model kinds.
-const (
-	RootPerfect = rmi.RootPerfect
-	RootLinear  = rmi.RootLinear
-)
-
 // LookupResult reports an index point query.
 type LookupResult = rmi.LookupResult
 
@@ -662,7 +649,8 @@ func DensityFlagger(ks KeySet, window int, zThreshold float64) KeySet {
 	return defense.DensityFlagger(ks, window, zThreshold)
 }
 
-// GuardOptions tunes NewGuardedBackend's density screen.
+// GuardOptions holds NewGuardedBackend's detector chain (the density
+// screen when nil).
 type GuardOptions = defense.GuardOptions
 
 // GuardedBackend is an online insert sanitizer wrapping any IndexBackend:

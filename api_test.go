@@ -139,7 +139,7 @@ func TestBTreeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt.Len() != 3 || !bt.Contains(9) {
+	if found, _ := bt.Get(9); bt.Len() != 3 || !found {
 		t.Fatal("btree facade broken")
 	}
 }

@@ -79,6 +79,7 @@ var goldenCases = []struct {
 	{"churn", "churn -in uni.txt -epochs 3 -percent 3 -shards 2 -policy buffer:10 -o churn.txt"},
 	{"cascade", "cascade -in logn.txt -epochs 3 -percent 3 -leaf 32 -o cascade.txt"},
 	{"throughput", "throughput -in uni.txt -epochs 2 -percent 3 -shards 2 -readers 2"},
+	{"throughput-manual", "throughput -in uni.txt -epochs 2 -percent 3 -shards 2 -readers 2 -policy manual"},
 	{"eval", "eval -clean uni.txt -poison poison.txt"},
 	{"eval-modelsize", "eval -clean uni.txt -poison poison.txt -modelsize 50"},
 	{"defend", "defend -in poisoned.txt -clean-count 300 -o kept.txt -o-removed flagged.txt"},

@@ -797,6 +797,9 @@ func runOnline(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutcome,
 	if in.epochs < 1 {
 		return scenarioOutcome{}, fmt.Errorf("-epochs must be >= 1, got %d", in.epochs)
 	}
+	if in.arrivals < 0 {
+		return scenarioOutcome{}, fmt.Errorf("-arrivals must be >= 0, got %d", in.arrivals)
+	}
 	opts := cdfpoison.OnlineOptions{Epochs: in.epochs, EpochBudget: in.budget, Policy: in.retrain, Defense: d}
 	switch in.oracle {
 	case "regression":
@@ -925,9 +928,19 @@ func runThroughput(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutc
 	if in.wideDomain.err != nil {
 		return scenarioOutcome{}, in.wideDomain.err
 	}
+	switch {
+	case in.readers < 0:
+		return scenarioOutcome{}, fmt.Errorf("-readers must be >= 0, got %d", in.readers)
+	case in.batch < 0:
+		return scenarioOutcome{}, fmt.Errorf("-batch must be >= 0, got %d", in.batch)
+	case in.budget < 0:
+		return scenarioOutcome{}, fmt.Errorf("-percent %v gives a negative budget of %d keys", in.percent, in.budget)
+	}
+	// Manual retrains once per epoch, as in serve, online and churn.
 	base := cdfpoison.ServingScenarioOptions{
 		Epochs: in.epochs, OpsPerEpoch: in.ops, Workload: in.mix, Domain: in.wideDomain.v,
 		Seed: in.seed, Cost: in.rebuild, Oracle: cdfpoison.GreedyPoisonOracle(),
+		ManualRetrain: in.retrain == cdfpoison.RetrainManually(),
 	}
 	plane := cdfpoison.ServingPlaneOptions{Readers: in.readers, BatchSize: in.batch}
 	serve := func(budget int) ([]cdfpoison.ServingEpochMetrics, float64, error) {

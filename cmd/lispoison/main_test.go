@@ -249,6 +249,9 @@ func TestOnlineRejectsBadInput(t *testing.T) {
 	if err := cmdOnline([]string{"-in", keysFile, "-epochs", "-1", "-arrivals", "5"}); err == nil {
 		t.Fatal("negative -epochs accepted")
 	}
+	if err := cmdOnline([]string{"-in", keysFile, "-arrivals", "-4"}); err == nil || !strings.Contains(err.Error(), "-arrivals") {
+		t.Fatalf("online -arrivals -4: err = %v, want one naming -arrivals", err)
+	}
 }
 
 // TestOnlineWorkersFlagDeterminism: like the attack subcommand, -workers
@@ -321,6 +324,22 @@ func TestServeRejectsBadInput(t *testing.T) {
 	}
 	if err := cmdServe([]string{"-in", keysFile, "-shards", "80"}); err == nil {
 		t.Fatal("80 shards over 100 keys accepted")
+	}
+}
+
+// TestThroughputRejectsBadInput: a negative -readers or -batch is an error
+// naming the flag, not a silent fall back to the default, and a negative
+// -percent fails before the clean run instead of after it.
+func TestThroughputRejectsBadInput(t *testing.T) {
+	keysFile := tmpPath(t, "keys.txt")
+	if err := cmdGen([]string{"-dist", "uniform", "-n", "100", "-domain", "4000", "-o", keysFile}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{"-readers", "-1"}, {"-batch", "-1"}, {"-percent", "-1"}} {
+		err := run([]string{"throughput", "-in", keysFile, "-epochs", "2", c[0], c[1]})
+		if err == nil || !strings.Contains(err.Error(), c[0]) {
+			t.Errorf("throughput %s %s: err = %v, want one naming %s", c[0], c[1], err, c[0])
+		}
 	}
 }
 

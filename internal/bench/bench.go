@@ -35,7 +35,8 @@ const (
 type Options struct {
 	Scale Scale
 	Seed  uint64
-	// Trials overrides the per-cell repetition count (0 = scale default).
+	// Trials, when positive, runs each PerfSweep cell exactly Trials times
+	// with no time floor; 0 keeps the scale's sampling budget.
 	Trials int
 	// Workers bounds the worker pool for the figure sweeps: 1 = sequential,
 	// n > 1 = exactly n workers, 0 or negative = one worker per core.

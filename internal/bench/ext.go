@@ -138,10 +138,11 @@ func CompareBackends(opts Options) ([]BackendCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	backends := []struct {
+	type backend struct {
 		name  string
-		build core.BackendFactory
-	}{
+		build func(keys.Set) (index.Backend, error)
+	}
+	backends := []backend{
 		{"dynamic", func(ks keys.Set) (index.Backend, error) {
 			return dynamic.New(ks, dynamic.ManualPolicy())
 		}},
@@ -161,10 +162,7 @@ func CompareBackends(opts Options) ([]BackendCell, error) {
 	chain := defenseChain("density:8:3|dupmass:3:3")
 	for _, b := range backends[:len(backends):len(backends)] {
 		inner := b.build
-		backends = append(backends, struct {
-			name  string
-			build core.BackendFactory
-		}{"guarded-" + b.name, func(ks keys.Set) (index.Backend, error) {
+		backends = append(backends, backend{"guarded-" + b.name, func(ks keys.Set) (index.Backend, error) {
 			base, err := inner(ks)
 			if err != nil {
 				return nil, err

@@ -76,9 +76,6 @@ func gridShape(s Scale) (keyCounts []int, densities []float64, poisonPcts []floa
 func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, error) {
 	opts = opts.fill()
 	keyCounts, densities, poisonPcts, trials := gridShape(opts.Scale)
-	if opts.Trials > 0 {
-		trials = opts.Trials
-	}
 	root := opts.rng()
 	pool := opts.pool()
 	res := RegressionGridResult{Dist: dist, Trials: trials}

@@ -8,6 +8,7 @@ import (
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/keys"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/rmi"
 	"cdfpoison/internal/xrand"
 )
@@ -70,7 +71,7 @@ func TestInferenceSegmentBoundariesMatchPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RootPerfect partitions 1000 keys into 10 chunks of exactly 100.
+	// The partition router splits 1000 keys into 10 chunks of exactly 100.
 	for i, s := range inf.Segments {
 		if s.Lo != i*100 || s.Hi != i*100+99 {
 			t.Fatalf("segment %d = [%d,%d], want [%d,%d]", i, s.Lo, s.Hi, i*100, i*100+99)
@@ -119,26 +120,35 @@ func TestBlackBoxAttackMatchesWhiteBox(t *testing.T) {
 }
 
 func TestInferenceWithLinearRoot(t *testing.T) {
-	// A realistic stage-1 (linear router) produces unequal, possibly empty
-	// assignments; inference must still exactly replicate the oracle.
-	rng := xrand.New(6)
-	ks, err := dataset.LogNormal(rng, 3000, 150000, 0, 2)
+	// A linear stage-1 router splits the key domain, not the keys, so its
+	// models serve unequal runs and on skewed keys some serve none. This
+	// oracle routes key/100 to one of four lines: the models serve 10, 0,
+	// 3 and 5 of the known keys. Inference must still exactly replicate it.
+	lines := []regression.Line{{W: 1, B: 1}, {W: 0.5, B: 3}, {W: 0.04, B: 2.8}, {W: 0.02, B: 8}}
+	o := fakeOracle{f: func(k int64) float64 { return lines[min(k/100, 3)].Predict(k) }}
+	ks, err := keys.New([]int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 205, 250, 290, 300, 320, 340, 360, 380})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := rmi.Build(ks, rmi.Config{Fanout: 30, Root: rmi.RootLinear})
+	inf, err := InferSecondStage(o, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := InferSecondStage(idx, ks)
-	if err != nil {
-		t.Fatal(err)
+	want := []struct{ lo, hi, model int }{{0, 9, 0}, {10, 12, 2}, {13, 17, 3}}
+	if inf.NumModels() != len(want) {
+		t.Fatalf("inferred %d models, want %d: %+v", inf.NumModels(), len(want), inf.Segments)
 	}
-	if worst := Verify(idx, ks, inf); worst > 1e-6 {
-		t.Fatalf("linear-root inference disagrees by %v", worst)
+	for i, w := range want {
+		s := inf.Segments[i]
+		if s.Lo != w.lo || s.Hi != w.hi {
+			t.Fatalf("segment %d covers [%d, %d], want [%d, %d]", i, s.Lo, s.Hi, w.lo, w.hi)
+		}
+		if l := lines[w.model]; math.Abs(s.Line.W-l.W) > 1e-9 || math.Abs(s.Line.B-l.B) > 1e-9 {
+			t.Fatalf("segment %d line %+v, want model %d's %+v", i, s.Line, w.model, l)
+		}
 	}
-	if inf.NumModels() < 2 {
-		t.Fatalf("implausible fanout %d", inf.NumModels())
+	if worst := Verify(o, ks, inf); worst > 1e-6 {
+		t.Fatalf("inference disagrees with the oracle by %v", worst)
 	}
 }
 

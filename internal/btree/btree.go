@@ -84,12 +84,6 @@ func (t *Tree) Get(k int64) (found bool, probes int) {
 	}
 }
 
-// Contains reports whether k is stored.
-func (t *Tree) Contains(k int64) bool {
-	ok, _ := t.Get(k)
-	return ok
-}
-
 // Insert adds k; accepted is false if k was already present or negative
 // (the repository's key universe is [0, m), and Keys() materializes into a
 // keys.Set that enforces it). The second result is index.Backend's

@@ -212,7 +212,7 @@ func TestBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 4 || !tr.Contains(3) {
+	if found, _ := tr.Get(3); tr.Len() != 4 || !found {
 		t.Fatal("bulk build wrong")
 	}
 	if _, err := Bulk(1, ks); err == nil {

@@ -38,9 +38,7 @@ type DefenseSpec struct {
 	Policies []defense.Policy
 	// Fitter replaces the OLS CDF fit in learned-backend retrains (dynamic,
 	// shard, single-model RMI); nil keeps regression.FitCDF. Ignored by
-	// backends without a pluggable fit (B-Tree, alex). A custom
-	// OnlineOptions.Backend factory must compose its own fitter — the spec
-	// reaches only the scenarios' default constructions.
+	// backends without a pluggable fit (B-Tree, alex).
 	Fitter robust.Fitter
 	// RateBudget/RateWindow arm per-source write rate limiting: each source
 	// may land at most RateBudget accepted-or-rejected write ATTEMPTS per

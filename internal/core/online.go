@@ -5,14 +5,8 @@ import (
 	"math"
 
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 )
-
-// BackendFactory builds a fresh index backend over an initial key set. The
-// serving scenarios call it once per index they need (victim plus clean
-// counterfactual), so both sides start from identical state.
-type BackendFactory func(initial keys.Set) (index.Backend, error)
 
 // OnlineOracle selects the attacker's per-epoch poisoning oracle.
 type OnlineOracle int
@@ -65,27 +59,9 @@ type OnlineOptions struct {
 	// (NumModels, Alpha, …). Percent is overridden each epoch so the total
 	// matches EpochBudget against the current visible content.
 	RMI RMIAttackOptions
-	// Backend builds the victim and counterfactual indexes. nil selects the
-	// default: the updatable learned index (internal/dynamic) running
-	// Policy. Any index.Backend works — the scenario drives backends only
-	// through the interface, so the B-Tree baseline, the single-model RMI
-	// path, a sharded index, or a defense wrapper can stand in as victim.
-	//
-	// Policy serves double duty, and a custom factory must align with it:
-	// besides configuring the DEFAULT backend, Policy.Kind == Manual is the
-	// scenario-level switch that force-retrains both indexes at the end of
-	// every epoch (step 3) — regardless of what the factory built. A
-	// factory whose backend retrains on its own schedule (buffer/every-k
-	// inside the backend) should therefore be paired with a non-Manual
-	// Policy so the scenario adds no forced retrains; with the zero-value
-	// Policy (Manual) every backend gets the one-retrain-per-epoch
-	// maintenance cycle, which is a no-op for model-free backends.
-	Backend BackendFactory
 	// Defense arms the defense plane on victim and clean twin alike; the
-	// zero value changes nothing (see DefenseSpec). The Fitter reaches only
-	// the DEFAULT dynamic-index construction — a custom Backend factory
-	// composes its own fitter — while the guard chain and rate limiter wrap
-	// whatever the factory builds.
+	// zero value changes nothing (see DefenseSpec). The Fitter trains the
+	// dynamic indexes; the guard chain and rate limiter wrap them.
 	Defense DefenseSpec
 }
 
@@ -225,11 +201,6 @@ func onlineOracle(visible keys.Set, opts OnlineOptions, execOpts []Option) ([]in
 //     staleness is visible), the loss ratio against the counterfactual, and
 //     mean lookup probes over the honest workload.
 //
-// The scenario drives its victim purely through index.Backend:
-// OnlineOptions.Backend swaps in any substrate (dynamic index by default,
-// B-Tree baseline, single-model RMI, sharded index, defense wrapper)
-// without touching the scenario.
-//
 // Determinism contract: WithWorkers parallelism reaches only the per-epoch
 // oracle's candidate scans and the probe evaluation, all of which reduce in
 // index order; the result is byte-identical for every worker count (see
@@ -242,14 +213,10 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 	if initial.Len() < 2 {
 		return OnlineResult{}, ErrTooFew
 	}
-	build := opts.Backend
-	if build == nil {
-		build = func(ks keys.Set) (index.Backend, error) {
-			return dynamic.NewWithFit(ks, opts.Policy, opts.Defense.fitFunc())
-		}
-	}
 	ex := newExec(execOpts)
-	t, err := buildTwin(initial, build, opts.Defense, nil, ex)
+	t, err := buildTwin(initial, func(ks keys.Set) (*dynamic.Index, error) {
+		return dynamic.NewWithFit(ks, opts.Policy, opts.Defense.fitFunc())
+	}, opts.Defense, nil, ex)
 	if err != nil {
 		return OnlineResult{}, err
 	}

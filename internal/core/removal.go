@@ -21,9 +21,6 @@ type RemovalResult struct {
 	Candidates   int
 }
 
-// RatioLoss returns PoisonedLoss/CleanLoss.
-func (r RemovalResult) RatioLoss() float64 { return SafeRatio(r.PoisonedLoss, r.CleanLoss) }
-
 // OptimalSingleRemoval finds the stored key whose deletion maximizes the
 // MSE of the re-trained regression, in O(n).
 //

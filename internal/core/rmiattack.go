@@ -10,6 +10,11 @@ import (
 	"cdfpoison/internal/keys"
 )
 
+// exchangeEpsilon is Algorithm 2's termination bound: the greedy exchange
+// loop stops when the best available move improves the summed
+// second-stage loss by less than this.
+const exchangeEpsilon = 1e-9
+
 // RMIAttackOptions parameterizes Algorithm 2 (GreedyPoisoningRMI).
 type RMIAttackOptions struct {
 	// NumModels is the number N of second-stage models (the RMI fanout).
@@ -22,12 +27,8 @@ type RMIAttackOptions struct {
 	// Threshold per Regression Model"). Alpha <= 0 disables the cap
 	// (used by the ablation).
 	Alpha float64
-	// Epsilon is the termination bound: the greedy exchange loop stops when
-	// the best available move improves the summed second-stage loss by less
-	// than Epsilon. Defaults to 1e-9 when zero.
-	Epsilon float64
 	// MaxMoves bounds the number of greedy exchanges; 0 means the default
-	// 8·N. Exchanges also stop when no move clears Epsilon.
+	// 8·N. Exchanges also stop when no move clears exchangeEpsilon.
 	MaxMoves int
 	// DisableExchanges skips the exchange phase entirely, leaving the
 	// uniform "natural first attempt" allocation — the volume-allocation
@@ -320,10 +321,6 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 	if total < 1 {
 		return RMIAttackResult{}, fmt.Errorf("core: poisoning budget rounds to zero (n=%d, percent=%v)", n, opts.Percent)
 	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 1e-9
-	}
 	maxMoves := opts.MaxMoves
 	if maxMoves == 0 {
 		maxMoves = 8 * N
@@ -445,7 +442,7 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 			return RMIAttackResult{}, err
 		}
 		for moves < maxMoves {
-			bestDelta := eps
+			bestDelta := exchangeEpsilon
 			bestIdx, bestDir := -1, 0
 			for i := 0; i < N-1; i++ {
 				if fwd[i].valid && fwd[i].delta > bestDelta {

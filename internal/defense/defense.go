@@ -28,10 +28,11 @@ import (
 // (1, len(poisoned)].
 var ErrBadCount = errors.New("defense: clean count must be in (1, n_poisoned]")
 
+// trimMaxIters bounds each TRIM run's refit loop.
+const trimMaxIters = 64
+
 // TrimOptions tunes TrimCDF.
 type TrimOptions struct {
-	// MaxIters bounds the refit loop; default 64.
-	MaxIters int
 	// Restarts runs TRIM from additional random initial subsets and keeps
 	// the lowest-loss outcome (the original paper's stochastic variant);
 	// default 0 (single deterministic run from the best-residual init).
@@ -41,9 +42,6 @@ type TrimOptions struct {
 }
 
 func (o *TrimOptions) fill() {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 64
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -58,7 +56,7 @@ type TrimResult struct {
 	// Model is the regression fitted on Kept (with Kept's own re-ranking).
 	Model regression.Model
 	// Iterations counts refit rounds across all restarts; Converged reports
-	// whether the final run reached a fixed point before MaxIters.
+	// whether the final run reached a fixed point within trimMaxIters.
 	Iterations int
 	Converged  bool
 }
@@ -77,7 +75,7 @@ func TrimCDF(poisoned keys.Set, cleanCount int, opts TrimOptions) (TrimResult, e
 	best := TrimResult{}
 	bestLoss := math.Inf(1)
 	run := func(initial []int64) error {
-		kept, model, iters, converged, err := trimOnce(poisoned, initial, cleanCount, opts.MaxIters)
+		kept, model, iters, converged, err := trimOnce(poisoned, initial, cleanCount)
 		if err != nil {
 			return err
 		}
@@ -131,14 +129,14 @@ func TrimCDF(poisoned keys.Set, cleanCount int, opts TrimOptions) (TrimResult, e
 }
 
 // trimOnce iterates fit → re-rank → reselect until the kept subset is a
-// fixed point.
-func trimOnce(poisoned keys.Set, initial []int64, cleanCount, maxIters int) (keys.Set, regression.Model, int, bool, error) {
+// fixed point, for at most trimMaxIters rounds.
+func trimOnce(poisoned keys.Set, initial []int64, cleanCount int) (keys.Set, regression.Model, int, bool, error) {
 	kept, err := keys.NewStrict(initial)
 	if err != nil {
 		return keys.Set{}, regression.Model{}, 0, false, fmt.Errorf("defense: bad initial subset: %w", err)
 	}
 	var model regression.Model
-	for iter := 1; iter <= maxIters; iter++ {
+	for iter := 1; iter <= trimMaxIters; iter++ {
 		model, err = regression.FitCDF(kept)
 		if err != nil {
 			return keys.Set{}, regression.Model{}, iter, false, err
@@ -155,9 +153,9 @@ func trimOnce(poisoned keys.Set, initial []int64, cleanCount, maxIters int) (key
 	}
 	model, err = regression.FitCDF(kept)
 	if err != nil {
-		return keys.Set{}, regression.Model{}, maxIters, false, err
+		return keys.Set{}, regression.Model{}, trimMaxIters, false, err
 	}
-	return kept, model, maxIters, false, nil
+	return kept, model, trimMaxIters, false, nil
 }
 
 // selectSmallestResiduals returns the cleanCount keys with the smallest

@@ -19,30 +19,16 @@ var _ index.Backend = (*Guard)(nil)
 
 // GuardOptions tunes NewGuard.
 type GuardOptions struct {
-	// Window is the rank half-width of the neighbourhood inspected around
-	// each candidate insert; default 8. Used only when Policies is nil.
-	Window int
-	// Ratio is the density multiple above which an insert is rejected: a
-	// key is refused when its window's local key density exceeds Ratio
-	// times the backend's global density. Default 4. Used only when
-	// Policies is nil.
-	Ratio float64
 	// Policies is the detector chain the guard screens inserts with; any
 	// policy flagging a key rejects it. nil selects the single density
-	// screen built from Window and Ratio (the historical Guard behavior);
-	// an explicit empty, non-nil chain screens nothing.
+	// screen DensityPolicy{Window: 8, Ratio: 4} (the historical Guard
+	// behavior); an explicit empty, non-nil chain screens nothing.
 	Policies []Policy
 }
 
 func (o *GuardOptions) fill() {
-	if o.Window <= 0 {
-		o.Window = 8
-	}
-	if o.Ratio <= 0 {
-		o.Ratio = 4
-	}
 	if o.Policies == nil {
-		o.Policies = []Policy{DensityPolicy{Window: o.Window, Ratio: o.Ratio}}
+		o.Policies = []Policy{DensityPolicy{Window: 8, Ratio: 4}}
 	}
 }
 
@@ -92,9 +78,6 @@ func NewGuard(b index.Backend, opts GuardOptions) *Guard {
 // also surfaced as Stats().Flagged, so sweeps read it through the
 // index.Backend interface.
 func (g *Guard) Flagged() int { return g.flagged }
-
-// Policies returns the guard's detector chain.
-func (g *Guard) Policies() []Policy { return g.policies }
 
 // suspicious builds the content on first use and runs the policy chain;
 // any policy flagging k rejects it.

@@ -133,7 +133,10 @@ func TestGuardMirrorMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				g := NewGuard(inner, GuardOptions{Policies: chain})
-				ref := &refGuard{backend: twin, policies: g.Policies()}
+				ref := &refGuard{backend: twin, policies: chain}
+				if chain == nil {
+					ref.policies = []Policy{DensityPolicy{Window: 8, Ratio: 4}}
+				}
 
 				rng := xrand.New(77)
 				var run []int64 // pending adjacent poison run

@@ -65,7 +65,7 @@ func TestGuardScreensDensePoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded := defense.NewGuard(inner, defense.GuardOptions{Window: 8, Ratio: 3})
+	guarded := defense.NewGuard(inner, defense.GuardOptions{Policies: []defense.Policy{defense.DensityPolicy{Window: 8, Ratio: 3}}})
 
 	acceptedPlain, acceptedGuarded := 0, 0
 	for _, k := range atk.Poison {
@@ -119,7 +119,7 @@ func TestGuardFlaggedInStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := defense.NewGuard(inner, defense.GuardOptions{Window: 8, Ratio: 3})
+	g := defense.NewGuard(inner, defense.GuardOptions{Policies: []defense.Policy{defense.DensityPolicy{Window: 8, Ratio: 3}}})
 	atk, err := core.GreedyMultiPoint(ks, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +208,9 @@ func TestGuardPolicyChain(t *testing.T) {
 	}
 }
 
-// TestGuardUnderOnlineScenario: the guard rides core.OnlinePoisonAttack as
-// the victim factory — the composition the backend interface exists for —
-// and must reduce the attack's final damage relative to the bare index.
+// TestGuardUnderOnlineScenario: the guard rides core.OnlinePoisonAttack
+// through its defense spec and must reduce the attack's final damage
+// relative to the bare index.
 func TestGuardUnderOnlineScenario(t *testing.T) {
 	ks, err := dataset.Uniform(xrand.New(31), 400, 16_000)
 	if err != nil {
@@ -226,13 +226,7 @@ func TestGuardUnderOnlineScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	withGuard := opts
-	withGuard.Backend = func(initial keys.Set) (index.Backend, error) {
-		inner, err := dynamic.New(initial, opts.Policy)
-		if err != nil {
-			return nil, err
-		}
-		return defense.NewGuard(inner, defense.GuardOptions{Window: 8, Ratio: 3}), nil
-	}
+	withGuard.Defense.Policies = []defense.Policy{defense.DensityPolicy{Window: 8, Ratio: 3}}
 	guarded, err := core.OnlinePoisonAttack(ks, withGuard)
 	if err != nil {
 		t.Fatal(err)

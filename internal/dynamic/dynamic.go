@@ -401,15 +401,6 @@ func (x *Index) At(i int) int64 {
 // BufferLen returns the number of keys waiting in the delta buffer.
 func (x *Index) BufferLen() int { return len(x.v.buffer) }
 
-// Retrains returns the number of completed retrains.
-func (x *Index) Retrains() int { return x.retrains }
-
-// Policy returns the index's retrain policy.
-func (x *Index) Policy() RetrainPolicy { return x.policy }
-
-// Model returns the current fitted model (trained at the last retrain).
-func (x *Index) Model() regression.Model { return x.v.model }
-
 // Keys materializes the full current content (base ∪ buffer) as a fresh
 // key set. O(n); used by evaluation code, not by lookups.
 func (x *Index) Keys() keys.Set { return x.v.Keys() }

@@ -60,14 +60,14 @@ func TestEmptyBufferRetrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := x.Model()
+	before := x.v.model
 	x.Retrain()
 	x.Retrain()
-	if x.Retrains() != 2 {
-		t.Fatalf("retrains = %d, want 2", x.Retrains())
+	if x.Stats().Retrains != 2 {
+		t.Fatalf("retrains = %d, want 2", x.Stats().Retrains)
 	}
-	if !reflect.DeepEqual(x.Model(), before) {
-		t.Fatalf("empty-buffer retrain changed the model: %v -> %v", before, x.Model())
+	if !reflect.DeepEqual(x.v.model, before) {
+		t.Fatalf("empty-buffer retrain changed the model: %v -> %v", before, x.v.model)
 	}
 	if !x.Keys().Equal(ks) {
 		t.Fatal("empty-buffer retrain changed the content")
@@ -89,8 +89,8 @@ func TestRetrainOnEveryInsert(t *testing.T) {
 		if x.BufferLen() != 0 {
 			t.Fatalf("buffer holds %d keys after immediate-merge insert", x.BufferLen())
 		}
-		if x.Retrains() != i+1 {
-			t.Fatalf("retrains = %d after %d inserts", x.Retrains(), i+1)
+		if x.Stats().Retrains != i+1 {
+			t.Fatalf("retrains = %d after %d inserts", x.Stats().Retrains, i+1)
 		}
 	}
 	if got := x.v.base.Len(); got != 5 {
@@ -125,8 +125,8 @@ func TestDuplicateInsert(t *testing.T) {
 			t.Fatalf("buffered duplicate: accepted=%v retrained=%v", accepted, retrained)
 		}
 	}
-	if y.BufferLen() != 1 || y.Retrains() != 0 {
-		t.Fatalf("duplicates advanced the buffer policy: buffer=%d retrains=%d", y.BufferLen(), y.Retrains())
+	if y.BufferLen() != 1 || y.Stats().Retrains != 0 {
+		t.Fatalf("duplicates advanced the buffer policy: buffer=%d retrains=%d", y.BufferLen(), y.Stats().Retrains)
 	}
 	if _, retrained := y.Insert(60); !retrained {
 		t.Fatal("buffer limit 2 did not trigger at the second distinct key")
@@ -182,8 +182,8 @@ func TestMergedEqualsFreshBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(x.Model(), fresh.Model()) {
-		t.Fatalf("merged model %v != fresh model %v", x.Model(), fresh.Model())
+	if !reflect.DeepEqual(x.v.model, fresh.v.model) {
+		t.Fatalf("merged model %v != fresh model %v", x.v.model, fresh.v.model)
 	}
 	if x.v.eLo != fresh.v.eLo || x.v.eHi != fresh.v.eHi {
 		t.Fatalf("envelope (%v,%v) != fresh (%v,%v)", x.v.eLo, x.v.eHi, fresh.v.eLo, fresh.v.eHi)
@@ -303,8 +303,8 @@ func TestStatsAndGrowth(t *testing.T) {
 	if st.Buffered != 0 || st.Retrains != 1 || st.Keys != 46 {
 		t.Fatalf("post-retrain stats: %+v", st)
 	}
-	if x.Model().N != 46 {
-		t.Fatalf("model trained on %d keys, want 46", x.Model().N)
+	if x.v.model.N != 46 {
+		t.Fatalf("model trained on %d keys, want 46", x.v.model.N)
 	}
 }
 

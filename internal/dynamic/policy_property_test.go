@@ -70,7 +70,7 @@ func TestEveryKDuplicateAccountingProperty(t *testing.T) {
 				t.Fatalf("seed %d op %d (K=%d): EveryK retrained=%v at call %d, want %v (accepted=%v)",
 					seed, op, K, eRetrained, calls, wantRetrain, eAccepted)
 			}
-			if got, want := every.Retrains(), calls/K; got != want {
+			if got, want := every.Stats().Retrains, calls/K; got != want {
 				t.Fatalf("seed %d op %d (K=%d): EveryK retrains=%d, want floor(%d/%d)=%d",
 					seed, op, K, got, calls, K, want)
 			}
@@ -92,7 +92,7 @@ func TestEveryKDuplicateAccountingProperty(t *testing.T) {
 			if !bAccepted && bRetrained {
 				t.Fatalf("seed %d op %d: rejected insert retrained the buffer policy", seed, op)
 			}
-			if got := buffer.Retrains(); got != bufRetrains {
+			if got := buffer.Stats().Retrains; got != bufRetrains {
 				t.Fatalf("seed %d op %d: buffer retrains=%d, model says %d", seed, op, got, bufRetrains)
 			}
 		}
@@ -100,9 +100,9 @@ func TestEveryKDuplicateAccountingProperty(t *testing.T) {
 		// The contrast the doc comment sells: with enough duplicates in the
 		// stream, EveryK retrained strictly more often than the buffer
 		// policy at the same K — the duplicate-write lever.
-		if calls > accepted && every.Retrains() <= buffer.Retrains() {
+		if calls > accepted && every.Stats().Retrains <= buffer.Stats().Retrains {
 			t.Fatalf("seed %d: EveryK retrains %d <= buffer retrains %d despite %d rejected writes",
-				seed, every.Retrains(), buffer.Retrains(), calls-accepted)
+				seed, every.Stats().Retrains, buffer.Stats().Retrains, calls-accepted)
 		}
 	}
 }

@@ -164,9 +164,6 @@ func (p *Pipeline) WithPool(ctx context.Context, pool *engine.Pool) *Pipeline {
 	return p
 }
 
-// Now returns the current logical tick.
-func (p *Pipeline) Now() int64 { return p.now }
-
 // ChurnStats returns the cumulative pipeline accounting.
 func (p *Pipeline) ChurnStats() ChurnStats {
 	s := p.stats

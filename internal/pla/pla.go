@@ -7,8 +7,9 @@
 //
 // The index covers the sorted keys with the fewest greedy "shrinking cone"
 // segments such that every key's predicted position is within epsilon of
-// its true position; lookups binary-search the segment table, predict, and
-// finish with a bounded last-mile search.
+// its true position. The experiments read the segment count; the package
+// tests look keys up (binary-search the segment table, predict, finish
+// with a bounded last-mile search) to check the bound end to end.
 //
 // Against this family, CDF poisoning shows up differently than against the
 // fixed-fanout RMI: the error bound is enforced by construction, so the
@@ -106,87 +107,14 @@ func (idx *Index) Len() int { return idx.ks.Len() }
 // adversary inflates.
 func (idx *Index) Segments() int { return len(idx.segs) }
 
-// Epsilon returns the guaranteed error bound.
-func (idx *Index) Epsilon() int { return idx.epsilon }
-
 // MemoryBytes estimates the model storage: per segment one key (8B), one
 // position (8B), and one slope (8B), plus the segment-table key array used
 // for routing (8B) — matching how FITing-tree accounts its inner nodes.
 func (idx *Index) MemoryBytes() int { return len(idx.segs) * 32 }
 
-// LookupResult mirrors rmi.LookupResult for comparable accounting.
-type LookupResult struct {
-	Pos    int
-	Found  bool
-	Probes int // key comparisons: segment routing + last-mile search
-}
-
-// Lookup finds a stored key; absent keys report Found=false. Stored keys
-// are always found within epsilon of their prediction, by construction.
-func (idx *Index) Lookup(k int64) LookupResult {
-	var res LookupResult
-	res.Pos = -1
-	// Route: last segment with startKey <= k.
-	lo, hi := 0, len(idx.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		res.Probes++
-		if idx.segs[mid].startKey <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	si := lo - 1
-	if si < 0 {
-		return res // below the smallest key
-	}
-	s := idx.segs[si]
-	pred := float64(s.startPos) + s.slope*float64(k-s.startKey)
-	from := int(math.Floor(pred)) - idx.epsilon
-	to := int(math.Ceil(pred)) + idx.epsilon
-	if from < 0 {
-		from = 0
-	}
-	if to > idx.ks.Len()-1 {
-		to = idx.ks.Len() - 1
-	}
-	for from <= to {
-		mid := (from + to) / 2
-		res.Probes++
-		switch c := idx.ks.At(mid); {
-		case c == k:
-			res.Pos, res.Found = mid, true
-			return res
-		case c < k:
-			from = mid + 1
-		default:
-			to = mid - 1
-		}
-	}
-	return res
-}
-
-// AvgProbes runs a lookup for every key and returns the mean probe count
-// and the not-found count.
-func (idx *Index) AvgProbes(queryKeys []int64) (mean float64, notFound int) {
-	if len(queryKeys) == 0 {
-		return 0, 0
-	}
-	sum := 0
-	for _, k := range queryKeys {
-		r := idx.Lookup(k)
-		sum += r.Probes
-		if !r.Found {
-			notFound++
-		}
-	}
-	return float64(sum) / float64(len(queryKeys)), notFound
-}
-
 // VerifyErrorBound recomputes every key's prediction error and returns the
 // worst observed |predicted − actual|. Build keeps it <= epsilon up to float
-// rounding, which Lookup's floor/ceil window around the prediction absorbs.
+// rounding, which a lookup's floor/ceil window around the prediction absorbs.
 func (idx *Index) VerifyErrorBound() float64 {
 	worst := 0.0
 	for si, s := range idx.segs {

@@ -1,9 +1,11 @@
 // Package rmi implements the two-stage recursive model index of Kraska et
-// al. — the learned index structure the paper attacks. A stage-1 model (a
-// linear model or the exact partition router) directs a queried key to one
-// of N stage-2 linear regression models; the chosen model predicts the
-// key's position in the sorted key array; a bounded "last-mile" binary
-// search around the prediction finds the record.
+// al. — the learned index structure the paper attacks. The stage-1 model,
+// the partition router, directs a queried key to one of N stage-2 linear
+// regression models: it is the equal-size partition the paper's
+// Algorithm 2 assumes, with the stage-1 "always directs to the correct
+// model" assumption made literal. The chosen model predicts the key's
+// position in the sorted key array; a bounded "last-mile" binary search
+// around the prediction finds the record.
 //
 // The index tracks per-model min/max prediction error bounds at build time,
 // so lookups of stored keys are guaranteed to succeed, and it counts key
@@ -26,37 +28,10 @@ import (
 	"cdfpoison/internal/regression"
 )
 
-// RootKind selects the stage-1 model.
-type RootKind int
-
-const (
-	// RootPerfect routes by binary search over partition boundaries: the
-	// equal-size-partition architecture of the paper, with the stage-1
-	// "always directs to the correct model" assumption made literal.
-	RootPerfect RootKind = iota
-	// RootLinear routes with a single linear regression from key to model
-	// index — the cheapest realistic stage-1.
-	RootLinear
-)
-
-// String names the root kind for reports.
-func (r RootKind) String() string {
-	switch r {
-	case RootPerfect:
-		return "perfect"
-	case RootLinear:
-		return "linear"
-	default:
-		return fmt.Sprintf("RootKind(%d)", int(r))
-	}
-}
-
 // Config parameterizes Build.
 type Config struct {
 	// Fanout is the number of second-stage models (N). Required >= 1.
 	Fanout int
-	// Root selects the stage-1 model; default RootPerfect.
-	Root RootKind
 }
 
 // ErrEmpty is returned when building over an empty key set.
@@ -76,19 +51,15 @@ type stage2 struct {
 
 // Index is an immutable two-stage RMI over a sorted key set.
 type Index struct {
-	ks     keys.Set
-	cfg    Config
-	models []stage2
-
-	// Routing state; exactly one of these is active per Root kind.
-	boundaries []int64 // RootPerfect: first key of each partition
-	rootLine   regression.Line
+	ks         keys.Set
+	models     []stage2
+	boundaries []int64 // the partition router: first key of each partition
 }
 
 // Build constructs the index. Keys are assigned to second-stage models by
-// the trained stage-1 model itself (so build-time and query-time routing
-// agree and stored-key lookups always succeed); with RootPerfect the
-// assignment is the equal-size partition of the paper.
+// the partition router itself (so build-time and query-time routing agree
+// and stored-key lookups always succeed): the equal-size partition of the
+// paper.
 func Build(ks keys.Set, cfg Config) (*Index, error) {
 	n := ks.Len()
 	if n == 0 {
@@ -100,38 +71,18 @@ func Build(ks keys.Set, cfg Config) (*Index, error) {
 	if cfg.Fanout > n {
 		cfg.Fanout = n // more experts than keys is wasteful but legal
 	}
-	idx := &Index{ks: ks, cfg: cfg}
-
-	switch cfg.Root {
-	case RootPerfect:
-		parts := ks.Partition(cfg.Fanout)
-		idx.boundaries = make([]int64, 0, cfg.Fanout)
-		for _, p := range parts {
-			if p.Len() > 0 {
-				idx.boundaries = append(idx.boundaries, p.Min())
-			} else {
-				// Empty tail partitions route nothing; repeat last boundary.
-				idx.boundaries = append(idx.boundaries, math.MaxInt64)
-			}
+	idx := &Index{ks: ks, boundaries: make([]int64, 0, cfg.Fanout)}
+	for _, p := range ks.Partition(cfg.Fanout) {
+		if p.Len() > 0 {
+			idx.boundaries = append(idx.boundaries, p.Min())
+		} else {
+			// Empty tail partitions route nothing; repeat last boundary.
+			idx.boundaries = append(idx.boundaries, math.MaxInt64)
 		}
-	case RootLinear:
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := 0; i < n; i++ {
-			xs[i] = float64(ks.At(i))
-			ys[i] = float64(i) / float64(n) * float64(cfg.Fanout)
-		}
-		line, err := regression.FitXY(xs, ys)
-		if err != nil {
-			return nil, fmt.Errorf("rmi: stage-1 linear fit: %w", err)
-		}
-		idx.rootLine = line
-	default:
-		return nil, fmt.Errorf("rmi: unknown root kind %d", cfg.Root)
 	}
 
-	// Assign every key to the model the (now fixed) stage-1 routes it to,
-	// then fit one linear regression per model on (key → global rank).
+	// Assign every key to the model the router sends it to, then fit one
+	// linear regression per model on (key → global rank).
 	assign := make([][]int, cfg.Fanout) // model → sorted key positions
 	for i := 0; i < n; i++ {
 		m := idx.route(ks.At(i))
@@ -188,42 +139,19 @@ func fitStage2(ks keys.Set, rows []int) stage2 {
 	return s
 }
 
-// route maps a key to a second-stage model index, deterministically.
+// route maps a key to a second-stage model index: the last partition
+// whose first key is <= k (boundaries are ascending partition minima).
 func (idx *Index) route(k int64) int {
-	N := len(idx.models)
-	if N == 0 {
-		N = idx.cfg.Fanout
-	}
-	switch idx.cfg.Root {
-	case RootPerfect:
-		// Last boundary <= k (boundaries are ascending partition minima).
-		lo, hi := 0, len(idx.boundaries)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if idx.boundaries[mid] <= k {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	lo, hi := 0, len(idx.boundaries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if idx.boundaries[mid] <= k {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		m := lo - 1
-		if m < 0 {
-			m = 0
-		}
-		return m
-	default: // RootLinear
-		return clampModel(int(idx.rootLine.Predict(k)), N)
 	}
-}
-
-func clampModel(m, n int) int {
-	if m < 0 {
-		return 0
-	}
-	if m >= n {
-		return n - 1
-	}
-	return m
+	return max(lo-1, 0)
 }
 
 // LookupResult reports the outcome and cost of a point query.
@@ -293,12 +221,6 @@ func (idx *Index) PredictPosition(k int64) float64 {
 // Len returns the number of indexed keys.
 func (idx *Index) Len() int { return idx.ks.Len() }
 
-// Fanout returns the number of second-stage models.
-func (idx *Index) Fanout() int { return len(idx.models) }
-
-// Root returns the stage-1 kind in use.
-func (idx *Index) Root() RootKind { return idx.cfg.Root }
-
 // SecondStageMSE returns the mean of per-model MSEs — the L_RMI loss the
 // paper's attack maximizes (models that received no keys contribute zero).
 func (idx *Index) SecondStageMSE() float64 {
@@ -349,14 +271,8 @@ func (idx *Index) Stats() Stats {
 		st.AvgLogWindow = lsum / float64(total)
 	}
 	// Two float64 line parameters + two float64 bounds per model, plus the
-	// stage-1 model.
-	st.MemoryBytes = len(idx.models) * 4 * 8
-	switch idx.cfg.Root {
-	case RootPerfect:
-		st.MemoryBytes += len(idx.boundaries) * 8
-	case RootLinear:
-		st.MemoryBytes += 2 * 8
-	}
+	// router's boundaries.
+	st.MemoryBytes = len(idx.models)*4*8 + len(idx.boundaries)*8
 	return st
 }
 

@@ -26,7 +26,7 @@ func verifyAllFound(t *testing.T, idx *Index, ks keys.Set) {
 	for i := 0; i < ks.Len(); i++ {
 		r := idx.Lookup(ks.At(i))
 		if !r.Found {
-			t.Fatalf("stored key %d (pos %d) not found (root=%v)", ks.At(i), i, idx.Root())
+			t.Fatalf("stored key %d (pos %d) not found", ks.At(i), i)
 		}
 		if r.Pos != i {
 			t.Fatalf("key %d found at pos %d, want %d", ks.At(i), r.Pos, i)
@@ -45,22 +45,15 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(ks, Config{Fanout: 0}); err == nil {
 		t.Fatal("fanout 0 accepted")
 	}
-	for _, root := range []RootKind{2, 99} { // 2 was the deleted NN router
-		if _, err := Build(ks, Config{Fanout: 4, Root: root}); err == nil {
-			t.Fatalf("unknown root %d accepted", root)
-		}
-	}
 }
 
 func TestLookupAllRoots(t *testing.T) {
 	ks := uniformSet(t, 2, 2000, 50000)
-	for _, root := range []RootKind{RootPerfect, RootLinear} {
-		idx, err := Build(ks, Config{Fanout: 20, Root: root})
-		if err != nil {
-			t.Fatalf("%v: %v", root, err)
-		}
-		verifyAllFound(t, idx, ks)
+	idx, err := Build(ks, Config{Fanout: 20})
+	if err != nil {
+		t.Fatal(err)
 	}
+	verifyAllFound(t, idx, ks)
 }
 
 func TestLookupAbsentKeys(t *testing.T) {
@@ -93,8 +86,8 @@ func TestFanoutOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAllFound(t, idx, ks)
-	if idx.Fanout() != 1 {
-		t.Fatalf("fanout %d", idx.Fanout())
+	if m := idx.Stats().Models; m != 1 {
+		t.Fatalf("fanout %d", m)
 	}
 }
 
@@ -104,8 +97,8 @@ func TestFanoutLargerThanKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Fanout() != 10 { // clamped to n
-		t.Fatalf("fanout %d, want clamp to 10", idx.Fanout())
+	if m := idx.Stats().Models; m != 10 { // clamped to n
+		t.Fatalf("fanout %d, want clamp to 10", m)
 	}
 	verifyAllFound(t, idx, ks)
 }
@@ -167,13 +160,11 @@ func TestSkewedDataLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, root := range []RootKind{RootPerfect, RootLinear} {
-		idx, err := Build(set, Config{Fanout: 50, Root: root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyAllFound(t, idx, set)
+	idx, err := Build(set, Config{Fanout: 50})
+	if err != nil {
+		t.Fatal(err)
 	}
+	verifyAllFound(t, idx, set)
 }
 
 func TestStats(t *testing.T) {
@@ -198,8 +189,8 @@ func TestStats(t *testing.T) {
 }
 
 func TestPerfectRootMatchesPartition(t *testing.T) {
-	// With RootPerfect, key i must be served by the model owning the
-	// equal-size partition that contains i.
+	// Key i must be served by the model owning the equal-size partition
+	// that contains i.
 	ks := uniformSet(t, 9, 100, 10000)
 	idx, err := Build(ks, Config{Fanout: 4})
 	if err != nil {
@@ -314,13 +305,6 @@ func TestBuildDeterministic(t *testing.T) {
 		if a.PredictPosition(k) != b.PredictPosition(k) {
 			t.Fatal("build is not deterministic")
 		}
-	}
-}
-
-func TestRootKindString(t *testing.T) {
-	if RootPerfect.String() != "perfect" || RootLinear.String() != "linear" ||
-		RootKind(2).String() != "RootKind(2)" {
-		t.Fatal("RootKind.String broken")
 	}
 }
 

@@ -8,12 +8,9 @@
 // worst-residual keys ("Testing the Robustness of Learned Index
 // Structures", PAPERS.md).
 //
-// Every fitter is deterministic (no RNG, no map iteration) and offers a
-// FitParallel path that fans the per-key work over an engine.Pool while
-// producing a byte-identical Model for any worker count: each slope or
-// residual is computed independently at its own index and the order
-// statistics are taken sequentially. A done context makes FitParallel
-// return the context's error and a zero Model.
+// Every fitter is deterministic (no RNG, no map iteration) and runs on the
+// caller's goroutine: a parallel retrain spreads whole shards, not keys
+// (shard.Index.RetrainParallel).
 //
 // Order statistics come from one bounded selection, not a sort: Trimmed
 // keeps the pairs at or below its keepN-th smallest (residual, index) pair,
@@ -26,7 +23,6 @@ package robust
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -34,16 +30,13 @@ import (
 	"strconv"
 	"strings"
 
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 )
 
 // Fitter is the pluggable CDF-training contract: given a sorted key set,
 // produce a regression.Model predicting 1-based ranks. Name() is the
-// canonical spec form and round-trips through ParseFitter. Fit and
-// FitParallel return byte-identical models for the same input; FitParallel
-// merely spreads the per-key arithmetic over the pool.
+// canonical spec form and round-trips through ParseFitter.
 //
 // Model semantics match regression.FitCDF: Loss is the MSE of the returned
 // line over the FULL input set (poison included — the fit may ignore keys,
@@ -52,12 +45,7 @@ import (
 type Fitter interface {
 	Name() string
 	Fit(ks keys.Set) (regression.Model, error)
-	FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error)
 }
-
-// fitGrainFloor keeps parallel fan-out coarse enough that tiny fits stay on
-// one task (same floor discipline as the serve-plane probe scans).
-const fitGrainFloor = 256
 
 // OLS is the undefended baseline: the exact least-squares fit the paper
 // attacks (regression.FitCDF). Its presence makes "no robust training" a
@@ -70,12 +58,6 @@ func (OLS) Name() string { return "ols" }
 // Fit delegates to the closed-form least-squares fit.
 func (OLS) Fit(ks keys.Set) (regression.Model, error) { return regression.FitCDF(ks) }
 
-// FitParallel is identical to Fit: the closed form is already a single
-// exact pass, so there is nothing to fan out.
-func (OLS) FitParallel(_ context.Context, _ *engine.Pool, ks keys.Set) (regression.Model, error) {
-	return regression.FitCDF(ks)
-}
-
 // TheilSen is a deterministic Theil–Sen CDF estimator: the slope is the
 // median of the n/2 disjoint pairwise slopes (key i paired with key i+n/2 —
 // the Siegel-style pairing that keeps the estimator O(n log n) at worst
@@ -87,19 +69,8 @@ type TheilSen struct{}
 // Name returns the canonical spec "theilsen".
 func (TheilSen) Name() string { return "theilsen" }
 
-// Fit runs the estimator sequentially.
+// Fit runs the estimator.
 func (TheilSen) Fit(ks keys.Set) (regression.Model, error) {
-	return theilSen(context.Background(), nil, ks)
-}
-
-// FitParallel fans the slope and residual computations over the pool; the
-// medians are taken over the same values in the same order, so the model is
-// byte-identical for any worker count.
-func (TheilSen) FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
-	return theilSen(ctx, pool, ks)
-}
-
-func theilSen(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
 	n := ks.Len()
 	if n == 0 {
 		return regression.Model{}, regression.ErrTooFew
@@ -116,16 +87,12 @@ func theilSen(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.M
 	// Disjoint-pair slopes: rank distance is exactly h, key distance is
 	// positive (keys are strictly increasing), so every slope is finite.
 	slopes := buf[:n-h]
-	if err := fill(ctx, pool, slopes, func(i int) float64 {
-		return float64(h) / float64(ks.At(i+h)-ks.At(i))
-	}); err != nil {
-		return regression.Model{}, err
+	for i := range slopes {
+		slopes[i] = float64(h) / float64(ks.At(i+h)-ks.At(i))
 	}
 	w := median(slopes)
-	if err := fill(ctx, pool, buf, func(i int) float64 {
-		return float64(i+1) - w*float64(ks.At(i))
-	}); err != nil {
-		return regression.Model{}, err
+	for i := range buf {
+		buf[i] = float64(i+1) - w*float64(ks.At(i))
 	}
 	b := median(buf)
 	line := regression.Line{W: w, B: b}
@@ -151,18 +118,6 @@ func (t Trimmed) Name() string { return fmt.Sprintf("trimmed:%g", t.Pct) }
 
 const trimRounds = 2
 
-// Fit runs the estimator sequentially.
-func (t Trimmed) Fit(ks keys.Set) (regression.Model, error) {
-	return t.fit(context.Background(), nil, ks)
-}
-
-// FitParallel fans the residual scoring over the pool; selection and
-// refitting stay sequential, so the model is byte-identical for any worker
-// count.
-func (t Trimmed) FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
-	return t.fit(ctx, pool, ks)
-}
-
 // scored is one key's absolute rank residual r under the current line,
 // tagged with the key's index.
 type scored struct {
@@ -182,7 +137,8 @@ func (a scored) compare(b scored) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
+// Fit runs the estimator.
+func (t Trimmed) Fit(ks keys.Set) (regression.Model, error) {
 	if math.IsNaN(t.Pct) || t.Pct <= 0 || t.Pct >= 50 {
 		return regression.Model{}, fmt.Errorf("robust: trim percentage %g outside (0, 50)", t.Pct)
 	}
@@ -209,14 +165,8 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 	xy := make([]float64, 2*n)
 	line := full.Line
 	for round := 0; round < trimRounds; round++ {
-		// Per-round copies, so the scoring closure captures them by value
-		// and kept and line themselves stay off the heap.
-		cur, l := kept, line
-		if err := fill(ctx, pool, cur, func(j int) scored {
-			i := cur[j].idx
-			return scored{r: math.Abs(l.Predict(ks.At(i)) - float64(i+1)), idx: i}
-		}); err != nil {
-			return regression.Model{}, err
+		for j, s := range kept {
+			kept[j].r = math.Abs(line.Predict(ks.At(s.idx)) - float64(s.idx+1))
 		}
 		keepN := max(len(kept)-drop, 2)
 		// Keep the keepN smallest residuals, ties broken on the lower
@@ -249,32 +199,6 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 		return regression.Model{}, err
 	}
 	return regression.Model{Line: line, Loss: loss, N: n}, nil
-}
-
-// fill sets out[i] = fn(i) for every i in [0, len(out)), over the pool when
-// one is supplied and out is long enough to be worth fanning out. Every
-// element is computed independently at its own index, so out is
-// byte-identical for any worker count. A done ctx returns its error, with
-// out left partly filled.
-func fill[T any](ctx context.Context, pool *engine.Pool, out []T, fn func(i int) T) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	n := len(out)
-	if pool.Workers() == 1 || n < fitGrainFloor {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return nil
-	}
-	grain := engine.GrainForMin(n, pool, fitGrainFloor)
-	_, err := engine.MapChunks(ctx, pool, n, grain, func(lo, hi int) (struct{}, error) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-		return struct{}{}, nil
-	})
-	return err
 }
 
 // median returns the median of xs (mean of the central pair for even

@@ -1,9 +1,7 @@
 package robust
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,7 +9,6 @@ import (
 	"testing"
 
 	"cdfpoison/internal/dataset"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
@@ -143,35 +140,6 @@ func TestFitDeterminism(t *testing.T) {
 	}
 }
 
-// TestFitWorkerEquivalence is the determinism contract: FitParallel over a
-// multi-worker pool returns a Model byte-identical to the sequential Fit,
-// for sizes on both sides of the grain floor.
-func TestFitWorkerEquivalence(t *testing.T) {
-	pools := []*engine.Pool{engine.New(1), engine.New(0), engine.New(5)}
-	for _, n := range []int{2, 17, 255, 256, 2000} {
-		ks, err := dataset.Uniform(xrand.New(uint64(n)), n, int64(n)*60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range allFitters() {
-			want, err := f.Fit(ks)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", f.Name(), n, err)
-			}
-			for _, p := range pools {
-				got, err := f.FitParallel(context.Background(), p, ks)
-				if err != nil {
-					t.Fatalf("%s n=%d workers=%d: %v", f.Name(), n, p.Workers(), err)
-				}
-				if got != want {
-					t.Errorf("%s n=%d workers=%d: parallel %+v != sequential %+v",
-						f.Name(), n, p.Workers(), got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestFitDegenerateSizes(t *testing.T) {
 	for _, f := range allFitters() {
 		if _, err := f.Fit(keys.Set{}); err == nil {
@@ -230,8 +198,7 @@ func TestParseFitterRejects(t *testing.T) {
 // sortTrimmedFit is Trimmed.fit as it stood before the selection rewrite,
 // kept as the reference the selection must reproduce bit for bit: each
 // round sorts every (residual, index) pair, then sorts the survivors'
-// indices. Only the residual scoring changed, from the parallel fill to a
-// plain loop; TestFitWorkerEquivalence pins the parallel scoring.
+// indices.
 func sortTrimmedFit(t Trimmed, ks keys.Set) (regression.Model, error) {
 	if math.IsNaN(t.Pct) || t.Pct <= 0 || t.Pct >= 50 {
 		return regression.Model{}, fmt.Errorf("robust: trim percentage %g outside (0, 50)", t.Pct)
@@ -351,37 +318,26 @@ func referenceFamilies(t testing.TB, rng *xrand.RNG, n int) []namedSet {
 	}
 }
 
-var referencePools = []*engine.Pool{nil, engine.New(1), engine.New(0), engine.New(3)}
-
-// checkTrimmedReference fits ks with f sequentially (nil pool) and through
-// every pool in referencePools, and fails unless each model is
+// checkTrimmedReference fits ks with f and fails unless the model is
 // bit-identical to sortTrimmedFit's.
 func checkTrimmedReference(t *testing.T, name string, f Trimmed, ks keys.Set) {
 	t.Helper()
 	want, wantErr := sortTrimmedFit(f, ks)
-	for _, p := range referencePools {
-		var got regression.Model
-		var err error
-		if p == nil {
-			got, err = f.Fit(ks)
-		} else {
-			got, err = f.FitParallel(context.Background(), p, ks)
-		}
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("%s %s n=%d workers=%d: err %v, reference err %v", name, f.Name(), ks.Len(), p.Workers(), err, wantErr)
-		}
-		if !sameBits(got, want) {
-			t.Fatalf("%s %s n=%d workers=%d: %+v, reference %+v", name, f.Name(), ks.Len(), p.Workers(), got, want)
-		}
+	got, err := f.Fit(ks)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s %s n=%d: err %v, reference err %v", name, f.Name(), ks.Len(), err, wantErr)
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("%s %s n=%d: %+v, reference %+v", name, f.Name(), ks.Len(), got, want)
 	}
 }
 
 // TestTrimmedMatchesSortReference pins the selection-based trimmed fit to
 // the sort-based reference bit for bit, over every input family, sizes
-// from 3 to 3000 on both sides of fitGrainFloor, trim percentages from
-// the smallest to the largest accepted, and every pool shape.
+// from 3 to 3000, and trim percentages from the smallest to the largest
+// accepted.
 func TestTrimmedMatchesSortReference(t *testing.T) {
-	sizes := []int{3, 4, 5, 9, 21, fitGrainFloor - 1, fitGrainFloor, fitGrainFloor + 1, 1459, 3000}
+	sizes := []int{3, 4, 5, 9, 21, 255, 256, 257, 1459, 3000}
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := xrand.New(seed)
 		n := 3 + rng.Intn(2998)
@@ -469,33 +425,9 @@ func TestMedianMatchesSortReference(t *testing.T) {
 	}
 }
 
-// TestFitParallelCancelled: a done context is an error, never a model
-// built from half-filled slopes or residuals, whether the fit would fan
-// out (above fitGrainFloor) or run inline (below it).
-func TestFitParallelCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pool := engine.New(4)
-	for _, n := range []int{fitGrainFloor / 2, 5000} {
-		ks, err := dataset.Uniform(xrand.New(uint64(n)), n, int64(n)*60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []Fitter{TheilSen{}, Trimmed{Pct: 10}} {
-			m, err := f.FitParallel(ctx, pool, ks)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s n=%d: err = %v, want context.Canceled", f.Name(), n, err)
-			}
-			if m != (regression.Model{}) {
-				t.Errorf("%s n=%d: cancelled fit returned %+v, want the zero Model", f.Name(), n, m)
-			}
-		}
-	}
-}
-
-// TestTrimmedFitAllocs holds the sequential trimmed fit at the workload's
-// mean shard size to a fixed allocation budget: the pair and coordinate
-// buffers are allocated once per fit and reused by both rounds.
+// TestTrimmedFitAllocs holds the trimmed fit at the workload's mean shard
+// size to a fixed allocation budget: the pair and coordinate buffers are
+// allocated once per fit and reused by both rounds.
 func TestTrimmedFitAllocs(t *testing.T) {
 	ks, err := dataset.Uniform(xrand.New(1459), 1459, 1459*60)
 	if err != nil {
@@ -513,8 +445,8 @@ func TestTrimmedFitAllocs(t *testing.T) {
 
 var benchModel regression.Model
 
-// BenchmarkTrimmedFit times the sequential trimmed fit at the benchmark
-// workload's mean shard size (n=1459) and at n=1e5.
+// BenchmarkTrimmedFit times the trimmed fit at the benchmark workload's
+// mean shard size (n=1459) and at n=1e5.
 func BenchmarkTrimmedFit(b *testing.B) {
 	for _, n := range []int{1459, 100_000} {
 		ks, err := dataset.Uniform(xrand.New(uint64(n)), n, int64(n)*60)

@@ -46,7 +46,6 @@ type Histogram struct {
 	counts [histBuckets]int64
 	total  int64
 	sum    int64
-	min    int64
 	max    int64
 }
 
@@ -80,31 +79,17 @@ func bucketHigh(i int) int64 {
 }
 
 // Record adds one observation. Zero allocations, no branches that depend
-// on prior state beyond min/max maintenance.
+// on prior state beyond max maintenance.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
 	h.counts[bucketIndex(v)]++
 	h.sum += v
-	if h.total == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
 	h.total++
-}
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Min and Max return the exact extremes (0 on an empty histogram).
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the exact maximum recorded value (0 on an empty histogram).
@@ -119,13 +104,10 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Merge folds o into h. Merging is commutative and associative: counts,
-// totals and sums are integer adds; min/max take the extremes.
+// totals and sums are integer adds; max takes the larger.
 func (h *Histogram) Merge(o *Histogram) {
 	if o.total == 0 {
 		return
-	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
 	}
 	if o.max > h.max {
 		h.max = o.max

