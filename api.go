@@ -451,7 +451,7 @@ func ChurnAttack(initial KeySet, opts ChurnOptions, execOpts ...AttackOption) (C
 // (DESIGN.md §9): model-based inserts into slot gaps, exponential-search
 // fallback, leaf splits at the density threshold, and a full rebuild
 // cascade when splitting overflows the root's fanout limit. It implements
-// IndexBackend, COW snapshots, and parallel retraining.
+// IndexBackend with COW snapshots.
 type AlexIndex = alex.Index
 
 // AlexStructStats is an AlexIndex's cumulative structural-maintenance

@@ -175,16 +175,20 @@ func writeKeys(path string, ks cdfpoison.KeySet) error {
 const budgetCeiling = 1 << 62
 
 // percentOf is pct percent of n keys, rounded down: the key budget every
-// -percent flag names, saturated at ±budgetCeiling. A negative budget is
-// left for the attack to reject; NaN is an error here.
+// -percent flag names, saturated at budgetCeiling. A negative or NaN
+// percentage is an error naming the flag, even one that rounds to a zero
+// budget.
 func percentOf(n int, pct float64) (int, error) {
 	if math.IsNaN(pct) {
 		return 0, fmt.Errorf("-percent must be a number, got %v", pct)
 	}
+	if pct < 0 {
+		return 0, fmt.Errorf("-percent must be >= 0, got %v", pct)
+	}
 	if n == 0 {
 		return 0, nil // any percentage of no keys, even an infinite one
 	}
-	return int(max(-budgetCeiling, min(float64(n)*pct/100, budgetCeiling))), nil
+	return int(min(float64(n)*pct/100, budgetCeiling)), nil
 }
 
 func bindGen(fs *flag.FlagSet) func() error {
@@ -933,8 +937,6 @@ func runThroughput(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutc
 		return scenarioOutcome{}, fmt.Errorf("-readers must be >= 0, got %d", in.readers)
 	case in.batch < 0:
 		return scenarioOutcome{}, fmt.Errorf("-batch must be >= 0, got %d", in.batch)
-	case in.budget < 0:
-		return scenarioOutcome{}, fmt.Errorf("-percent %v gives a negative budget of %d keys", in.percent, in.budget)
 	}
 	// Manual retrains once per epoch, as in serve, online and churn.
 	base := cdfpoison.ServingScenarioOptions{

@@ -246,6 +246,30 @@ func TestHugePercentBudget(t *testing.T) {
 	})
 }
 
+// TestNegativePercentNamesFlag: every subcommand with a -percent flag
+// rejects a negative one with an error naming the flag, before any attack
+// or scenario runs.
+func TestNegativePercentNamesFlag(t *testing.T) {
+	in := spacedKeyFile(t)
+	out := filepath.Join(t.TempDir(), "poison.txt")
+	for _, args := range [][]string{
+		{"attack", "-o", out},
+		{"online"},
+		{"serve"},
+		{"churn"},
+		{"cascade"},
+		{"defense"},
+		{"throughput"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			err := run(append(args, "-in", in, "-percent", "-1"))
+			if err == nil || !strings.Contains(err.Error(), "-percent") {
+				t.Fatalf("%s -percent -1: err = %v, want an error naming -percent", args[0], err)
+			}
+		})
+	}
+}
+
 // TestGenNoKeysErrors: gen -n 0 generates nothing to report min/max of.
 func TestGenNoKeysErrors(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "keys.txt")

@@ -37,10 +37,11 @@ var testOnlyOptions = map[string]string{
 // type-checks every non-test .go file of the tree, perfbench/ included,
 // and counts a function or method as reached when non-test code outside
 // its own body refers to it (a generic method through its origin), or
-// when it implements an interface method that non-test code refers to. A
-// method with the name and signature of a method of fmt.Stringer, error or
-// sort.Interface counts as reached: the standard library calls those. An
-// interface method is reached only when something refers to it.
+// when it implements an interface method that non-test code refers to.
+// The methods of error, fmt.Stringer and sort.Interface count as reached
+// on a type that implements the whole interface, itself or through its
+// pointer: the standard library calls those. An interface method is
+// reached only when something refers to it.
 func TestNoTestOnlyExports(t *testing.T) {
 	pkgs := checkedTree(t)
 	reportUnreached(t, deadFuncs(pkgs), testOnlyHooks,
@@ -249,9 +250,10 @@ func deadFuncs(pkgs []*checkedPackage) map[string]token.Pos {
 
 	// A concrete method is reached through every interface method it
 	// implements that non-test code calls (generic types are skipped:
-	// Implements is undefined for them). The standard library calls
-	// String, Error, Len, Less and Swap through interfaces no source here
-	// names, so a method with one of their signatures counts as reached.
+	// Implements is undefined for them). The standard library calls the
+	// methods of error, fmt.Stringer and sort.Interface through interfaces
+	// no source here names, so their methods count as called: a type that
+	// implements one of them whole reaches its methods.
 	type ifaceMethod struct {
 		iface *types.Interface
 		name  string
@@ -262,11 +264,9 @@ func deadFuncs(pkgs []*checkedPackage) map[string]token.Pos {
 			called = append(called, ifaceMethod{recv.Type().Underlying().(*types.Interface), fn.Name()})
 		}
 	}
-	std := stdMethods()
-	for fn := range decls {
-		recv := fn.Type().(*types.Signature).Recv()
-		if m := std[fn.Name()]; m != nil && recv != nil && !types.IsInterface(recv.Type()) && types.Identical(fn.Type(), m.Type()) {
-			reached[fn] = true
+	for _, iface := range stdInterfaces() {
+		for i := 0; i < iface.NumMethods(); i++ {
+			called = append(called, ifaceMethod{iface, iface.Method(i).Name()})
 		}
 	}
 	for _, p := range pkgs {
@@ -300,26 +300,18 @@ func deadFuncs(pkgs []*checkedPackage) map[string]token.Pos {
 	return dead
 }
 
-// stdMethods are the methods of fmt.Stringer, error and sort.Interface,
-// by name.
-func stdMethods() map[string]*types.Func {
-	ifaces := []types.Type{types.Universe.Lookup("error").Type()}
+// stdInterfaces are error, fmt.Stringer and sort.Interface.
+func stdInterfaces() []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	for _, name := range []string{"fmt.Stringer", "sort.Interface"} {
 		pkgPath, typ, _ := strings.Cut(name, ".")
 		pkg, err := stdlib.Import(pkgPath)
 		if err != nil {
 			panic(err)
 		}
-		ifaces = append(ifaces, pkg.Scope().Lookup(typ).Type())
+		ifaces = append(ifaces, pkg.Scope().Lookup(typ).Type().Underlying().(*types.Interface))
 	}
-	methods := map[string]*types.Func{}
-	for _, t := range ifaces {
-		iface := t.Underlying().(*types.Interface)
-		for i := 0; i < iface.NumMethods(); i++ {
-			methods[iface.Method(i).Name()] = iface.Method(i)
-		}
-	}
-	return methods
+	return ifaces
 }
 
 // unsetOptions returns the exported fields of the internal/ structs named
@@ -444,7 +436,14 @@ func TestNoTestOnlyRules(t *testing.T) {
 				"func (K) Len() int { return 0 }\nfunc (K) Less(i int) bool { return false }\nfunc Zero() K { return 0 }\n",
 			"cmd/main.go": "package main\nimport \"m/internal/a\"\nfunc main() { println(a.Zero()) }\n",
 		},
-		funcs: []string{"internal/a K.Less"}, // not sort.Interface's Less(i, j int) bool
+		funcs: []string{"internal/a K.Len", "internal/a K.Less"}, // K is no sort.Interface
+	}, {
+		name: "Len, Less and Swap on a pointer receiver make a sort.Interface",
+		files: map[string]string{
+			"internal/a/a.go": "package a\ntype S []int\nfunc (s *S) Len() int { return len(*s) }\n" +
+				"func (s *S) Less(i, j int) bool { return (*s)[i] < (*s)[j] }\nfunc (s *S) Swap(i, j int) { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }\n",
+			"cmd/main.go": "package main\nimport \"m/internal/a\"\nfunc main() { _ = a.S{} }\n",
+		},
 	}, {
 		name: "recursion alone reaches nothing; a generic method is reached through its origin",
 		files: map[string]string{

@@ -1,11 +1,9 @@
 package alex
 
 import (
-	"context"
 	"testing"
 
 	"cdfpoison/internal/dataset"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
@@ -149,50 +147,6 @@ func TestSplitAndCascadeAccounting(t *testing.T) {
 	}
 	if x.Stats().Retrains == 0 {
 		t.Fatal("structural maintenance did not count as retrains")
-	}
-}
-
-// TestRetrainParallelEquivalence: the pool-fanned rebuild is bit-identical
-// to the sequential one — same stats, same probe counts, same structure.
-func TestRetrainParallelEquivalence(t *testing.T) {
-	ks := fixture(t, 700, 4)
-	queries := append(append([]int64(nil), ks.Keys()...), 1, 3, 5, 7, 1<<40)
-	mk := func() *Index {
-		x, err := New(ks, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := int64(1); d < 300; d += 2 {
-			x.Insert(ks.Min() + d)
-		}
-		return x
-	}
-	seq, par := mk(), mk()
-	seq.Retrain()
-	if err := par.RetrainParallel(context.Background(), engine.New(4)); err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats() != par.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", seq.Stats(), par.Stats())
-	}
-	if seq.Struct() != par.Struct() {
-		t.Fatalf("struct stats diverge: %+v vs %+v", seq.Struct(), par.Struct())
-	}
-	sp, sm := seq.ProbeSum(queries)
-	pp, pm := par.ProbeSum(queries)
-	if sp != pp || sm != pm {
-		t.Fatalf("probe sums diverge: (%d,%d) vs (%d,%d)", sp, sm, pp, pm)
-	}
-	// A cancelled pool falls back to the sequential path and reports the
-	// cancellation, leaving the index fully rebuilt either way.
-	cancelled, cause := context.WithCancel(context.Background())
-	cause()
-	third := mk()
-	if err := third.RetrainParallel(cancelled, engine.New(4)); err == nil {
-		t.Fatal("cancelled rebuild reported success")
-	}
-	if third.Stats() != seq.Stats() {
-		t.Fatalf("fallback rebuild diverges: %+v vs %+v", third.Stats(), seq.Stats())
 	}
 }
 

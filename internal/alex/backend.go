@@ -8,21 +8,18 @@ package alex
 // cascades, and retrains (DESIGN.md §9).
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 )
 
 var (
-	_ index.Backend           = (*Index)(nil)
-	_ index.RebuildSizer      = (*Index)(nil)
-	_ index.ParallelRetrainer = (*Index)(nil)
-	_ index.TriggerPredictor  = (*Index)(nil)
+	_ index.Backend          = (*Index)(nil)
+	_ index.RebuildSizer     = (*Index)(nil)
+	_ index.TriggerPredictor = (*Index)(nil)
 )
 
 // view is the immutable-by-convention read state: leaves in key order, each
@@ -72,17 +69,6 @@ func (v *view) lookup(k int64) index.LookupResult {
 		res.Found = nd.slots[pos] == k
 	}
 	return res
-}
-
-func (v *view) probeSum(queryKeys []int64) (probes int64, notFound int) {
-	for _, k := range queryKeys {
-		r := v.lookup(k)
-		probes += int64(r.Probes)
-		if !r.Found {
-			notFound++
-		}
-	}
-	return probes, notFound
 }
 
 func (v *view) keySet() keys.Set {
@@ -139,7 +125,7 @@ func (v *view) losses() (model, content float64, window int) {
 type snapshot struct{ v view }
 
 func (s *snapshot) Lookup(k int64) index.LookupResult { return s.v.lookup(k) }
-func (s *snapshot) ProbeSum(q []int64) (int64, int)   { return s.v.probeSum(q) }
+func (s *snapshot) ProbeSum(q []int64) (int64, int)   { return index.ProbeSum(s, q) }
 func (s *snapshot) Len() int                          { return s.v.total }
 func (s *snapshot) Keys() keys.Set                    { return s.v.keySet() }
 
@@ -211,7 +197,7 @@ func New(ks keys.Set, leafTarget int) (*Index, error) {
 		return nil, fmt.Errorf("alex: leaf target %d below minimum 2", leafTarget)
 	}
 	x := &Index{leafTarget: leafTarget}
-	x.install(x.buildLeaves(ks.Keys(), nil))
+	x.install(x.buildLeaves(ks.Keys()))
 	x.lastRebuild = ks.Len()
 	return x, nil
 }
@@ -253,20 +239,13 @@ func (x *Index) partition(n int) []int {
 	return bounds
 }
 
-// buildLeaves bulk-loads fresh leaves from the sorted key slice, fanning
-// the per-leaf builds over the pool when one is supplied. Each leaf's fit
-// runs entirely inside one task, so any worker count produces bit-identical
-// leaves (the determinism contract).
-func (x *Index) buildLeaves(sorted []int64, build func(chunks int, one func(c int) *node) []*node) []*node {
+// buildLeaves bulk-loads fresh leaves from the sorted key slice, one per
+// partition chunk.
+func (x *Index) buildLeaves(sorted []int64) []*node {
 	bounds := x.partition(len(sorted))
-	chunks := len(bounds) - 1
-	one := func(c int) *node { return buildNode(sorted[bounds[c]:bounds[c+1]]) }
-	if build != nil {
-		return build(chunks, one)
-	}
-	nodes := make([]*node, chunks)
+	nodes := make([]*node, len(bounds)-1)
 	for c := range nodes {
-		nodes[c] = one(c)
+		nodes[c] = buildNode(sorted[bounds[c]:bounds[c+1]])
 	}
 	return nodes
 }
@@ -294,7 +273,7 @@ func (x *Index) Lookup(k int64) index.LookupResult { return x.v.lookup(k) }
 
 // ProbeSum runs a lookup per query key; integer sums are
 // partition-invariant, so callers may chunk across workers and fold.
-func (x *Index) ProbeSum(queryKeys []int64) (int64, int) { return x.v.probeSum(queryKeys) }
+func (x *Index) ProbeSum(queryKeys []int64) (int64, int) { return index.ProbeSum(x, queryKeys) }
 
 // Len returns the stored key count.
 func (x *Index) Len() int { return x.v.total }
@@ -370,7 +349,7 @@ func (x *Index) split(i int) {
 	if len(nodes) > x.fanoutLimit {
 		x.cascades++
 		x.cascadeKeys += int64(x.v.total)
-		x.rebuild(nil)
+		x.Retrain()
 	}
 }
 
@@ -411,40 +390,17 @@ func absInt(v int) int {
 	return v
 }
 
-// rebuild repartitions every key into fresh leaves (the cascade / explicit
-// retrain path).
-func (x *Index) rebuild(build func(chunks int, one func(c int) *node) []*node) {
+// Retrain is the explicit maintenance hook and the cascade path: every key
+// is repartitioned into fresh leaves at the leaf target (every leaf back to
+// ~50% density, fresh models, fresh router).
+func (x *Index) Retrain() {
 	sorted := make([]int64, 0, x.v.total)
 	for _, nd := range x.v.nodes {
 		sorted = nd.keysInto(sorted)
 	}
-	n := len(sorted)
-	x.install(x.buildLeaves(sorted, build))
+	x.install(x.buildLeaves(sorted))
 	x.retrains++
-	x.lastRebuild = n
-}
-
-// Retrain is the explicit maintenance hook: a full rebuild at the leaf
-// target (every leaf back to ~50% density, fresh models, fresh router).
-func (x *Index) Retrain() { x.rebuild(nil) }
-
-// RetrainParallel fans the rebuild's per-leaf bulk loads across the pool
-// (index.ParallelRetrainer). Results are bit-identical to Retrain: leaves
-// are built in task-index order and each fit stays inside one task.
-func (x *Index) RetrainParallel(ctx context.Context, pool *engine.Pool) error {
-	var failed error
-	x.rebuild(func(chunks int, one func(c int) *node) []*node {
-		nodes, err := engine.Map(ctx, pool, chunks, func(c int) (*node, error) { return one(c), nil })
-		if err != nil {
-			failed = err
-			nodes = make([]*node, chunks)
-			for c := range nodes {
-				nodes[c] = one(c)
-			}
-		}
-		return nodes
-	})
-	return failed
+	x.lastRebuild = len(sorted)
 }
 
 // RetrainPossible reports whether the NEXT insert could split a leaf

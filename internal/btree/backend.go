@@ -59,15 +59,5 @@ func (t *Tree) Stats() index.Stats {
 // ProbeSum runs a lookup for every query key and returns the exact total
 // comparison count plus how many keys were not found — the same batch shape
 // as dynamic.Index.ProbeSum, so the backend comparison sweep measures both
-// structures through one code path. Integer sums are partition-invariant:
-// callers may chunk queryKeys across workers and fold in any grouping.
-func (t *Tree) ProbeSum(queryKeys []int64) (probes int64, notFound int) {
-	for _, k := range queryKeys {
-		found, p := t.Get(k)
-		probes += int64(p)
-		if !found {
-			notFound++
-		}
-	}
-	return probes, notFound
-}
+// structures through one code path.
+func (t *Tree) ProbeSum(queryKeys []int64) (int64, int) { return index.ProbeSum(t, queryKeys) }

@@ -2,15 +2,16 @@ package index
 
 // The sorted-batch probe kernel contract (DESIGN.md §12).
 //
-// Every scenario in the harness evaluates ProbeSum over the legit/eval key
-// batch against both the victim and the clean twin, every epoch. The per-key
-// reference (ProbeSum in index.go) re-runs model prediction, envelope
-// computation, and routing from scratch for each key. When the batch is
-// SORTED, a backend can instead resolve all ranks in one merged forward pass
-// over its own sorted storage — a gallop cursor that only ever moves right —
-// and replay each key's binary-search probe count arithmetically from the
-// known rank, because every comparison outcome during a search over a sorted
-// array is a pure function of the key's lower-bound position and membership.
+// The static, online and serve scenarios evaluate ProbeSum over the
+// legit/eval key batch against both the victim and the clean twin, every
+// epoch. The per-key reference (ProbeSum in index.go) re-runs model
+// prediction, envelope computation, and routing from scratch for each key.
+// When the batch is SORTED, a backend can instead resolve all ranks in one
+// merged forward pass over its own sorted storage — a gallop cursor that
+// only ever moves right — and replay each key's binary-search probe count
+// arithmetically from the known rank, because every comparison outcome
+// during a search over a sorted array is a pure function of the key's
+// lower-bound position and membership.
 //
 // The hard invariant is BIT-IDENTITY: ProbeSumSorted must return exactly the
 // (probes, notFound) the per-key reference returns on the same batch. Probe
@@ -31,7 +32,9 @@ import (
 // BatchReader is the optional fast path a PointReader may implement: batch
 // probe evaluation over a SORTED (non-decreasing, duplicates allowed) query
 // slice, bit-identical to the per-key reference ProbeSum on the same batch.
-// Implementations must not retain or mutate the slice.
+// Implementations must not retain or mutate the slice. Only the readers a
+// scenario or benchmark evaluates implement it (DESIGN.md §12); the rest
+// take ProbeSumSorted's per-key fallback.
 type BatchReader interface {
 	ProbeSumSorted(sorted []int64) (probes int64, notFound int)
 }

@@ -3,10 +3,10 @@ package index_test
 // Differential conformance for the sorted-batch probe kernel (DESIGN.md
 // §12): for every backend, snapshot, wrapper, and pipeline state, and for
 // random and adversarial sorted batches (duplicates, absent keys, universe
-// extremes), ProbeSumSorted must be BIT-IDENTICAL to the per-key reference
-// index.ProbeSum on the same batch. FuzzBatchProbeSum extends the same
-// oracle to fuzzer-chosen batches and insert streams; its corpus is checked
-// in under testdata/fuzz and replayed by CI's fuzz step.
+// extremes), index.ProbeSumSorted must be BIT-IDENTICAL to the per-key
+// reference index.ProbeSum on the same batch. FuzzBatchProbeSum extends the
+// same oracle to fuzzer-chosen batches and insert streams; its corpus is
+// checked in under testdata/fuzz and replayed by CI's fuzz step.
 
 import (
 	"encoding/binary"
@@ -42,12 +42,45 @@ func sortedBatches(initial keys.Set) map[string][]int64 {
 	}
 }
 
-// checkBatchKernel pins one reader's batch kernel to the per-key reference
-// over every batch in the table.
-func checkBatchKernel(t *testing.T, when string, r index.PointReader, batches map[string][]int64) {
+// kernelFaces names, per factory row, whether the live index and its
+// snapshots carry a native kernel (index.BatchReader). Exactly the readers
+// a scenario or benchmark hands to index.ProbeSumSorted must: the live
+// dynamic index and its snapshots (the static and online scenarios through
+// core.probeEval, the online perf eval cells, perfbench), the shard
+// snapshot (the serve scenario and its eval cells), and every
+// *defense.Guard, which forwards the face of what it wraps. ALEX, the
+// B-Tree, index.Pipeline and the live shard run the same differential
+// through the per-key fallback. A refactor that drops a measured kernel
+// fails here by name.
+var kernelFaces = map[string]struct{ live, snap bool }{
+	"dynamic":         {true, true},
+	"rmi-single":      {true, true},
+	"guarded-dynamic": {true, true},
+	"shard-4":         {false, true},
+	"guarded-shard":   {true, true},
+	"btree":           {false, false},
+	"alex":            {false, false},
+	"guarded-alex":    {true, false},
+}
+
+// faces returns the factory row's kernelFaces entry, failing on a row the
+// table does not name.
+func faces(t *testing.T, name string) struct{ live, snap bool } {
 	t.Helper()
-	if _, ok := r.(index.BatchReader); !ok {
-		t.Fatalf("%s: reader %T does not implement index.BatchReader", when, r)
+	f, ok := kernelFaces[name]
+	if !ok {
+		t.Fatalf("%s: no kernelFaces entry", name)
+	}
+	return f
+}
+
+// checkBatchKernel pins one reader's batch path to the per-key reference
+// over every batch in the table: its native kernel when face is true, the
+// per-key fallback of index.ProbeSumSorted when it is false.
+func checkBatchKernel(t *testing.T, when string, r index.PointReader, face bool, batches map[string][]int64) {
+	t.Helper()
+	if _, ok := r.(index.BatchReader); ok != face {
+		t.Fatalf("%s: %T implements index.BatchReader: %v, want %v", when, r, ok, face)
 	}
 	for name, batch := range batches {
 		gotP, gotNF := index.ProbeSumSorted(r, batch)
@@ -68,12 +101,13 @@ func TestBatchProbeSumMatchesReference(t *testing.T) {
 	batches := sortedBatches(initial)
 	for name, build := range backendFactories() {
 		t.Run(name, func(t *testing.T) {
+			want := faces(t, name)
 			b, err := build(initial)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBatchKernel(t, "fresh", b, batches)
-			checkBatchKernel(t, "fresh-snapshot", b.Snapshot(), batches)
+			checkBatchKernel(t, "fresh", b, want.live, batches)
+			checkBatchKernel(t, "fresh-snapshot", b.Snapshot(), want.snap, batches)
 
 			// Buffered state: delta buffers / staged areas are non-empty.
 			inserted := 0
@@ -82,12 +116,12 @@ func TestBatchProbeSumMatchesReference(t *testing.T) {
 					inserted++
 				}
 			}
-			checkBatchKernel(t, "buffered", b, batches)
-			checkBatchKernel(t, "buffered-snapshot", b.Snapshot(), batches)
+			checkBatchKernel(t, "buffered", b, want.live, batches)
+			checkBatchKernel(t, "buffered-snapshot", b.Snapshot(), want.snap, batches)
 
 			b.Retrain()
-			checkBatchKernel(t, "retrained", b, batches)
-			checkBatchKernel(t, "retrained-snapshot", b.Snapshot(), batches)
+			checkBatchKernel(t, "retrained", b, want.live, batches)
+			checkBatchKernel(t, "retrained-snapshot", b.Snapshot(), want.snap, batches)
 		})
 	}
 }
@@ -111,6 +145,7 @@ func TestBatchProbeSumLogNormalEdges(t *testing.T) {
 	factories := backendFactories()
 	for _, name := range []string{"dynamic", "rmi-single"} {
 		t.Run(name, func(t *testing.T) {
+			want := faces(t, name)
 			b, err := factories[name](initial)
 			if err != nil {
 				t.Fatal(err)
@@ -118,8 +153,8 @@ func TestBatchProbeSumLogNormalEdges(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				before := index.DepthCacheLen()
-				checkBatchKernel(t, when, b, batches)
-				checkBatchKernel(t, when+"-snapshot", b.Snapshot(), batches)
+				checkBatchKernel(t, when, b, want.live, batches)
+				checkBatchKernel(t, when+"-snapshot", b.Snapshot(), want.snap, batches)
 				if grew := index.DepthCacheLen() - before; grew > 3 {
 					t.Fatalf("%s: depth-table cache grew by %d entries, want <= 3", when, grew)
 				}
@@ -153,21 +188,23 @@ func TestDescentProbesMatchesTables(t *testing.T) {
 	}
 }
 
-// TestBatchProbeSumPipeline pins the pipeline forwarding: the zero-cost
-// pipeline is a pass-through, and a pipeline frozen mid-rebuild serves the
-// batch kernel from the published snapshot — both bit-identical to their
-// own per-key reference.
+// TestBatchProbeSumPipeline: a pipeline has no kernel of its own, so the
+// zero-cost pass-through and a pipeline frozen mid-rebuild evaluate through
+// the per-key fallback, while the frozen pipeline's snapshot is the
+// published one and keeps the backend's snapshot kernel — each
+// bit-identical to its own per-key reference.
 func TestBatchProbeSumPipeline(t *testing.T) {
 	initial := fixture(t, 400)
 	batches := sortedBatches(initial)
 	for name, build := range backendFactories() {
 		t.Run(name, func(t *testing.T) {
+			want := faces(t, name)
 			b, err := build(initial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			zero := index.NewPipeline(b, index.CostModel{})
-			checkBatchKernel(t, "zero-cost", zero, batches)
+			checkBatchKernel(t, "zero-cost", zero, false, batches)
 
 			b2, err := build(initial)
 			if err != nil {
@@ -182,8 +219,8 @@ func TestBatchProbeSumPipeline(t *testing.T) {
 			for k := initial.Min() + 2; k < initial.Min()+200; k += 13 {
 				pipe.Insert(k)
 			}
-			checkBatchKernel(t, "stale", pipe, batches)
-			checkBatchKernel(t, "stale-snapshot", pipe.Snapshot(), batches)
+			checkBatchKernel(t, "stale", pipe, false, batches)
+			checkBatchKernel(t, "stale-snapshot", pipe.Snapshot(), want.snap, batches)
 		})
 	}
 }

@@ -391,17 +391,6 @@ func (p *Pipeline) ProbeSum(queryKeys []int64) (probes int64, notFound int) {
 	return p.backend.ProbeSum(queryKeys)
 }
 
-// ProbeSumSorted serves the sorted batch from the read plane (stale during
-// a rebuild), dispatching to whichever plane is current via the BatchReader
-// contract — the published snapshot's kernel while a rebuild is in flight,
-// the live backend's otherwise (DESIGN.md §12).
-func (p *Pipeline) ProbeSumSorted(sorted []int64) (probes int64, notFound int) {
-	if p.published != nil {
-		return ProbeSumSorted(p.published, sorted)
-	}
-	return ProbeSumSorted(p.backend, sorted)
-}
-
 // Len reports the LIVE key count (write-plane truth: accepted inserts are
 // counted immediately, whatever the read plane currently serves).
 func (p *Pipeline) Len() int { return p.backend.Len() }

@@ -40,10 +40,9 @@ type segment struct {
 
 // Index is an immutable error-bounded piecewise-linear index.
 type Index struct {
-	ks       keys.Set
-	segs     []segment
-	epsilon  int
-	maxProbe int
+	ks      keys.Set
+	segs    []segment
+	epsilon int
 }
 
 // Build constructs the index with the given error bound epsilon >= 1 using
@@ -99,9 +98,6 @@ func Build(ks keys.Set, epsilon int) (*Index, error) {
 	}
 	return idx, nil
 }
-
-// Len returns the number of indexed keys.
-func (idx *Index) Len() int { return idx.ks.Len() }
 
 // Segments returns the number of linear pieces — the quantity a poisoning
 // adversary inflates.
