@@ -113,7 +113,7 @@ func WithCancellation(ctx context.Context) AttackOption { return core.WithContex
 // and forces the classic exhaustive gap-endpoint sweep. Results are
 // bit-identical either way; use it for ablations or when the classic
 // 2(n−1)-candidate accounting is wanted.
-func WithExhaustiveScan() AttackOption { return core.WithFullScan() }
+func WithExhaustiveScan() AttackOption { return core.WithExhaustiveScan() }
 
 // ---------------------------------------------------------------------------
 // Poisoning attacks (the paper's contribution)
@@ -142,6 +142,10 @@ var (
 	ErrNoGap  = core.ErrNoGap
 	ErrTooFew = core.ErrTooFew
 )
+
+// SafeRatio returns poisoned/clean with the convention 0/0 = 1 and x/0 =
+// +Inf: the loss ratio every result reports and both CLIs print.
+func SafeRatio(poisoned, clean float64) float64 { return core.SafeRatio(poisoned, clean) }
 
 // OptimalSinglePoint finds the poisoning key maximizing the retrained MSE.
 // Only gap endpoints are candidates (Theorem 2), and a closed-form bound
@@ -313,7 +317,10 @@ type IndexSnapshot = index.Snapshot
 // BackendLookupResult reports a probe-counted backend point query.
 type BackendLookupResult = index.LookupResult
 
-// BackendStats is the uniform backend summary.
+// BackendStats is the uniform backend summary: key, buffer and retrain
+// counts, model and content losses, and the search-window width. A
+// guard's rejected-insert count is not in it: read Guard.Flagged or a
+// scenario's ScenarioDefenseReport.
 type BackendStats = index.Stats
 
 // ParseRetrainPolicy parses the policy spec syntax shared by the lispoison
@@ -391,7 +398,7 @@ func ParseRebuildCost(s string) (RebuildCostModel, error) { return index.ParseCo
 type RetrainPipeline = index.Pipeline
 
 // PipelineChurnStats is a RetrainPipeline's cumulative accounting:
-// triggers, coalesces, publishes, stale ticks, and publish latency.
+// coalesces, publishes, stale ticks, rebuild cost, and publish latency.
 type PipelineChurnStats = index.ChurnStats
 
 // NewRetrainPipeline wraps a backend with the given rebuild cost model.
@@ -402,16 +409,18 @@ func NewRetrainPipeline(b IndexBackend, cost RebuildCostModel) *RetrainPipeline 
 // ServeOptions parameterizes ServeAttack.
 type ServeOptions = core.ServeOptions
 
-// ServeResult reports the serving scenario, one ServeEpochReport per epoch.
+// ServeResult reports the serving scenario, one ServeEpochReport per epoch,
+// with the accepted poison, the victim's retrain total, and the defense
+// accounting.
 type ServeResult = core.ServeResult
 
 // ServeEpochReport is one serving epoch's end state: loss ratios
-// (aggregate and per shard), probe totals over the epoch's reads, shard
-// imbalance, buffer depth, and retrain counts.
+// (aggregate and per shard), mean probes over the epoch's reads on both
+// indexes, the victim's shard imbalance, buffer depth, and retrain count.
 type ServeEpochReport = core.ServeEpochReport
 
-// ServeShardReport is one shard's end-of-epoch state within an epoch
-// report.
+// ServeShardReport is one shard's end-of-epoch loss ratio, victim over
+// clean, within an epoch report.
 type ServeShardReport = core.ServeShardReport
 
 // ServeAttack mounts the attack-under-load scenario: an adversary with a
@@ -519,15 +528,7 @@ type PoisonOracle = serve.Oracle
 
 // GreedyPoisonOracle adapts GreedyMultiPoint (Algorithm 1) to the serving
 // scenario's per-epoch oracle shape.
-func GreedyPoisonOracle(opts ...AttackOption) PoisonOracle {
-	return func(visible KeySet, budget int) ([]int64, error) {
-		g, err := core.GreedyMultiPoint(visible, budget, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return g.Poison, nil
-	}
-}
+func GreedyPoisonOracle(opts ...AttackOption) PoisonOracle { return core.GreedyOracle(opts...) }
 
 // ServeScenarioTick runs the serving scenario on the single-threaded tick
 // scheduler — the golden oracle the concurrent plane is tested against.
@@ -550,7 +551,7 @@ type PredictionOracle = blackbox.Oracle
 // BlackBoxInference is the recovered second-stage architecture.
 type BlackBoxInference = blackbox.InferenceResult
 
-// BlackBoxAttackResult couples inference with the mounted attack.
+// BlackBoxAttackResult is the attack mounted on the inferred architecture.
 type BlackBoxAttackResult = blackbox.AttackResult
 
 // InferSecondStage recovers a deployed RMI's second-stage models (fanout,
@@ -732,13 +733,17 @@ func ParseGuardPolicyChain(spec string) ([]GuardPolicy, error) {
 type ScenarioDefense = core.DefenseSpec
 
 // ScenarioDefenseReport is a scenario's defense-plane accounting, split by
-// origin (victim honest/poison, clean twin).
+// origin: the attacker's attempts, victim-side flags and throttles of
+// honest and poison writes, and the clean twin's attempts, flags and
+// throttles.
 type ScenarioDefenseReport = core.DefenseReport
 
 // StaticAttackOptions parameterizes StaticScenarioAttack.
 type StaticAttackOptions = core.StaticOptions
 
-// StaticAttackResult reports StaticScenarioAttack.
+// StaticAttackResult reports StaticScenarioAttack: the accepted poison,
+// the victim/clean loss ratio after the final retrain, and the defense
+// accounting.
 type StaticAttackResult = core.StaticResult
 
 // StaticScenarioAttack mounts the paper's one-shot (Algorithm 1) attack as

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"cdfpoison/internal/bench"
+	"cdfpoison/internal/core"
 	"cdfpoison/internal/export"
 )
 
@@ -820,11 +821,12 @@ func runThroughput(opts bench.Options, out string) error {
 				fmt.Sprint(po.Epoch),
 				fmt.Sprint(cl.P50), fmt.Sprint(cl.P99), fmt.Sprint(cl.P999), fmt.Sprint(cl.MaxProbes),
 				fmt.Sprint(po.P50), fmt.Sprint(po.P99), fmt.Sprint(po.P999), fmt.Sprint(po.MaxProbes),
-				export.F(ratio(po.P99, cl.P99)), export.F(ratio(po.P999, cl.P999)),
+				export.F(core.SafeRatio(float64(po.P99), float64(cl.P99))),
+				export.F(core.SafeRatio(float64(po.P999), float64(cl.P999))),
 				fmt.Sprint(cl.ProbeTotal), fmt.Sprint(po.ProbeTotal),
 				export.F(cl.StaleFrac), export.F(po.StaleFrac), fmt.Sprint(po.Injected),
 				export.F(cl.ContentLoss), export.F(po.ContentLoss),
-				export.F(ratio64(po.ContentLoss, cl.ContentLoss)),
+				export.F(core.SafeRatio(po.ContentLoss, cl.ContentLoss)),
 				fmt.Sprintf("%016x", cl.HistChecksum), fmt.Sprintf("%016x", po.HistChecksum))
 		}
 	}
@@ -852,20 +854,6 @@ func runThroughput(opts bench.Options, out string) error {
 	}
 	fmt.Printf("max poisoned/clean p999 ratio: %.2f×\n", res.MaxP999Ratio())
 	return writeCSV(out, "throughput.csv", tb)
-}
-
-func ratio(poisoned, clean int64) float64 {
-	return ratio64(float64(poisoned), float64(clean))
-}
-
-func ratio64(poisoned, clean float64) float64 {
-	if clean == 0 {
-		if poisoned == 0 {
-			return 1
-		}
-		return poisoned
-	}
-	return poisoned / clean
 }
 
 // runPerf measures the fixed attack×n×workers cell list (bench.PerfSweep),

@@ -472,7 +472,7 @@ func bindDefense(fs *flag.FlagSet) func() error {
 		fmt.Printf("  undefended damage ratio  %8.3f\n", bare.damage)
 		fmt.Printf("  defended damage ratio    %8.3f\n", armed.damage)
 		fmt.Printf("  damage reduction         %8.3fx (on the excess over 1)\n",
-			damageRatio(math.Max(bare.damage-1, 0), math.Max(armed.damage-1, 0)))
+			cdfpoison.SafeRatio(math.Max(bare.damage-1, 0), math.Max(armed.damage-1, 0)))
 		fmt.Printf("  poison blocked           %8.1f%% (%d flagged, %d throttled of %d attempts)\n",
 			rep.PoisonBlockedFrac()*100, rep.FlaggedPoison, rep.ThrottledPoison, rep.PoisonAttempts)
 		fmt.Printf("  honest overhead          %8.1f%% (clean twin: %d flagged, %d throttled of %d attempts)\n",
@@ -495,28 +495,6 @@ func parseRate(s string) (budget, window int, err error) {
 		}
 	}
 	return 0, 0, fmt.Errorf("-rate wants BUDGET:WINDOW, two integers >= 1, got %q", s)
-}
-
-// damageRatio is victim/clean, with 0/0 = 1 and x/0 = +Inf.
-func damageRatio(victim, clean float64) float64 {
-	switch {
-	case clean != 0:
-		return victim / clean
-	case victim == 0:
-		return 1
-	default:
-		return math.Inf(1)
-	}
-}
-
-func safeRatio(poisoned, clean float64) float64 {
-	if clean == 0 {
-		if poisoned == 0 {
-			return 1
-		}
-		return poisoned
-	}
-	return poisoned / clean
 }
 
 // scenario is one row of the scenario table: the flag surface of its
@@ -895,7 +873,7 @@ func runChurn(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutcome, 
 	fmt.Fprintf(&b, "max stale fraction %.2f, max publish latency %d ticks, final ratio %.2f×, %d poison keys, %d retrains\n",
 		res.MaxStaleFrac(), res.VictimChurn.MaxLatencyTicks, res.FinalRatio(),
 		res.Poison.Len(), res.Retrains)
-	damage := damageRatio(float64(res.VictimChurn.RebuildTicks), float64(res.CleanChurn.RebuildTicks))
+	damage := cdfpoison.SafeRatio(float64(res.VictimChurn.RebuildTicks), float64(res.CleanChurn.RebuildTicks))
 	return scenarioOutcome{b.String(), damage, res.Defense, res.Poison}, nil
 }
 
@@ -982,8 +960,8 @@ func runThroughput(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutc
 		c := clean[i]
 		fmt.Fprintf(&b, "%5d %9d %9d %10d %11d %9d %10d %11.3f %8d %7.2f %7.2f\n",
 			p.Epoch, c.P50, c.P99, c.P999, p.P50, p.P99, p.P999,
-			p.StaleFrac, p.Injected, safeRatio(p.ContentLoss, c.ContentLoss),
-			safeRatio(float64(p.P999), float64(c.P999)))
+			p.StaleFrac, p.Injected, cdfpoison.SafeRatio(p.ContentLoss, c.ContentLoss),
+			cdfpoison.SafeRatio(float64(p.P999), float64(c.P999)))
 	}
 	fmt.Fprintf(&b, "wall-clock (machine-dependent): clean %.0f ops/s, poisoned %.0f ops/s, %d readers\n",
 		cleanOps, poisonedOps, plane.WithDefaults().Readers)

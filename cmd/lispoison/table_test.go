@@ -201,6 +201,37 @@ func TestThroughputOversizedKnobs(t *testing.T) {
 	}
 }
 
+// TestThroughputRatioOnLinearCDF: 400 evenly spaced keys lie on a line,
+// so the clean model's loss is 0 and any poisoned loss is an infinite
+// ratio. throughput's ratio column must say +Inf there, as serve's does,
+// not print the poisoned loss itself.
+func TestThroughputRatioOnLinearCDF(t *testing.T) {
+	var ks strings.Builder
+	for k := 0; k <= 798; k += 2 {
+		fmt.Fprintln(&ks, k)
+	}
+	in := writeFile(t, "linear.txt", ks.String())
+	stdout, stderr, code := lispoison(t, t.TempDir(), "throughput", "-in", in, "-epochs", "2", "-percent", "3",
+		"-shards", "2", "-readers", "1", "-workload", "uniform:100", "-policy", "manual")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	var rows int
+	for _, line := range strings.Split(stdout, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 11 || f[0] == "epoch" {
+			continue
+		}
+		rows++
+		if f[9] != "+Inf" {
+			t.Errorf("epoch %s: ratio %s, want +Inf over a zero clean loss", f[0], f[9])
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("found %d epoch rows, want 2:\n%s", rows, stdout)
+	}
+}
+
 // TestHugePercentBudget: a -percent whose key budget dwarfs the free key
 // slots runs the greedy attack until it stops or the slots run out, so
 // each run must succeed instead of reserving the whole budget up front. A

@@ -32,6 +32,17 @@ var testOnlyOptions = map[string]string{
 	"internal/bench Options.Trials": "the perf tests cap each cell at one iteration",
 }
 
+// testOnlyFields are the struct fields that only tests read on purpose,
+// keyed by package directory and Type.Field.
+var testOnlyFields = map[string]string{
+	"internal/core ModificationStep.Removed":       "records the key the modification attack removed at each step",
+	"internal/core ModificationStep.Inserted":      "records the key the modification attack inserted at each step (-1: none)",
+	"internal/core GapConvexityReport.EndpointMax": "test oracle: Theorem 2's property test scales its float tolerance by it",
+	"internal/index LookupResult.InBuffer":         "test oracle: the pipeline and single-model tests witness buffer hits with it",
+	"internal/index LookupResult.Window":           "test oracle: ALEX's property test bounds each lookup's window by the Stats envelope",
+	"internal/pla Index.epsilon":                   "the pla tests' Lookup bounds its last-mile search by the build's epsilon",
+}
+
 // TestNoTestOnlyExports fails on any function or method declared under
 // internal/ that no non-test code reaches: code that only tests run. It
 // type-checks every non-test .go file of the tree, perfbench/ included,
@@ -58,6 +69,22 @@ func TestNoTestOnlyOptions(t *testing.T) {
 		"is set by no non-test code outside its package; delete it, or make its default a constant")
 }
 
+// TestNoTestOnlyFields fails on any field of a struct type declared under
+// internal/ that no non-test code reads: a value computed and written but
+// never used. A field is read when non-test code selects it other than as
+// the target of =, op=, ++ or --; a composite literal's keys and positional
+// elements are writes. A field is also read when a whole value containing
+// it is compared with == or !=, used as a map key, handed to
+// reflect.DeepEqual or an encoding/json function, or printed by fmt
+// without a String or Error method. Containment follows named types,
+// arrays and struct fields, and for all but == and map keys, which compare
+// a pointer and not what it points to, pointers, slices and maps too.
+func TestNoTestOnlyFields(t *testing.T) {
+	pkgs := checkedTree(t)
+	reportUnreached(t, unreadFields(pkgs), testOnlyFields,
+		"is read by no non-test code; delete it with the code that only computes it")
+}
+
 func reportUnreached(t *testing.T, found map[string]token.Pos, allow map[string]string, what string) {
 	t.Helper()
 	for _, key := range sortedKeys(found) {
@@ -80,7 +107,7 @@ var (
 	stdlib  = importer.ForCompiler(srcFset, "source", nil)
 )
 
-// loadTree type-checks the repository once for both gates.
+// loadTree type-checks the repository once for every gate.
 var loadTree = sync.OnceValues(func() ([]*checkedPackage, error) {
 	files := map[string]string{}
 	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
@@ -179,8 +206,9 @@ func (l *treeLoader) Import(importPath string) (*types.Package, error) {
 		return p.pkg, nil
 	}
 	p := &checkedPackage{dir: dir, files: l.dirs[dir], info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
 	}}
 	var err error
 	conf := types.Config{Importer: l}
@@ -384,6 +412,150 @@ func unsetOptions(pkgs []*checkedPackage) map[string]token.Pos {
 	return unset
 }
 
+// unreadFields returns the fields of the struct types declared under
+// internal/ that TestNoTestOnlyFields's rules leave unread, keyed by
+// package directory and Type.Field. Embedded fields are skipped.
+func unreadFields(pkgs []*checkedPackage) map[string]token.Pos {
+	fields := map[*types.Var]string{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if _, ok := ts.Type.(*ast.StructType); ok {
+						st := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+						for i := 0; i < st.NumFields(); i++ {
+							if f := st.Field(i); !f.Embedded() {
+								fields[f] = p.dir + " " + ts.Name.Name + "." + f.Name()
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// readAll marks every field a value of type t holds. == and map keys
+	// compare values, not what their pointers point to; reflect.DeepEqual,
+	// encoding/json and fmt follow pointers, slices and maps too.
+	type visit struct {
+		t    types.Type
+		deep bool
+	}
+	read := map[*types.Var]bool{}
+	seen := map[visit]bool{}
+	var readAll func(t types.Type, deep bool)
+	readAll = func(t types.Type, deep bool) {
+		if t == nil || seen[visit{t, deep}] {
+			return
+		}
+		seen[visit{t, deep}] = true
+		switch t := t.(type) {
+		case *types.Named:
+			readAll(t.Underlying(), deep)
+		case *types.Alias:
+			readAll(types.Unalias(t), deep)
+		case *types.Array:
+			readAll(t.Elem(), deep)
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				read[t.Field(i).Origin()] = true
+				readAll(t.Field(i).Type(), deep)
+			}
+		case *types.Pointer:
+			if deep {
+				readAll(t.Elem(), deep)
+			}
+		case *types.Slice:
+			if deep {
+				readAll(t.Elem(), deep)
+			}
+		case *types.Map:
+			if deep {
+				readAll(t.Key(), deep)
+				readAll(t.Elem(), deep)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		typeOf := func(e ast.Expr) types.Type { return p.info.Types[e].Type }
+		written := map[ast.Expr]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written[ast.Unparen(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					written[ast.Unparen(n.X)] = true
+				case *ast.SelectorExpr:
+					if v, ok := p.info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !written[n] {
+						read[v.Origin()] = true
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(typeOf(n.X), false)
+						readAll(typeOf(n.Y), false)
+					}
+				case *ast.CallExpr:
+					fn := callee(p.info, n)
+					if fn == nil || fn.Pkg() == nil {
+						break
+					}
+					switch pkg := fn.Pkg().Path(); {
+					case pkg == "reflect" && fn.Name() == "DeepEqual", pkg == "encoding/json":
+						for _, arg := range n.Args {
+							readAll(typeOf(arg), true)
+						}
+					case pkg == "fmt":
+						for _, arg := range n.Args {
+							if t := typeOf(arg); t != nil && !hasMethod(t, "String") && !hasMethod(t, "Error") {
+								readAll(t, true)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, tv := range p.info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(m.Key(), false)
+			}
+		}
+	}
+
+	unread := map[string]token.Pos{}
+	for f, key := range fields {
+		if !read[f] {
+			unread[key] = f.Pos()
+		}
+	}
+	return unread
+}
+
+// callee is the function or method a call names, or nil.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// hasMethod reports whether the method set of t has the named method.
+func hasMethod(t types.Type, name string) bool {
+	return types.NewMethodSet(t).Lookup(nil, name) != nil
+}
+
 // funcName is Name for a function and Recv.Name for a method.
 func funcName(fn *ast.FuncDecl) string {
 	if fn.Recv == nil {
@@ -402,13 +574,13 @@ func funcName(fn *ast.FuncDecl) string {
 	return fn.Name.Name
 }
 
-// TestNoTestOnlyRules pins each liveness rule of the two gates on small
+// TestNoTestOnlyRules pins each liveness rule of the three gates on small
 // in-memory modules: internal/a declares, cmd uses.
 func TestNoTestOnlyRules(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		files         map[string]string
-		funcs, fields []string
+		name                   string
+		files                  map[string]string
+		funcs, fields, unreads []string
 	}{{
 		name: "dead method sharing a live method's name",
 		files: map[string]string{
@@ -460,6 +632,33 @@ func TestNoTestOnlyRules(t *testing.T) {
 			"cmd/main_test.go": "package main\nimport \"m/internal/a\"\nfunc f() { a.Run(a.RunOptions{TestOnly: 1}) }\n",
 		},
 		fields: []string{"internal/a RunOptions.Own", "internal/a RunOptions.TestOnly"},
+	}, {
+		name: "fields only written, or read only by a test",
+		files: map[string]string{
+			"internal/a/a.go": "package a\ntype R struct{ Lit, Pos, Add, Inc, Tested, Live int }\n" +
+				"func Run() R { r := R{Lit: 1}; r = R{1, 2, 3, 4, 5, 6}; r.Add += 1; r.Inc++; return r }\n",
+			"cmd/main.go":      "package main\nimport \"m/internal/a\"\nfunc main() { println(a.Run().Live) }\n",
+			"cmd/main_test.go": "package main\nimport \"m/internal/a\"\nfunc f() int { return a.Run().Tested }\n",
+		},
+		unreads: []string{"internal/a R.Add", "internal/a R.Inc", "internal/a R.Lit", "internal/a R.Pos", "internal/a R.Tested"},
+	}, {
+		name: "fields read through selectors, instantiations and whole values",
+		files: map[string]string{
+			"internal/a/a.go": "package a\ntype Sel struct{ F int }\ntype Box[T any] struct{ V T }\n" +
+				"type Deep struct{ F int }\ntype Eq struct{ F int }\ntype Key struct{ F int }\ntype Printed struct{ F int }\n",
+			"cmd/main.go": "package main\nimport (\"fmt\"; \"reflect\"; \"m/internal/a\")\nfunc main() {\n" +
+				"\tprintln(a.Sel{}.F, a.Box[int]{}.V)\n" +
+				"\tprintln(reflect.DeepEqual([]a.Deep{}, []a.Deep{}), a.Eq{} == a.Eq{}, len(map[a.Key]int{}))\n" +
+				"\tfmt.Println(a.Printed{})\n}\n",
+		},
+	}, {
+		name: "pointer comparisons and Stringers read no fields",
+		files: map[string]string{
+			"internal/a/a.go": "package a\ntype P struct{ F int }\ntype S struct{ F int }\nfunc (S) String() string { return \"s\" }\n",
+			"cmd/main.go": "package main\nimport (\"fmt\"; \"m/internal/a\")\n" +
+				"func main() { p := &a.P{F: 1}; println(p == nil); fmt.Println(a.S{F: 1}) }\n",
+		},
+		unreads: []string{"internal/a P.F", "internal/a S.F"},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			pkgs, err := checkTree("m", tc.files)
@@ -471,6 +670,9 @@ func TestNoTestOnlyRules(t *testing.T) {
 			}
 			if got := sortedKeys(unsetOptions(pkgs)); !reflect.DeepEqual(got, tc.fields) {
 				t.Errorf("unsetOptions = %q, want %q", got, tc.fields)
+			}
+			if got := sortedKeys(unreadFields(pkgs)); !reflect.DeepEqual(got, tc.unreads) {
+				t.Errorf("unreadFields = %q, want %q", got, tc.unreads)
 			}
 		})
 	}

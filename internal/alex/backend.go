@@ -141,7 +141,6 @@ type StructStats struct {
 	Cascades    int
 	CascadeKeys int64
 	Nodes       int
-	FanoutLimit int
 }
 
 // Cost is the total slot-write cost attributable to structural
@@ -151,9 +150,7 @@ func (s StructStats) Cost() int64 { return s.ShiftWrites + s.SplitKeys + s.Casca
 
 // NodeInfo is one leaf's externally visible shape.
 type NodeInfo struct {
-	Used, Cap      int
-	RouteLo        int64 // routing lower boundary (lows[i])
-	MinKey, MaxKey int64 // stored key range
+	Used, Cap int
 }
 
 // Density is the leaf's occupancy fraction — what the cascade attacker
@@ -443,7 +440,6 @@ func (x *Index) Struct() StructStats {
 		Cascades:    x.cascades,
 		CascadeKeys: x.cascadeKeys,
 		Nodes:       len(x.v.nodes),
-		FanoutLimit: x.fanoutLimit,
 	}
 }
 
@@ -454,14 +450,7 @@ func (x *Index) NumNodes() int { return len(x.v.nodes) }
 // attacker targets by density.
 func (x *Index) NodeInfo(i int) NodeInfo {
 	nd := x.v.nodes[i]
-	info := NodeInfo{Used: nd.used, Cap: len(nd.slots), RouteLo: x.v.lows[i], MinKey: nd.firstKey()}
-	for j := len(nd.slots) - 1; j >= 0; j-- {
-		if nd.occ[j] {
-			info.MaxKey = nd.slots[j]
-			break
-		}
-	}
-	return info
+	return NodeInfo{Used: nd.used, Cap: len(nd.slots)}
 }
 
 // NodeKeys returns leaf i's stored keys in order.

@@ -69,11 +69,8 @@ func checkInvariants(t testing.TB, x *Index, mirror keys.Set) {
 		if i > 0 && nd.firstKey() < x.v.lows[i] {
 			t.Fatalf("leaf %d: min key %d below routing boundary %d", i, nd.firstKey(), x.v.lows[i])
 		}
-		if i+1 < len(x.v.nodes) {
-			info := x.NodeInfo(i)
-			if info.MaxKey >= x.v.lows[i+1] {
-				t.Fatalf("leaf %d: max key %d reaches next boundary %d", i, info.MaxKey, x.v.lows[i+1])
-			}
+		if i+1 < len(x.v.nodes) && prevKey >= x.v.lows[i+1] {
+			t.Fatalf("leaf %d: max key %d reaches next boundary %d", i, prevKey, x.v.lows[i+1])
 		}
 		total += used
 	}

@@ -130,8 +130,8 @@ func TestRMISynthetic(t *testing.T) {
 		if c.Injected == 0 {
 			t.Errorf("cell %s size=%d: nothing injected", c.Dist, c.ModelSize)
 		}
-		if c.Injected > c.Budget {
-			t.Errorf("cell injected %d > budget %d", c.Injected, c.Budget)
+		if budget := int(math.Round(c.PoisonPct / 100 * float64(res.Keys))); c.Injected > budget {
+			t.Errorf("cell injected %d > budget %d", c.Injected, budget)
 		}
 	}
 	// Shape: larger models → larger ratios (fixed dist/domain/pct/alpha).

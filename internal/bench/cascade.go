@@ -14,7 +14,6 @@ import (
 type CascadeCell struct {
 	LeafTarget int
 	BudgetPct  float64 // per-EPOCH attacker budget as % of the initial keys
-	Budget     int
 	core.CascadeResult
 }
 
@@ -23,7 +22,6 @@ type CascadeCell struct {
 // shared initial key set and per-cell deterministic streams.
 type CascadeSweepResult struct {
 	Keys          int
-	Domain        int64
 	EpochsPerCell int
 	OpsPerEpoch   int
 	Workload      workload.Spec
@@ -77,14 +75,13 @@ func CascadeSweep(opts Options) (CascadeSweepResult, error) {
 		if err != nil {
 			return CascadeCell{}, fmt.Errorf("bench: cascade cell leaf=%d budget=%g%%: %w", leaf, pct, err)
 		}
-		return CascadeCell{LeafTarget: leaf, BudgetPct: pct, Budget: budget, CascadeResult: res}, nil
+		return CascadeCell{LeafTarget: leaf, BudgetPct: pct, CascadeResult: res}, nil
 	})
 	if err != nil {
 		return CascadeSweepResult{}, err
 	}
 	return CascadeSweepResult{
 		Keys:          n,
-		Domain:        domain,
 		EpochsPerCell: epochs,
 		OpsPerEpoch:   opsPerEpoch,
 		Workload:      mix,

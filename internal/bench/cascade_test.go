@@ -40,10 +40,10 @@ func TestCascadeSweepShape(t *testing.T) {
 	}
 	for leaf, cells := range byLeaf {
 		for i := 1; i < len(cells); i++ {
-			if cells[i].Budget > cells[i-1].Budget && cells[i].FinalStructRatio() <= cells[i-1].FinalStructRatio() {
-				t.Errorf("leaf=%d: struct ratio %v at budget %d not above %v at budget %d",
-					leaf, cells[i].FinalStructRatio(), cells[i].Budget,
-					cells[i-1].FinalStructRatio(), cells[i-1].Budget)
+			if cells[i].BudgetPct > cells[i-1].BudgetPct && cells[i].FinalStructRatio() <= cells[i-1].FinalStructRatio() {
+				t.Errorf("leaf=%d: struct ratio %v at budget %g%% not above %v at budget %g%%",
+					leaf, cells[i].FinalStructRatio(), cells[i].BudgetPct,
+					cells[i-1].FinalStructRatio(), cells[i-1].BudgetPct)
 			}
 		}
 	}

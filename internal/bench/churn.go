@@ -16,7 +16,6 @@ import (
 type ChurnCell struct {
 	Cost      index.CostModel
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
-	Budget    int
 	core.ChurnResult
 }
 
@@ -25,7 +24,6 @@ type ChurnCell struct {
 // a shared initial key set and per-cell deterministic streams.
 type ChurnSweepResult struct {
 	Keys          int
-	Domain        int64
 	Shards        int
 	Policy        dynamic.RetrainPolicy
 	EpochsPerCell int
@@ -89,14 +87,13 @@ func ChurnSweep(opts Options) (ChurnSweepResult, error) {
 		if err != nil {
 			return ChurnCell{}, fmt.Errorf("bench: churn cell cost=%s budget=%g%%: %w", cost, pct, err)
 		}
-		return ChurnCell{Cost: cost, BudgetPct: pct, Budget: budget, ChurnResult: res}, nil
+		return ChurnCell{Cost: cost, BudgetPct: pct, ChurnResult: res}, nil
 	})
 	if err != nil {
 		return ChurnSweepResult{}, err
 	}
 	return ChurnSweepResult{
 		Keys:          n,
-		Domain:        domain,
 		Shards:        shards,
 		Policy:        policy,
 		EpochsPerCell: epochs,

@@ -26,8 +26,8 @@ func TestDefenseSweepShape(t *testing.T) {
 	}
 	for _, c := range res.Cells {
 		if c.Strength == "off" {
-			if c.Spec != "none" || c.Report.Enabled {
-				t.Fatalf("%s/off cell not inert: spec %q enabled %v", c.Scenario, c.Spec, c.Report.Enabled)
+			if c.Spec != "none" {
+				t.Fatalf("%s/off cell not inert: spec %q", c.Scenario, c.Spec)
 			}
 			if c.Reduction != 1 && !math.IsNaN(c.Reduction) {
 				t.Fatalf("%s/off reduction %v, want 1", c.Scenario, c.Reduction)
@@ -35,7 +35,7 @@ func TestDefenseSweepShape(t *testing.T) {
 			if c.Overhead != 0 {
 				t.Fatalf("%s/off overhead %v, want 0", c.Scenario, c.Overhead)
 			}
-		} else if c.Spec == "none" || !c.Report.Enabled {
+		} else if c.Spec == "none" {
 			t.Fatalf("%s/%s armed cell reads disabled", c.Scenario, c.Strength)
 		}
 		if c.Excess < 0 {

@@ -206,16 +206,15 @@ func CompareBackends(opts Options) ([]BackendCell, error) {
 
 // TrimCell is Extension C: the TRIM defense against the greedy CDF attack.
 type TrimCell struct {
-	Dist        Distribution
 	Keys        int
 	PoisonPct   float64
 	Precision   float64
 	Recall      float64
-	CleanLoss   float64
-	KeptLoss    float64 // loss of the set TRIM kept (collateral shows here)
 	AttackRatio float64 // ratio loss before the defense
-	AfterRatio  float64 // KeptLoss / CleanLoss: what the defense salvaged
-	Millis      int64   // wall time: the re-calibration overhead
+	// AfterRatio is the loss of the set TRIM kept over the clean loss: what
+	// the defense salvaged, with its collateral.
+	AfterRatio float64
+	Millis     int64 // wall time: the re-calibration overhead
 }
 
 // TrimDefense runs Extension C over uniform data at several poisoning rates.
@@ -253,13 +252,10 @@ func TrimDefense(opts Options) ([]TrimCell, error) {
 			return nil, err
 		}
 		out = append(out, TrimCell{
-			Dist:        DistUniform,
 			Keys:        n,
 			PoisonPct:   pct,
 			Precision:   ev.Precision,
 			Recall:      ev.Recall,
-			CleanLoss:   ev.CleanLossBefore,
-			KeptLoss:    ev.KeptLoss,
 			AttackRatio: g.RatioLoss(),
 			AfterRatio:  core.SafeRatio(ev.KeptLoss, ev.CleanLossBefore),
 			Millis:      elapsed.Milliseconds(),
@@ -298,7 +294,7 @@ func EndpointsVsBrute(opts Options) (EndpointAblation, error) {
 	// endpoint count this ablation's CSV has always recorded; the pruned
 	// scan gets its own ablation rows in the perf sweep ("single" vs
 	// "single-full" vs "brute").
-	opt, err := core.OptimalSinglePoint(ks, core.WithFullScan())
+	opt, err := core.OptimalSinglePoint(ks, core.WithExhaustiveScan())
 	optD := time.Since(start)
 	if err != nil {
 		return EndpointAblation{}, err

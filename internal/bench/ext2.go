@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/pla"
 	"cdfpoison/internal/regression"
@@ -92,13 +90,11 @@ type QuadCell struct {
 	LinearCleanLoss float64
 	ParamsLinear    int
 	ParamsQuad      int
-	FitNanosLinear  int64
-	FitNanosQuad    int64
 }
 
 // QuadraticMitigation measures how much of the (linear-model-optimized)
 // attack survives a quadratic second stage, and what the model upgrade
-// costs in parameters and fitting time.
+// costs in parameters.
 func QuadraticMitigation(opts Options) (QuadCell, error) {
 	opts = opts.fill()
 	n := 2_000
@@ -116,12 +112,10 @@ func QuadraticMitigation(opts Options) (QuadCell, error) {
 	}
 	cell := QuadCell{Keys: n, PoisonPct: 10, ParamsLinear: 2, ParamsQuad: 3}
 
-	start := time.Now()
 	linClean, err := regression.FitCDF(ks)
 	if err != nil {
 		return QuadCell{}, err
 	}
-	cell.FitNanosLinear = time.Since(start).Nanoseconds()
 	linPois, err := regression.FitCDF(atk.Poisoned)
 	if err != nil {
 		return QuadCell{}, err
@@ -129,12 +123,10 @@ func QuadraticMitigation(opts Options) (QuadCell, error) {
 	cell.LinearCleanLoss = linClean.Loss
 	cell.LinearRatio = core.SafeRatio(linPois.Loss, linClean.Loss)
 
-	start = time.Now()
 	quadClean, err := regression.FitQuadCDF(ks)
 	if err != nil {
 		return QuadCell{}, err
 	}
-	cell.FitNanosQuad = time.Since(start).Nanoseconds()
 	quadPois, err := regression.FitQuadCDF(atk.Poisoned)
 	if err != nil {
 		return QuadCell{}, err

@@ -69,9 +69,9 @@ type Fig3Result struct {
 	CleanLoss  float64
 	Sequence   []core.LossPoint
 	Derivative []core.LossPoint
-	Convexity  []core.GapConvexityReport
 	// MaxExcess is the largest amount by which an interior candidate beat
-	// the gap endpoints (Theorem 2 predicts <= floating-point noise).
+	// the gap endpoints over every gap (Theorem 2 predicts <= floating-point
+	// noise).
 	MaxExcess float64
 }
 
@@ -102,7 +102,6 @@ func Fig3(opts Options) (Fig3Result, error) {
 		CleanLoss:  clean,
 		Sequence:   seq,
 		Derivative: core.DiscreteDerivative(seq),
-		Convexity:  conv,
 	}
 	for _, r := range conv {
 		if r.Excess > res.MaxExcess {
@@ -116,7 +115,6 @@ func Fig3(opts Options) (Fig3Result, error) {
 // uniform keys with 10 poisoning keys (the paper reports a 7.4× error
 // increase and poison keys clustering in dense regions).
 type Fig4Result struct {
-	Keys     keys.Set
 	Poison   []int64
 	Poisoned keys.Set
 	Before   regression.Model
@@ -159,7 +157,6 @@ func Fig4(opts Options) (Fig4Result, error) {
 		return Fig4Result{}, err
 	}
 	res := Fig4Result{
-		Keys:     ks,
 		Poison:   g.Poison,
 		Poisoned: g.Poisoned,
 		Before:   before,

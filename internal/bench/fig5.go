@@ -38,20 +38,17 @@ func (d Distribution) generate(rng *xrand.RNG, n int, m int64) (keys.Set, error)
 // RegressionGridCell is one boxplot of Figures 5/8: a fixed (keys, density,
 // poisoning%) triple evaluated over `trials` fresh key sets.
 type RegressionGridCell struct {
-	Dist       Distribution
 	Keys       int
 	DensityPct float64
 	Domain     int64
 	PoisonPct  float64
 	Ratios     []float64 // one ratio loss per trial
 	Box        stats.Boxplot
-	Truncated  int // trials where the domain saturated before the budget
 }
 
 // RegressionGridResult is the full Figure 5 (uniform) or Figure 8 (normal)
 // sweep.
 type RegressionGridResult struct {
-	Dist   Distribution
 	Trials int
 	Cells  []RegressionGridCell
 }
@@ -78,7 +75,7 @@ func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, erro
 	keyCounts, densities, poisonPcts, trials := gridShape(opts.Scale)
 	root := opts.rng()
 	pool := opts.pool()
-	res := RegressionGridResult{Dist: dist, Trials: trials}
+	res := RegressionGridResult{Trials: trials}
 	for _, n := range keyCounts {
 		for _, dens := range densities {
 			m := int64(float64(n) / (dens / 100))
@@ -109,35 +106,24 @@ func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, erro
 					tasks = append(tasks, task{pct: pct, budget: budgetOf(n, pct), trial: t})
 				}
 			}
-			type attackOut struct {
-				ratio     float64
-				truncated bool
-			}
-			outs, err := engine.Map(context.Background(), pool, len(tasks), func(i int) (attackOut, error) {
+			ratios, err := engine.Map(context.Background(), pool, len(tasks), func(i int) (float64, error) {
 				tk := tasks[i]
 				g, err := core.GreedyMultiPoint(sets[tk.trial], tk.budget)
 				if err != nil {
-					return attackOut{}, fmt.Errorf("bench: grid attack n=%d dens=%v pct=%v: %w", n, dens, tk.pct, err)
+					return 0, fmt.Errorf("bench: grid attack n=%d dens=%v pct=%v: %w", n, dens, tk.pct, err)
 				}
-				return attackOut{ratio: g.RatioLoss(), truncated: g.Truncated}, nil
+				return g.RatioLoss(), nil
 			})
 			if err != nil {
 				return RegressionGridResult{}, err
 			}
 			for pi, pct := range poisonPcts {
 				cell := RegressionGridCell{
-					Dist:       dist,
 					Keys:       n,
 					DensityPct: dens,
 					Domain:     m,
 					PoisonPct:  pct,
-				}
-				for t := 0; t < trials; t++ {
-					out := outs[pi*trials+t]
-					if out.truncated {
-						cell.Truncated++
-					}
-					cell.Ratios = append(cell.Ratios, out.ratio)
+					Ratios:     ratios[pi*trials : (pi+1)*trials],
 				}
 				cell.Box = stats.NewBoxplot(cell.Ratios)
 				res.Cells = append(res.Cells, cell)

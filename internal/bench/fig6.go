@@ -14,7 +14,6 @@ import (
 // model size, poisoning %, alpha) configuration of the two-stage RMI attack.
 type RMICell struct {
 	Dist      Distribution
-	Keys      int
 	Domain    int64
 	ModelSize int
 	NumModels int
@@ -29,7 +28,6 @@ type RMICell struct {
 	MaxModelRatio  float64 // headline: individual second-stage model, up to 3000×
 	Moves          int
 	Injected       int
-	Budget         int
 }
 
 // RMISyntheticResult is the Figure 6 sweep.
@@ -99,7 +97,7 @@ func RMISynthetic(opts Options) (RMISyntheticResult, error) {
 				if err != nil {
 					return RMICell{}, fmt.Errorf("bench: fig6 attack %s size=%d pct=%v α=%v: %w", dist, c.size, c.pct, c.alpha, err)
 				}
-				return newRMICell(dist, n, m, c.size, c.pct, c.alpha, atk), nil
+				return newRMICell(dist, m, c.size, c.pct, c.alpha, atk), nil
 			})
 			if err != nil {
 				return RMISyntheticResult{}, err
@@ -132,10 +130,9 @@ func maxMovesFor(s Scale, numModels int) int {
 	return cap
 }
 
-func newRMICell(dist Distribution, n int, m int64, size int, pct, alpha float64, atk core.RMIAttackResult) RMICell {
+func newRMICell(dist Distribution, m int64, size int, pct, alpha float64, atk core.RMIAttackResult) RMICell {
 	cell := RMICell{
 		Dist:      dist,
-		Keys:      n,
 		Domain:    m,
 		ModelSize: size,
 		NumModels: len(atk.Models),
@@ -144,7 +141,6 @@ func newRMICell(dist Distribution, n int, m int64, size int, pct, alpha float64,
 		RMIRatio:  atk.RMIRatio(),
 		Moves:     atk.Moves,
 		Injected:  atk.Injected,
-		Budget:    atk.Budget,
 	}
 	cell.PerModelRatios = atk.PerModelRatios()
 	for _, r := range cell.PerModelRatios {

@@ -24,7 +24,6 @@ const (
 // poisoning percentages {5, 10, 20} at α = 3, plus the dataset's CDF for the
 // figure's second row.
 type RealDataResult struct {
-	Dataset RealDataset
 	Keys    keys.Set
 	Density float64
 	Cells   []RMICell
@@ -66,7 +65,6 @@ func RealData(ds RealDataset, opts Options) (RealDataResult, error) {
 		return RealDataResult{}, err
 	}
 	res := RealDataResult{
-		Dataset: ds,
 		Keys:    ks,
 		Density: ks.Density(domain),
 	}
@@ -114,7 +112,7 @@ func RealData(ds RealDataset, opts Options) (RealDataResult, error) {
 		if err != nil {
 			return RMICell{}, fmt.Errorf("bench: fig7 %s size=%d pct=%v: %w", ds, c.size, c.pct, err)
 		}
-		return newRMICell(Distribution(ds), ks.Len(), domain, c.size, c.pct, alpha, atk), nil
+		return newRMICell(Distribution(ds), domain, c.size, c.pct, alpha, atk), nil
 	})
 	if err != nil {
 		return RealDataResult{}, err

@@ -14,7 +14,6 @@ import (
 type OnlineCell struct {
 	Policy    dynamic.RetrainPolicy
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
-	Budget    int     // the same, in keys
 	core.OnlineResult
 }
 
@@ -24,7 +23,6 @@ type OnlineCell struct {
 // honest-arrival schedule so cells are directly comparable.
 type OnlineSweepResult struct {
 	Keys          int // initial key count
-	Domain        int64
 	EpochsPerCell int
 	ArrivalsPct   float64 // honest arrivals per epoch, % of initial keys
 	Cells         []OnlineCell
@@ -90,14 +88,13 @@ func OnlineSweep(opts Options) (OnlineSweepResult, error) {
 		if err != nil {
 			return OnlineCell{}, fmt.Errorf("bench: online cell policy=%s budget=%v%%: %w", p, pct, err)
 		}
-		return OnlineCell{Policy: p, BudgetPct: pct, Budget: budget, OnlineResult: res}, nil
+		return OnlineCell{Policy: p, BudgetPct: pct, OnlineResult: res}, nil
 	})
 	if err != nil {
 		return OnlineSweepResult{}, err
 	}
 	return OnlineSweepResult{
 		Keys:          n,
-		Domain:        domain,
 		EpochsPerCell: epochs,
 		ArrivalsPct:   arrivalsPct,
 		Cells:         cells,

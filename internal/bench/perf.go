@@ -102,7 +102,7 @@ func perfCells() []perfCell {
 		// "single" (above) the pruned scan — three rows, same answer, the
 		// complexity ladder of DESIGN.md §11 read directly off the report.
 		{attack: "single-full", n: 100_000, op: func(ks keys.Set, w int) error {
-			_, err := core.OptimalSinglePoint(ks, core.WithWorkers(w), core.WithFullScan())
+			_, err := core.OptimalSinglePoint(ks, core.WithWorkers(w), core.WithExhaustiveScan())
 			return err
 		}},
 		{attack: "brute", n: 100_000, op: func(ks keys.Set, w int) error {
@@ -153,7 +153,7 @@ func perfCells() []perfCell {
 				Domain:      int64(4_000) * 100,
 				Seed:        99,
 				Cost:        index.CostModel{Fixed: 50},
-				Oracle:      GreedyOracle(),
+				Oracle:      core.GreedyOracle(),
 			}, serve.Options{Readers: w})
 			return err
 		}},
@@ -421,7 +421,7 @@ type PerfDelta struct {
 	Key                   string
 	BaseNs, CurNs         float64
 	BaseAllocs, CurAllocs float64
-	NsRatio, AllocsRatio  float64
+	NsRatio               float64
 	Regressed             bool
 	Reason                string
 }
@@ -467,9 +467,6 @@ func ComparePerf(baseline, current PerfReport, tol float64) ([]PerfDelta, bool) 
 		}
 		if b.NsPerOp > 0 {
 			d.NsRatio = r.NsPerOp / b.NsPerOp
-		}
-		if b.AllocsPerOp > 0 {
-			d.AllocsRatio = r.AllocsPerOp / b.AllocsPerOp
 		}
 		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*(1+tol) {
 			d.Regressed = true

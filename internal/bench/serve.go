@@ -14,7 +14,6 @@ import (
 type ServeCell struct {
 	Workload  workload.Spec
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
-	Budget    int
 	core.ServeResult
 }
 
@@ -24,7 +23,6 @@ type ServeCell struct {
 // operation stream.
 type ServeSweepResult struct {
 	Keys          int
-	Domain        int64
 	EpochsPerCell int
 	OpsPerEpoch   int
 	Cells         []ServeCell
@@ -83,14 +81,13 @@ func ServeSweep(opts Options) (ServeSweepResult, error) {
 		if err != nil {
 			return ServeCell{}, fmt.Errorf("bench: serve cell shards=%d workload=%s: %w", shards, mix, err)
 		}
-		return ServeCell{Workload: mix, BudgetPct: budgetPct, Budget: budget, ServeResult: res}, nil
+		return ServeCell{Workload: mix, BudgetPct: budgetPct, ServeResult: res}, nil
 	})
 	if err != nil {
 		return ServeSweepResult{}, err
 	}
 	return ServeSweepResult{
 		Keys:          n,
-		Domain:        domain,
 		EpochsPerCell: epochs,
 		OpsPerEpoch:   opsPerEpoch,
 		Cells:         cells,

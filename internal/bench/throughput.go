@@ -23,23 +23,10 @@ import (
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/index"
-	"cdfpoison/internal/keys"
 	"cdfpoison/internal/serve"
 	"cdfpoison/internal/shard"
 	"cdfpoison/internal/workload"
 )
-
-// GreedyOracle adapts the paper's greedy multi-point attack (Algorithm 1)
-// to the serving plane's per-epoch poison oracle.
-func GreedyOracle(opts ...core.Option) serve.Oracle {
-	return func(visible keys.Set, budget int) ([]int64, error) {
-		g, err := core.GreedyMultiPoint(visible, budget, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return g.Poison, nil
-	}
-}
 
 // ThroughputCell is one (workload mix × rebuild-cost model) cell: the
 // clean and poisoned per-epoch trajectories plus headline summaries.
@@ -47,7 +34,6 @@ type ThroughputCell struct {
 	Workload  workload.Spec
 	Cost      index.CostModel
 	BudgetPct float64
-	Budget    int
 	Clean     []serve.EpochMetrics
 	Poisoned  []serve.EpochMetrics
 	// Wall-clock throughput of each run — machine-dependent, stdout/perf
@@ -55,17 +41,15 @@ type ThroughputCell struct {
 	CleanOpsPerSec    float64
 	PoisonedOpsPerSec float64
 	// Summaries over the deterministic trajectories: worst poisoned/clean
-	// tail-latency ratios, final loss ratio, worst poisoned stale fraction.
-	MaxP99Ratio    float64
-	MaxP999Ratio   float64
-	FinalLossRatio float64
-	MaxStaleFrac   float64
+	// tail-latency ratios and worst poisoned stale fraction.
+	MaxP99Ratio  float64
+	MaxP999Ratio float64
+	MaxStaleFrac float64
 }
 
 // ThroughputSweepResult is the full sweep: shared shape plus the cells.
 type ThroughputSweepResult struct {
 	Keys          int
-	Domain        int64
 	Shards        int
 	Policy        dynamic.RetrainPolicy
 	EpochsPerCell int
@@ -123,7 +107,6 @@ func ThroughputSweep(opts Options) (ThroughputSweepResult, error) {
 	plane := serve.Options{Readers: opts.Workers}.WithDefaults()
 	res := ThroughputSweepResult{
 		Keys:          n,
-		Domain:        domain,
 		Shards:        shards,
 		Policy:        policy,
 		EpochsPerCell: epochs,
@@ -140,9 +123,9 @@ func ThroughputSweep(opts Options) (ThroughputSweepResult, error) {
 				Domain:      domain,
 				Seed:        opts.Seed,
 				Cost:        cost,
-				Oracle:      GreedyOracle(),
+				Oracle:      core.GreedyOracle(),
 			}
-			cell := ThroughputCell{Workload: mix, Cost: cost, BudgetPct: budgetPct, Budget: budget}
+			cell := ThroughputCell{Workload: mix, Cost: cost, BudgetPct: budgetPct}
 
 			run := func(budget int) ([]serve.EpochMetrics, float64, error) {
 				b, err := shard.New(ks, shards, policy)
@@ -182,8 +165,6 @@ func ThroughputSweep(opts Options) (ThroughputSweepResult, error) {
 					cell.MaxStaleFrac = p.StaleFrac
 				}
 			}
-			last := len(cell.Poisoned) - 1
-			cell.FinalLossRatio = core.SafeRatio(cell.Poisoned[last].ContentLoss, cell.Clean[last].ContentLoss)
 			res.Cells = append(res.Cells, cell)
 		}
 	}

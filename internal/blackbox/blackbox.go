@@ -43,7 +43,6 @@ type Segment struct {
 	// (inclusive) served by this model.
 	Lo, Hi int
 	Line   regression.Line
-	Probes int // oracle queries spent on this segment
 }
 
 // InferenceResult reports the recovered architecture.
@@ -77,11 +76,7 @@ func InferSecondStage(o Oracle, known keys.Set) (InferenceResult, error) {
 	for start < n {
 		if start == n-1 {
 			// A trailing singleton: constant model.
-			res.Segments = append(res.Segments, Segment{
-				Lo: start, Hi: start,
-				Line:   regression.Line{W: 0, B: preds[start]},
-				Probes: 1,
-			})
+			res.Segments = append(res.Segments, Segment{Lo: start, Hi: start, Line: regression.Line{W: 0, B: preds[start]}})
 			break
 		}
 		// Solve the line through the first two points of the group.
@@ -98,9 +93,7 @@ func InferSecondStage(o Oracle, known keys.Set) (InferenceResult, error) {
 			}
 			end++
 		}
-		res.Segments = append(res.Segments, Segment{
-			Lo: start, Hi: end, Line: line, Probes: end - start + 1,
-		})
+		res.Segments = append(res.Segments, Segment{Lo: start, Hi: end, Line: line})
 		start = end + 1
 	}
 	return res, nil
@@ -123,10 +116,10 @@ func Verify(o Oracle, known keys.Set, inf InferenceResult) float64 {
 	return worst
 }
 
-// AttackResult couples the inference with the mounted white-box attack.
+// AttackResult is the white-box attack mounted on the inferred
+// architecture.
 type AttackResult struct {
-	Inference InferenceResult
-	Attack    core.RMIAttackResult
+	Attack core.RMIAttackResult
 }
 
 // Attack runs the full black-box pipeline: infer the second-stage
@@ -145,5 +138,5 @@ func Attack(o Oracle, known keys.Set, opts core.RMIAttackOptions) (AttackResult,
 	if err != nil {
 		return AttackResult{}, fmt.Errorf("blackbox: attack on inferred architecture: %w", err)
 	}
-	return AttackResult{Inference: inf, Attack: atk}, nil
+	return AttackResult{Attack: atk}, nil
 }

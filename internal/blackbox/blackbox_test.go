@@ -104,8 +104,8 @@ func TestBlackBoxAttackMatchesWhiteBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bb.Inference.NumModels() != 20 {
-		t.Fatalf("inference fanout %d", bb.Inference.NumModels())
+	if len(bb.Attack.Models) != 20 {
+		t.Fatalf("inference fanout %d", len(bb.Attack.Models))
 	}
 	// Same data, same recovered architecture → identical attack outcome.
 	if !bb.Attack.Poison.Equal(wb.Poison) {

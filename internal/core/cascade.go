@@ -81,7 +81,6 @@ type CascadeEpochReport struct {
 	Splits, CleanSplits           int
 	Cascades, CleanCascades       int
 	Nodes, CleanNodes             int
-	Retrains, CleanRetrains       int
 	// StructCost is the total slot-write cost of structural maintenance
 	// (shift writes + keys rehomed by splits and cascades); StructRatio is
 	// victim/clean — the headline "price of tailoring" number, which grows
@@ -289,7 +288,6 @@ func CascadeAttack(initial keys.Set, opts CascadeOptions, execOpts ...Option) (C
 		rep.StructCost, rep.CleanStructCost = sv.Cost(), sc.Cost()
 		rep.StructRatio = SafeRatio(float64(rep.StructCost), float64(rep.CleanStructCost))
 		vs, cs, ratio := t.losses()
-		rep.Retrains, rep.CleanRetrains = vs.Retrains, cs.Retrains
 		rep.DamageScore = float64(sv.ShiftWrites-pre.ShiftWrites) *
 			float64(1+sv.Splits-pre.Splits) *
 			float64(1+vs.Retrains-preRetrains)

@@ -83,10 +83,9 @@ type ChurnEpochReport struct {
 	Reads, Writes int
 	Injected      int
 	TargetShard   int
-	// PoisonTotal, Retrains, and CleanRetrains are cumulative.
-	PoisonTotal   int
-	Retrains      int // victim backend retrains, summed across shards
-	CleanRetrains int
+	// PoisonTotal and Retrains are cumulative.
+	PoisonTotal int
+	Retrains    int // victim backend retrains, summed across shards
 	// Stale-read accounting for THIS epoch's inline reads: a read is stale
 	// when it was served while a rebuild was in flight.
 	StaleReads      int
@@ -119,7 +118,6 @@ type ChurnEpochReport struct {
 
 // ChurnResult reports the full retrain-churn scenario.
 type ChurnResult struct {
-	Shards   int
 	Epochs   []ChurnEpochReport
 	Poison   keys.Set // union of all accepted poison keys
 	Retrains int      // victim backend retrains at scenario end
@@ -230,7 +228,7 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	res := ChurnResult{Shards: opts.Shards, Epochs: make([]ChurnEpochReport, 0, opts.Epochs)}
+	res := ChurnResult{Epochs: make([]ChurnEpochReport, 0, opts.Epochs)}
 	for e := 0; e < opts.Epochs; e++ {
 		if err := ex.ctx.Err(); err != nil {
 			return ChurnResult{}, err
@@ -280,7 +278,7 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 		// 4. Measurement.
 		rep.PoisonTotal = len(t.poison)
 		vs, cs, ratio := t.losses()
-		rep.Retrains, rep.CleanRetrains = vs.Retrains, cs.Retrains
+		rep.Retrains = vs.Retrains
 		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
 		if rep.Reads > 0 {
 			rep.StaleFrac = float64(rep.StaleReads) / float64(rep.Reads)

@@ -90,10 +90,8 @@ func (d DefenseSpec) attackerSource() int {
 // through the identical defense — the direct false-positive reading.
 // All counts are write ATTEMPTS, before duplicate rejection by the backend.
 type DefenseReport struct {
-	// Enabled mirrors DefenseSpec.Enabled for the CSV emitters.
-	Enabled bool
-	// Victim-side write attempts by origin.
-	HonestAttempts, PoisonAttempts int
+	// PoisonAttempts counts the attacker's victim-side write attempts.
+	PoisonAttempts int
 	// Victim-side guard rejects by origin.
 	FlaggedHonest, FlaggedPoison int
 	// Victim-side rate-limiter refusals by origin.
@@ -183,15 +181,13 @@ func (a *defenseArm) account(poison bool, kind int) {
 	switch {
 	case kind == 0 && poison:
 		a.rep.PoisonAttempts++
-	case kind == 0:
-		a.rep.HonestAttempts++
 	case kind == 1 && poison:
 		a.rep.FlaggedPoison++
 	case kind == 1:
 		a.rep.FlaggedHonest++
 	case kind == 2 && poison:
 		a.rep.ThrottledPoison++
-	default:
+	case kind == 2:
 		a.rep.ThrottledHonest++
 	}
 }

@@ -80,18 +80,15 @@ func TestStaticTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Injected == 0 {
+	if res.Poison.Len() == 0 {
 		t.Fatal("no poison accepted")
 	}
 	if res.RatioLoss <= 1.5 {
 		t.Fatalf("static attack barely moved the loss: ratio %v", res.RatioLoss)
 	}
-	if res.Defense.Enabled {
-		t.Fatal("zero spec reports enabled in the result")
-	}
-	if res.Defense.PoisonAttempts != 30 || res.Defense.HonestAttempts != 120 {
+	if res.Defense.PoisonAttempts != 30 || res.Defense.CleanAttempts != 120 {
 		t.Fatalf("attempt accounting off: poison %d honest %d",
-			res.Defense.PoisonAttempts, res.Defense.HonestAttempts)
+			res.Defense.PoisonAttempts, res.Defense.CleanAttempts)
 	}
 	// Zero budget: no poison, ratio pinned to 1 (identical twins).
 	quiet := staticTestOpts(initial)
@@ -100,8 +97,8 @@ func TestStaticTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qres.RatioLoss != 1 || qres.Injected != 0 {
-		t.Fatalf("zero-budget scenario not clean: ratio %v injected %d", qres.RatioLoss, qres.Injected)
+	if qres.RatioLoss != 1 || qres.Poison.Len() != 0 {
+		t.Fatalf("zero-budget scenario not clean: ratio %v injected %d", qres.RatioLoss, qres.Poison.Len())
 	}
 }
 
@@ -120,7 +117,7 @@ func TestStaticGuardDefense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Defense.Enabled || got.Defense.FlaggedPoison == 0 {
+	if got.Defense.FlaggedPoison == 0 {
 		t.Fatalf("guard saw no poison: %+v", got.Defense)
 	}
 	if got.RatioLoss*2 > bare.RatioLoss {
@@ -230,7 +227,7 @@ func TestCascadeRateLimitRegression(t *testing.T) {
 		if b.CleanShiftWrites != g.CleanShiftWrites || b.CleanSplits != g.CleanSplits ||
 			b.CleanCascades != g.CleanCascades || b.CleanNodes != g.CleanNodes ||
 			b.CleanStructCost != g.CleanStructCost || b.CleanProbeTotal != g.CleanProbeTotal ||
-			b.CleanLoss != g.CleanLoss || b.CleanRetrains != g.CleanRetrains {
+			b.CleanLoss != g.CleanLoss {
 			t.Fatalf("epoch %d clean columns drifted under rate limiting", i+1)
 		}
 	}
@@ -252,9 +249,6 @@ func TestCascadeBalancedSplitDefense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Defense.Enabled {
-		t.Fatal("balanced-split spec not reported enabled")
-	}
 	if got.FinalStructRatio() >= bare.FinalStructRatio() {
 		t.Fatalf("balanced split did not reduce the struct-cost ratio: %v vs %v",
 			got.FinalStructRatio(), bare.FinalStructRatio())
@@ -271,7 +265,7 @@ func TestStaticWorkerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Injected == 0 {
+	if want.Poison.Len() == 0 {
 		t.Fatal("no poison accepted; the fixture lost its point")
 	}
 	for _, w := range []int{0, 3} {

@@ -18,9 +18,9 @@ import (
 type Option func(*exec)
 
 type exec struct {
-	ctx      context.Context
-	pool     *engine.Pool
-	fullScan bool
+	ctx            context.Context
+	pool           *engine.Pool
+	exhaustiveScan bool
 }
 
 // WithWorkers bounds the attack's worker pool: n == 1 is sequential, n > 1
@@ -30,13 +30,14 @@ func WithWorkers(n int) Option {
 	return func(e *exec) { e.pool = engine.New(n) }
 }
 
-// WithFullScan disables the pruned endpoint scan (DESIGN.md §11) and forces
-// the exhaustive per-gap endpoint sweep. The chosen key and every loss are
-// bit-identical either way — this switch exists for the scan ablation, for
-// differential tests, and for callers that want the classic 2(n−1)-candidate
-// accounting semantics (e.g. the endpoint-vs-brute ablation).
-func WithFullScan() Option {
-	return func(e *exec) { e.fullScan = true }
+// WithExhaustiveScan disables the pruned endpoint scan (DESIGN.md §11) and
+// forces the exhaustive per-gap endpoint sweep. The chosen key and every
+// loss are bit-identical either way — this switch exists for the scan
+// ablation, for differential tests, and for callers that want the classic
+// 2(n−1)-candidate accounting semantics (e.g. the endpoint-vs-brute
+// ablation).
+func WithExhaustiveScan() Option {
+	return func(e *exec) { e.exhaustiveScan = true }
 }
 
 // WithContext makes the attack cancellable: when ctx is cancelled the

@@ -24,7 +24,6 @@ type ModificationResult struct {
 	Steps     []ModificationStep
 	Modified  keys.Set // the key set after all modifications
 	CleanLoss float64
-	Stopped   bool // ended early: no modification could increase the loss
 }
 
 // FinalLoss returns the MSE after the last applied modification.
@@ -66,7 +65,6 @@ func GreedyModification(ks keys.Set, p int) (ModificationResult, error) {
 
 	for j := 0; j < p; j++ {
 		if res.Modified.Len() < 3 {
-			res.Stopped = true
 			break
 		}
 		rem, err := OptimalSingleRemoval(res.Modified)
@@ -89,11 +87,9 @@ func GreedyModification(ks keys.Set, p int) (ModificationResult, error) {
 				current = rem.PoisonedLoss
 				continue
 			}
-			res.Stopped = true
 			break
 		}
 		if ins.PoisonedLoss < current {
-			res.Stopped = true
 			break
 		}
 		next, ok := survivors.Insert(ins.Key)

@@ -17,7 +17,7 @@ func TestGreedyModificationBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Key count preserved by every remove+insert pair.
-	if res.Modified.Len() != ks.Len() && !res.Stopped {
+	if res.Modified.Len() != ks.Len() {
 		t.Fatalf("key count drifted: %d -> %d", ks.Len(), res.Modified.Len())
 	}
 	if res.RatioLoss() < 1 {

@@ -298,13 +298,13 @@ func (s *prunedScan) survChunk(clo, chi int) (candidateBest, error) {
 	return out, nil
 }
 
-// run executes one pruned scan. Small sets and WithFullScan fall through to
-// the plain sequential-equivalent full scan (BlocksVisited/BlocksTotal stay
-// zero there: no pruning happened).
+// run executes one pruned scan. Small sets and WithExhaustiveScan fall
+// through to the plain sequential-equivalent full scan (BlocksVisited/
+// BlocksTotal stay zero there: no pruning happened).
 func (s *prunedScan) run(ex exec) (SinglePointResult, error) {
 	sc := &s.scan
 	s.nGaps = sc.pre.Set().Len() - 1
-	if ex.fullScan || s.nGaps < prunedMinGaps {
+	if ex.exhaustiveScan || s.nGaps < prunedMinGaps {
 		return sc.run(ex)
 	}
 	sc.refresh()

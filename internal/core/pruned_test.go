@@ -46,7 +46,7 @@ func prunedSets(t testing.TB) map[string]keys.Set {
 // fewer blocks.
 func TestPrunedScanEquivalence(t *testing.T) {
 	for name, ks := range prunedSets(t) {
-		full, err := OptimalSinglePoint(ks, WithFullScan())
+		full, err := OptimalSinglePoint(ks, WithExhaustiveScan())
 		if err != nil {
 			t.Fatalf("%s: full scan: %v", name, err)
 		}
@@ -77,7 +77,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 func TestPrunedScanGreedyEquivalence(t *testing.T) {
 	for name, ks := range prunedSets(t) {
 		const budget = 12
-		full, err := GreedyMultiPoint(ks, budget, WithFullScan())
+		full, err := GreedyMultiPoint(ks, budget, WithExhaustiveScan())
 		if err != nil {
 			t.Fatalf("%s: full greedy: %v", name, err)
 		}
@@ -148,7 +148,7 @@ func TestPrunedScanAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := OptimalSinglePoint(ks, WithFullScan())
+		full, err := OptimalSinglePoint(ks, WithExhaustiveScan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestPrunedScanGreedyGrowsPastScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 3 * ks.Len()
-	full, err := GreedyMultiPoint(ks, budget, WithFullScan())
+	full, err := GreedyMultiPoint(ks, budget, WithExhaustiveScan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPrunedScanSmallSetFallsBack(t *testing.T) {
 	if res.BlocksTotal != 0 || res.BlocksVisited != 0 {
 		t.Fatalf("small set took the pruned path: %+v", res)
 	}
-	full, err := OptimalSinglePoint(ks, WithFullScan())
+	full, err := OptimalSinglePoint(ks, WithExhaustiveScan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestPrunedScanThirdLevel(t *testing.T) {
 		if len(scan.lv) < 3 {
 			t.Fatalf("%s: %d gaps laid out %d levels; the test needs a third", c.name, ks.Len()-1, len(scan.lv))
 		}
-		full, err := OptimalSinglePoint(ks, WithFullScan())
+		full, err := OptimalSinglePoint(ks, WithExhaustiveScan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestPrunedScanThirdLevel(t *testing.T) {
 		}
 
 		const budget = 12
-		fullG, err := GreedyMultiPoint(ks, budget, WithFullScan())
+		fullG, err := GreedyMultiPoint(ks, budget, WithExhaustiveScan())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,6 @@ type RemovalResult struct {
 	Key          int64   // the key whose removal maximizes the loss
 	CleanLoss    float64 // MSE before the removal
 	PoisonedLoss float64 // MSE after removing Key and re-ranking
-	Candidates   int
 }
 
 // OptimalSingleRemoval finds the stored key whose deletion maximizes the
@@ -61,7 +60,6 @@ func OptimalSingleRemoval(ks keys.Set) (RemovalResult, error) {
 		nsxx := sxx - x[j]*x[j]
 		nsxr := sxr - x[j]*float64(j+1) - suf[j+1]
 		l := lossFromMoments(nsx, nsxx, nsxr, n-1)
-		res.Candidates++
 		if l > res.PoisonedLoss {
 			res.PoisonedLoss = l
 			res.Key = ks.At(j)
@@ -97,7 +95,6 @@ type GreedyRemovalResult struct {
 	Remaining  keys.Set // K \ R
 	CleanLoss  float64
 	Trajectory []float64 // MSE after each removal
-	Stopped    bool      // ended early: no removal could increase the loss
 }
 
 // FinalLoss returns the MSE after the last removal.
@@ -130,7 +127,6 @@ func GreedyRemoval(ks keys.Set, p int) (GreedyRemovalResult, error) {
 	current := res.CleanLoss
 	for j := 0; j < p; j++ {
 		if res.Remaining.Len() < 3 {
-			res.Stopped = true
 			break
 		}
 		step, err := OptimalSingleRemoval(res.Remaining)
@@ -138,7 +134,6 @@ func GreedyRemoval(ks keys.Set, p int) (GreedyRemovalResult, error) {
 			return GreedyRemovalResult{}, err
 		}
 		if step.PoisonedLoss < current {
-			res.Stopped = true
 			break
 		}
 		current = step.PoisonedLoss

@@ -112,11 +112,6 @@ type memoKey struct {
 	lo, hi, budget int
 }
 
-type memoVal struct {
-	loss     float64
-	injected int
-}
-
 // memoShardCount shards the range-attack memo so Algorithm 2's parallel
 // per-segment phases stop serializing on a single map mutex at high worker
 // counts: adjacent segments hash to independent locks, and the exchange
@@ -125,14 +120,14 @@ type memoVal struct {
 // worker count. Power of two so the hash folds with a mask.
 const memoShardCount = 64
 
-// rangeMemo is the sharded (lo, hi, budget) → attack-outcome cache.
+// rangeMemo is the sharded (lo, hi, budget) → poisoned-loss cache.
 // Values are deterministic, so two workers racing to evaluate the same
 // triple store identical bytes and the race is harmless; the shards exist
 // purely to cut lock contention (BenchmarkRangeMemoContention measures it).
 type rangeMemo struct {
 	shards [memoShardCount]struct {
 		mu sync.Mutex
-		m  map[memoKey]memoVal
+		m  map[memoKey]float64
 	}
 }
 
@@ -140,7 +135,7 @@ func newRangeMemo(sizeHint int) *rangeMemo {
 	rm := &rangeMemo{}
 	per := sizeHint/memoShardCount + 1
 	for i := range rm.shards {
-		rm.shards[i].m = make(map[memoKey]memoVal, per)
+		rm.shards[i].m = make(map[memoKey]float64, per)
 	}
 	return rm
 }
@@ -155,7 +150,7 @@ func (k memoKey) shard() uint64 {
 	return h & (memoShardCount - 1)
 }
 
-func (rm *rangeMemo) get(k memoKey) (memoVal, bool) {
+func (rm *rangeMemo) get(k memoKey) (float64, bool) {
 	s := &rm.shards[k.shard()]
 	s.mu.Lock()
 	v, ok := s.m[k]
@@ -163,7 +158,7 @@ func (rm *rangeMemo) get(k memoKey) (memoVal, bool) {
 	return v, ok
 }
 
-func (rm *rangeMemo) put(k memoKey, v memoVal) {
+func (rm *rangeMemo) put(k memoKey, v float64) {
 	s := &rm.shards[k.shard()]
 	s.mu.Lock()
 	s.m[k] = v
@@ -173,8 +168,6 @@ func (rm *rangeMemo) put(k memoKey, v memoVal) {
 // rmiAttackState carries Algorithm 2's mutable state.
 type rmiAttackState struct {
 	ks     keys.Set
-	n      int
-	N      int
 	bounds []int // model i owns sorted positions [bounds[i], bounds[i+1])
 	budget []int
 	loss   []float64 // current poisoned loss per model
@@ -212,21 +205,21 @@ func (st *rmiAttackState) take() *greedyWS {
 // cancellation aborts mid-segment rather than after the full O(p·n) run;
 // the poisoned value is NOT memoized in that case, and the surrounding
 // engine.Map surfaces ctx.Err() at its next task boundary, discarding it.
-func (st *rmiAttackState) evalRange(lo, hi, budget int) memoVal {
+func (st *rmiAttackState) evalRange(lo, hi, budget int) float64 {
 	k := memoKey{lo, hi, budget}
 	if v, ok := st.memo.get(k); ok {
 		return v
 	}
-	var v memoVal
+	var v float64
 	if hi-lo >= 2 {
 		w := st.take()
 		g, err := w.run(st.ks.Slice(lo, hi), budget, st.inner)
-		v = memoVal{loss: g.FinalLoss(), injected: len(g.Poison)}
+		v = g.FinalLoss()
 		st.ws <- w
 		if err != nil {
 			// Cancelled mid-attack (ErrTooFew is excluded by the guard
 			// above): return a zero value without memoizing it.
-			return memoVal{}
+			return 0
 		}
 	}
 	st.memo.put(k, v)
@@ -261,9 +254,9 @@ func (st *rmiAttackState) computeForward(i int) exchange {
 	lj := st.evalRange(st.bounds[i+1]+1, st.bounds[i+2], st.budget[i+1]+1)
 	return exchange{
 		valid: true,
-		delta: (li.loss + lj.loss) - (st.loss[i] + st.loss[i+1]),
-		li:    li.loss,
-		lj:    lj.loss,
+		delta: (li + lj) - (st.loss[i] + st.loss[i+1]),
+		li:    li,
+		lj:    lj,
 	}
 }
 
@@ -284,9 +277,9 @@ func (st *rmiAttackState) computeBackward(i int) exchange {
 	lj := st.evalRange(st.bounds[i+1]-1, st.bounds[i+2], st.budget[i+1]-1)
 	return exchange{
 		valid: true,
-		delta: (li.loss + lj.loss) - (st.loss[i] + st.loss[i+1]),
-		li:    li.loss,
-		lj:    lj.loss,
+		delta: (li + lj) - (st.loss[i] + st.loss[i+1]),
+		li:    li,
+		lj:    lj,
 	}
 }
 
@@ -329,8 +322,6 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 	ex := newExec(execOpts)
 	st := &rmiAttackState{
 		ks:     ks,
-		n:      n,
-		N:      N,
 		bounds: make([]int, N+1),
 		budget: make([]int, N),
 		loss:   make([]float64, N),
@@ -398,7 +389,7 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 	// Per-model attacks are independent; fan them out and sum the returned
 	// losses in model order so the float accumulation is order-stable.
 	cleanLosses, err := engine.Map(st.ex.ctx, st.ex.pool, N, func(i int) (float64, error) {
-		return st.evalRange(st.bounds[i], st.bounds[i+1], 0).loss, nil
+		return st.evalRange(st.bounds[i], st.bounds[i+1], 0), nil
 	})
 	if err != nil {
 		return RMIAttackResult{}, err
@@ -411,7 +402,7 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 
 	// Phase 1: initial volume allocation via Algorithm 1 on every model.
 	initLosses, err := engine.Map(st.ex.ctx, st.ex.pool, N, func(i int) (float64, error) {
-		return st.evalRange(st.bounds[i], st.bounds[i+1], st.budget[i]).loss, nil
+		return st.evalRange(st.bounds[i], st.bounds[i+1], st.budget[i]), nil
 	})
 	if err != nil {
 		return RMIAttackResult{}, err
@@ -491,7 +482,7 @@ func RMIAttack(ks keys.Set, opts RMIAttackOptions, execOpts ...Option) (RMIAttac
 			LegitKeys: hi - lo,
 			Budget:    st.budget[i],
 		}
-		rep.CleanLoss = st.evalRange(lo, hi, 0).loss
+		rep.CleanLoss = st.evalRange(lo, hi, 0)
 		rep.PoisonedLoss = rep.CleanLoss
 		if hi-lo >= 2 && st.budget[i] > 0 {
 			w := st.take()

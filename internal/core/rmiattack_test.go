@@ -294,13 +294,13 @@ func TestRangeMemoBasics(t *testing.T) {
 	if _, ok := rm.get(memoKey{1, 2, 3}); ok {
 		t.Fatal("empty memo claimed a hit")
 	}
-	rm.put(memoKey{1, 2, 3}, memoVal{loss: 1.5, injected: 3})
-	rm.put(memoKey{1, 2, 4}, memoVal{loss: 2.5, injected: 4})
-	if v, ok := rm.get(memoKey{1, 2, 3}); !ok || v.loss != 1.5 || v.injected != 3 {
-		t.Fatalf("get = (%+v, %v)", v, ok)
+	rm.put(memoKey{1, 2, 3}, 1.5)
+	rm.put(memoKey{1, 2, 4}, 2.5)
+	if v, ok := rm.get(memoKey{1, 2, 3}); !ok || v != 1.5 {
+		t.Fatalf("get = (%v, %v)", v, ok)
 	}
-	if v, ok := rm.get(memoKey{1, 2, 4}); !ok || v.loss != 2.5 {
-		t.Fatalf("neighbour triple = (%+v, %v)", v, ok)
+	if v, ok := rm.get(memoKey{1, 2, 4}); !ok || v != 2.5 {
+		t.Fatalf("neighbour triple = (%v, %v)", v, ok)
 	}
 	// Adjacent ranges (the exchange loop's access pattern) must spread over
 	// many shards, or the sharding buys nothing.
@@ -324,7 +324,7 @@ func BenchmarkRangeMemoContention(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
 		rm := newRangeMemo(len(keysList))
 		for _, k := range keysList {
-			rm.put(k, memoVal{loss: float64(k.lo)})
+			rm.put(k, float64(k.lo))
 		}
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
@@ -340,9 +340,9 @@ func BenchmarkRangeMemoContention(b *testing.B) {
 	})
 	b.Run("single-mutex", func(b *testing.B) {
 		var mu sync.Mutex
-		m := make(map[memoKey]memoVal, len(keysList))
+		m := make(map[memoKey]float64, len(keysList))
 		for _, k := range keysList {
-			m[k] = memoVal{loss: float64(k.lo)}
+			m[k] = float64(k.lo)
 		}
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0

@@ -78,10 +78,8 @@ func DiscreteDerivative(seq []LossPoint) []LossPoint {
 // of the loss sequence exceeds the best endpoint. Theorem 2 predicts
 // Excess <= 0 up to floating-point noise for every gap.
 type GapConvexityReport struct {
-	Gap         keys.Gap
 	EndpointMax float64 // max(L(lo), L(hi))
-	InteriorMax float64 // max over keys strictly inside the gap
-	Excess      float64 // InteriorMax − EndpointMax (≤ ~0 when the corollary holds)
+	Excess      float64 // interior max − EndpointMax (≤ ~0 when the corollary holds)
 }
 
 // CheckGapConvexity evaluates the Theorem 2 corollary — "the maximum loss
@@ -120,12 +118,7 @@ func CheckGapConvexity(ks keys.Set, opts ...Option) ([]GapConvexityReport, error
 				inMax, first = l, false
 			}
 		}
-		return &GapConvexityReport{
-			Gap:         g,
-			EndpointMax: epMax,
-			InteriorMax: inMax,
-			Excess:      inMax - epMax,
-		}, nil
+		return &GapConvexityReport{EndpointMax: epMax, Excess: inMax - epMax}, nil
 	})
 	if err != nil {
 		return nil, err

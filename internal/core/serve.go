@@ -71,12 +71,7 @@ func (o ServeOptions) validate() error {
 // the router, so shard i covers the same key range on both sides).
 type ServeShardReport struct {
 	Shard     int
-	Keys      int
-	Buffered  int
-	Retrains  int
-	CleanLoss float64 // counterfactual shard's model-vs-content MSE
-	PoisLoss  float64 // victim shard's model-vs-content MSE
-	RatioLoss float64 // SafeRatio(PoisLoss, CleanLoss)
+	RatioLoss float64 // victim over clean shard model-vs-content MSE (SafeRatio)
 }
 
 // ServeEpochReport is the scenario state measured at the end of one epoch.
@@ -85,32 +80,23 @@ type ServeEpochReport struct {
 	// Reads/Writes count this epoch's honest operations by type.
 	Reads, Writes int
 	// Injected is this epoch's accepted poison count; PoisonTotal,
-	// Displaced, Retrains, and CleanRetrains are cumulative.
-	Injected      int
-	PoisonTotal   int
-	Displaced     int // honest writes the victim rejected because poison occupied the slot
-	Retrains      int // victim retrains, summed across shards
-	CleanRetrains int
-	BufferLen     int // victim delta-buffer keys, summed across shards
+	// Displaced and Retrains are cumulative.
+	Injected    int
+	PoisonTotal int
+	Displaced   int // honest writes the victim rejected because poison occupied the slot
+	Retrains    int // victim retrains, summed across shards
+	BufferLen   int // victim delta-buffer keys, summed across shards
 	// Aggregate model-vs-content loss (key-weighted across shards) and the
 	// ratio against the clean counterfactual.
 	CleanLoss    float64
 	PoisonedLoss float64
 	RatioLoss    float64
 	// Probe cost of this epoch's read keys, evaluated on both indexes:
-	// exact totals plus means per read.
-	CleanProbeTotal    int64
-	PoisonedProbeTotal int64
-	CleanProbes        float64
-	PoisonedProbes     float64
-	// Imbalance is the victim's max-shard-over-mean-shard key count; the
-	// clean index's imbalance is the honest baseline.
-	Imbalance      float64
-	CleanImbalance float64
-	// Stale reports whether the victim's read plane was serving a frozen
-	// pre-rebuild snapshot when this epoch's probes were measured — always
-	// false with the zero rebuild-cost model.
-	Stale bool
+	// means per read.
+	CleanProbes    float64
+	PoisonedProbes float64
+	// Imbalance is the victim's max-shard-over-mean-shard key count.
+	Imbalance float64
 	// Shards is the per-shard breakdown (victim vs clean), in shard order.
 	Shards []ServeShardReport
 }
@@ -133,11 +119,6 @@ type ServeResult struct {
 	Epochs   []ServeEpochReport
 	Poison   keys.Set // union of all accepted poison keys
 	Retrains int      // victim total across shards at scenario end
-	// VictimChurn / CleanChurn are the retrain pipelines' cumulative
-	// accounting (all zeros under the zero rebuild-cost model except the
-	// trigger/publish counters).
-	VictimChurn index.ChurnStats
-	CleanChurn  index.ChurnStats
 	// Defense is the defense-plane accounting (zero when no defense armed).
 	Defense DefenseReport
 }
@@ -202,8 +183,8 @@ func (r ServeResult) MaxShardRatio() float64 {
 //     PUBLICATION — reads keep hitting the pre-rebuild snapshot until the
 //     cost elapses.
 //  4. The epoch report captures per-shard and aggregate model-vs-content
-//     loss ratios, exact probe totals of the epoch's reads against both
-//     read planes, shard imbalance, buffer depth, and retrain counts.
+//     loss ratios, mean probes of the epoch's reads against both read
+//     planes, the victim's shard imbalance, buffer depth, and retrain count.
 //
 // Determinism contract: the workload stream is a pure function of
 // (Workload, initial, Domain, Seed); WithWorkers parallelism reaches only
@@ -266,15 +247,12 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 		// evaluation and integer probe sums are order-invariant, so sorting
 		// them in place (the batch kernel's precondition) changes no column.
 		rep.PoisonTotal, rep.Displaced = len(t.poison), t.displaced
-		rep.Stale = t.vPipe.IsStale()
 		slices.Sort(reads)
 		if err := measureServe(&rep, t, reads, pe); err != nil {
 			return ServeResult{}, err
 		}
 		res.Epochs = append(res.Epochs, rep)
 	}
-	res.VictimChurn = t.vPipe.ChurnStats()
-	res.CleanChurn = t.cPipe.ChurnStats()
 	// Epochs >= 1 is validated, so the last report is always present; its
 	// cumulative retrain count is the scenario total (no extra Stats scan).
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
@@ -301,45 +279,21 @@ const serveProbeGrainFloor = 256
 // all.
 func measureServe(rep *ServeEpochReport, t *twin[*shard.Index], reads []int64, pe *probeEval) error {
 	// Per-shard stats are the expensive part (ContentLoss is an O(shard)
-	// scan); collect them once per side and fold the aggregates here with
-	// the same key-weighted arithmetic shard.Index.Stats uses, instead of
-	// paying a second full pass through victim.Stats()/clean.Stats().
+	// scan); collect them once per side and fold the aggregates from them,
+	// instead of paying a second full pass through victim.Stats().
 	vShards, cShards := t.victim.ShardStats(), t.clean.ShardStats()
-	aggregate := func(shards []index.Stats) (keysTotal, buffered, retrains int, contentLoss float64) {
-		var contentW float64
-		for _, st := range shards {
-			keysTotal += st.Keys
-			buffered += st.Buffered
-			retrains += st.Retrains
-			contentW += st.ContentLoss * float64(st.Keys)
-		}
-		if keysTotal > 0 {
-			contentLoss = contentW / float64(keysTotal)
-		}
-		return keysTotal, buffered, retrains, contentLoss
-	}
-	_, vBuffered, vRetrains, vLoss := aggregate(vShards)
-	_, _, cRetrains, cLoss := aggregate(cShards)
-	rep.Retrains = vRetrains
-	rep.CleanRetrains = cRetrains
-	rep.BufferLen = vBuffered
-	rep.CleanLoss = cLoss
-	rep.PoisonedLoss = vLoss
+	v := shard.Aggregate(len(vShards), func(i int) index.Stats { return vShards[i] })
+	c := shard.Aggregate(len(cShards), func(i int) index.Stats { return cShards[i] })
+	rep.Retrains = v.Retrains
+	rep.BufferLen = v.Buffered
+	rep.CleanLoss = c.ContentLoss
+	rep.PoisonedLoss = v.ContentLoss
 	rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
 	rep.Imbalance = t.victim.Imbalance()
-	rep.CleanImbalance = t.clean.Imbalance()
 
 	rep.Shards = make([]ServeShardReport, len(vShards))
 	for i := range vShards {
-		rep.Shards[i] = ServeShardReport{
-			Shard:     i,
-			Keys:      vShards[i].Keys,
-			Buffered:  vShards[i].Buffered,
-			Retrains:  vShards[i].Retrains,
-			CleanLoss: cShards[i].ContentLoss,
-			PoisLoss:  vShards[i].ContentLoss,
-			RatioLoss: SafeRatio(vShards[i].ContentLoss, cShards[i].ContentLoss),
-		}
+		rep.Shards[i] = ServeShardReport{Shard: i, RatioLoss: SafeRatio(vShards[i].ContentLoss, cShards[i].ContentLoss)}
 	}
 
 	vSnap, cSnap := t.vPipe.Snapshot(), t.cPipe.Snapshot()
@@ -347,8 +301,6 @@ func measureServe(rep *ServeEpochReport, t *twin[*shard.Index], reads []int64, p
 	if err != nil {
 		return err
 	}
-	rep.CleanProbeTotal = total.clean
-	rep.PoisonedProbeTotal = total.victim
 	rep.CleanProbes, rep.PoisonedProbes = total.means(len(reads))
 	return nil
 }

@@ -84,9 +84,9 @@ func TestServeTrajectory(t *testing.T) {
 		if e.Injected < 1 || e.Injected > opts.EpochBudget {
 			t.Fatalf("epoch %d: injected %d (budget %d)", e.Epoch, e.Injected, opts.EpochBudget)
 		}
-		// Manual policy: 4 shards × epoch forced retrains on both sides.
-		if e.Retrains != 4*(i+1) || e.CleanRetrains != 4*(i+1) {
-			t.Fatalf("epoch %d: retrains %d/%d, want %d", e.Epoch, e.Retrains, e.CleanRetrains, 4*(i+1))
+		// Manual policy: 4 shards × epoch forced retrains.
+		if e.Retrains != 4*(i+1) {
+			t.Fatalf("epoch %d: retrains %d, want %d", e.Epoch, e.Retrains, 4*(i+1))
 		}
 		if e.BufferLen != 0 {
 			t.Fatalf("epoch %d: %d buffered after forced retrain", e.Epoch, e.BufferLen)
@@ -129,27 +129,23 @@ func TestServeTrajectory(t *testing.T) {
 		t.Fatalf("worst shard ratio %v below aggregate %v", res.MaxShardRatio(), res.MaxRatio())
 	}
 	// Poisoning must cost honest readers probes over the whole scenario.
-	var cleanTotal, poisTotal int64
+	var cleanTotal, poisTotal float64
 	for _, e := range res.Epochs {
-		cleanTotal += e.CleanProbeTotal
-		poisTotal += e.PoisonedProbeTotal
+		cleanTotal += e.CleanProbes * float64(e.Reads)
+		poisTotal += e.PoisonedProbes * float64(e.Reads)
 	}
 	if poisTotal <= cleanTotal {
-		t.Fatalf("poisoning did not raise cumulative read cost: %d vs %d", poisTotal, cleanTotal)
+		t.Fatalf("poisoning did not raise cumulative read cost: %v vs %v", poisTotal, cleanTotal)
 	}
 	if res.Poison.Len() != last.PoisonTotal {
 		t.Fatalf("poison set %d != cumulative %d", res.Poison.Len(), last.PoisonTotal)
 	}
 }
 
-// TestServeWorkerEquivalence is the serving scenario's half of the
-// acceptance contract: the ENTIRE result — every epoch report, every
-// per-shard row, every probe total — is byte-identical for workers=1 and
-// workers=NumCPU.
 // TestServeZeroCostGolden: the zero-cost pipeline is byte-identical to the
 // historical synchronous path. The zero VALUE and an explicitly spelled
 // zero model must both produce exactly the default scenario output —
-// reports, poison set, probe totals, everything. (The CSV-level half of
+// reports, poison set, probe means, everything. (The CSV-level half of
 // this golden lives in EXPERIMENTS.md: the serve.csv fingerprint is
 // unchanged across the plane refactor.)
 func TestServeZeroCostGolden(t *testing.T) {
@@ -172,39 +168,33 @@ func TestServeZeroCostGolden(t *testing.T) {
 			t.Fatalf("%s: output differs from the synchronous golden", name)
 		}
 	}
-	for _, e := range base.Epochs {
-		if e.Stale {
-			t.Fatalf("epoch %d measured stale under zero cost", e.Epoch)
-		}
-	}
-	if base.VictimChurn.StaleTicks != 0 || base.VictimChurn.Triggers != base.VictimChurn.Publishes {
-		t.Fatalf("zero-cost churn accounting: %+v", base.VictimChurn)
-	}
 }
 
 // TestServeRebuildCostStaleness: a non-zero rebuild cost opens stale
 // windows — epoch-end retrains are still in flight when probes are
-// measured, the pipelines accrue stale ticks, and the probe columns now
-// read the frozen pre-rebuild plane (so they can only differ from the
-// zero-cost run).
+// measured, so the probe columns read the frozen pre-rebuild plane and
+// differ from the zero-cost run, while the loss columns, which read the
+// live admin plane, match it.
 func TestServeRebuildCostStaleness(t *testing.T) {
 	initial := serveFixture(t, 400)
 	opts := serveOpts(4)
+	base, err := ServeAttack(initial, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts.RebuildCost = index.CostModel{Fixed: 1_000} // far longer than an epoch
 	res, err := ServeAttack(initial, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range res.Epochs {
-		if !e.Stale {
+	for i, e := range res.Epochs {
+		b := base.Epochs[i]
+		if e.CleanLoss != b.CleanLoss || e.PoisonedLoss != b.PoisonedLoss || e.Retrains != b.Retrains {
+			t.Fatalf("epoch %d: live columns moved with the rebuild cost: %+v vs %+v", e.Epoch, e, b)
+		}
+		if e.CleanProbes == b.CleanProbes && e.PoisonedProbes == b.PoisonedProbes {
 			t.Fatalf("epoch %d: expected a stale read plane under fixed cost 1000", e.Epoch)
 		}
-	}
-	if res.VictimChurn.StaleTicks == 0 || res.CleanChurn.StaleTicks == 0 {
-		t.Fatalf("no stale ticks accrued: victim %+v clean %+v", res.VictimChurn, res.CleanChurn)
-	}
-	if res.VictimChurn.Coalesced == 0 {
-		t.Fatalf("epoch-end retrains behind a slow rebuild never coalesced: %+v", res.VictimChurn)
 	}
 	// The scenario stays deterministic across worker counts with costs on.
 	res2, err := ServeAttack(initial, opts, WithWorkers(4))
@@ -216,6 +206,10 @@ func TestServeRebuildCostStaleness(t *testing.T) {
 	}
 }
 
+// TestServeWorkerEquivalence is the serving scenario's half of the
+// acceptance contract: the ENTIRE result — every epoch report, every
+// per-shard row, every probe mean — is byte-identical for workers=1 and
+// workers=NumCPU.
 func TestServeWorkerEquivalence(t *testing.T) {
 	initial := serveFixture(t, 500)
 	for _, tc := range []struct {
@@ -311,11 +305,12 @@ func TestServeSingleShardMatchesDynamicGolden(t *testing.T) {
 		}
 		vProbes, _ := victim.ProbeSum(reads)
 		cProbes, _ := clean.ProbeSum(reads)
-		if rep.PoisonedProbeTotal != vProbes || rep.CleanProbeTotal != cProbes {
-			t.Fatalf("epoch %d: probe totals (%d, %d) != golden (%d, %d)",
-				e+1, rep.PoisonedProbeTotal, rep.CleanProbeTotal, vProbes, cProbes)
+		vMean, cMean := float64(vProbes)/float64(len(reads)), float64(cProbes)/float64(len(reads))
+		if rep.PoisonedProbes != vMean || rep.CleanProbes != cMean {
+			t.Fatalf("epoch %d: probe means (%v, %v) != golden (%v, %v)",
+				e+1, rep.PoisonedProbes, rep.CleanProbes, vMean, cMean)
 		}
-		if len(rep.Shards) != 1 || rep.Shards[0].PoisLoss != vst.ContentLoss {
+		if len(rep.Shards) != 1 || rep.Shards[0].RatioLoss != SafeRatio(vst.ContentLoss, cst.ContentLoss) {
 			t.Fatalf("epoch %d: single-shard report mismatch: %+v", e+1, rep.Shards)
 		}
 		if rep.Imbalance != 1 {
@@ -363,11 +358,8 @@ func TestServeZeroBudget(t *testing.T) {
 		if e.RatioLoss != 1 {
 			t.Fatalf("epoch %d: ratio %v != 1", e.Epoch, e.RatioLoss)
 		}
-		if e.CleanProbeTotal != e.PoisonedProbeTotal {
-			t.Fatalf("epoch %d: probe totals diverged without poisoning", e.Epoch)
-		}
-		if e.Imbalance != e.CleanImbalance {
-			t.Fatalf("epoch %d: imbalance diverged without poisoning", e.Epoch)
+		if e.CleanProbes != e.PoisonedProbes {
+			t.Fatalf("epoch %d: probe means diverged without poisoning", e.Epoch)
 		}
 	}
 	if res.Poison.Len() != 0 {

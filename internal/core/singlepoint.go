@@ -43,7 +43,7 @@ type SinglePointResult struct {
 	// blocks, BlocksVisited had their endpoints evaluated; the rest were
 	// excluded by closed-form loss bounds, on the leaf itself or on a wider
 	// block around it. Both stay zero when the full scan ran (small
-	// sets, WithFullScan, BruteForceSinglePoint). The visited set is
+	// sets, WithExhaustiveScan, BruteForceSinglePoint). The visited set is
 	// deterministic — identical for every worker count.
 	BlocksVisited int
 	BlocksTotal   int
@@ -75,8 +75,8 @@ func SafeRatio(poisoned, clean float64) float64 {
 // O(1) via regression.ClosedForm. On sets of 64 gaps or more the pruned
 // scan (pruned.go) excludes most gap blocks via closed-form loss bounds
 // before any endpoint is touched, for the same — bit-identical — answer
-// sublinearly in practice; WithFullScan forces the exhaustive O(n) endpoint
-// sweep.
+// sublinearly in practice; WithExhaustiveScan forces the exhaustive O(n)
+// endpoint sweep.
 //
 // Ties are broken toward the smaller key so results are deterministic, for
 // any worker count (see WithWorkers).
@@ -254,8 +254,8 @@ type GreedyResult struct {
 	// blocks considered across the steps, BlocksVisited were actually
 	// scanned.
 	// The block counters stay zero when every step ran the full scan
-	// (small sets or WithFullScan) — block accounting exists only under
-	// pruning, while Candidates accumulates either way.
+	// (small sets or WithExhaustiveScan) — block accounting exists only
+	// under pruning, while Candidates accumulates either way.
 	Candidates    int
 	BlocksVisited int
 	BlocksTotal   int
@@ -308,6 +308,18 @@ func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) 
 		res.Poisoned = w.mut.Freeze()
 	}
 	return res, nil
+}
+
+// GreedyOracle adapts GreedyMultiPoint to the serving scenario's per-epoch
+// poison oracle (serve.Oracle): the poison keys against the visible content.
+func GreedyOracle(opts ...Option) func(visible keys.Set, budget int) ([]int64, error) {
+	return func(visible keys.Set, budget int) ([]int64, error) {
+		g, err := GreedyMultiPoint(visible, budget, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return g.Poison, nil
+	}
 }
 
 // greedyWS is one Algorithm 1 workspace: the key buffer, the incremental

@@ -50,19 +50,11 @@ func (o StaticOptions) validate() error {
 
 // StaticResult reports the static poisoning scenario.
 type StaticResult struct {
-	// Poison is the set of accepted poison keys; Injected its size.
-	Poison   keys.Set
-	Injected int
-	// Displaced counts honest writes the victim rejected because poison
-	// occupied the slot.
-	Displaced int
-	// Model-vs-content loss after the final retrain, and the victim/clean
-	// ratio — the headline damage number.
-	CleanLoss, PoisonedLoss float64
-	RatioLoss               float64
-	// Mean lookup probes over the initial keys on both indexes.
-	CleanProbes, PoisonedProbes float64
-	ProbeRatio                  float64
+	// Poison is the set of accepted poison keys.
+	Poison keys.Set
+	// RatioLoss is the victim/clean model-vs-content loss ratio after the
+	// final retrain — the headline damage number.
+	RatioLoss float64
 	// Defense is the defense-plane accounting (zero when no defense armed).
 	Defense DefenseReport
 }
@@ -71,16 +63,16 @@ type StaticResult struct {
 // against the INITIAL content, drip-fed evenly through HonestWrites honest
 // uniform writes into a dynamic index (victim), with a clean counterfactual
 // absorbing the identical honest stream (the twin harness, DESIGN.md §13).
-// Both indexes retrain once at the
-// end (the static maintenance cycle), then loss and probe columns are
-// measured. The defense plane — detector chain, rate limiter, robust
-// fitter — sits on both write paths exactly as in the online scenarios.
+// Both indexes retrain once at the end (the static maintenance cycle),
+// then the loss ratio is measured. The defense plane — detector chain,
+// rate limiter, robust fitter — sits on both write paths exactly as in
+// the online scenarios.
 //
 // Determinism contract: the honest stream is a pure function of
 // (initial, Domain, Seed); WithWorkers parallelism reaches only the
-// oracle's candidate scans and the probe evaluation, both folding in index
-// order, so any worker count produces identical bytes
-// (TestStaticWorkerEquivalence). WithCancellation aborts via ctx.Err().
+// oracle's candidate scans, which fold in index order, so any worker count
+// produces identical bytes (TestStaticWorkerEquivalence). WithCancellation
+// aborts via ctx.Err().
 func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (StaticResult, error) {
 	if err := opts.validate(); err != nil {
 		return StaticResult{}, err
@@ -110,30 +102,16 @@ func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (Sta
 
 	// Drip the budget evenly through the honest write stream, then run the
 	// static maintenance cycle: one retrain on both sides.
-	var res StaticResult
-	res.Injected, err = t.drip(opts.HonestWrites, opts.Budget, poison, func() {
+	if _, err := t.drip(opts.HonestWrites, opts.Budget, poison, func() {
 		o := gen.Next()
 		t.honest(o.Key, o.Source)
-	})
-	if err != nil {
+	}); err != nil {
 		return StaticResult{}, err
 	}
 	t.retrain()
 
-	res.Displaced = t.displaced
-	vs, cs, ratio := t.losses()
-	res.CleanLoss, res.PoisonedLoss, res.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
-	// keys.Set stores its keys sorted and duplicate-free, so the initial
-	// workload already satisfies the batch kernel's precondition — no copy,
-	// no sort (DESIGN.md §12).
-	legit := initial.Keys()
-	total, err := newProbeEval().measurePair(ex, endpointGrainFloor, legit, t.cFront, t.vFront)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	res.CleanProbes, res.PoisonedProbes = total.means(len(legit))
-	res.ProbeRatio = SafeRatio(res.PoisonedProbes, res.CleanProbes)
-	res.Defense = t.defense
+	res := StaticResult{Defense: t.defense}
+	_, _, res.RatioLoss = t.losses()
 	res.Poison, err = t.poisonSet("static")
 	if err != nil {
 		return StaticResult{}, err

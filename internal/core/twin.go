@@ -67,7 +67,6 @@ func buildTwin[B index.Backend](initial keys.Set, build func(keys.Set) (B, error
 		t.cPipe = index.NewPipeline(t.cFront, *cost).WithPool(ex.ctx, ex.pool)
 		t.vFront, t.cFront = t.vPipe, t.cPipe
 	}
-	t.defense.Enabled = spec.Enabled()
 	t.vArm = spec.newArm(t.vFront, vGuard, &t.defense, false)
 	t.cArm = spec.newArm(t.cFront, cGuard, &t.defense, true)
 	return t, nil

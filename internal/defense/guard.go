@@ -74,9 +74,7 @@ func NewGuard(b index.Backend, opts GuardOptions) *Guard {
 }
 
 // Flagged returns how many inserts the guard has rejected. The count is
-// cumulative over the guard's lifetime — Retrain does not reset it — and is
-// also surfaced as Stats().Flagged, so sweeps read it through the
-// index.Backend interface.
+// cumulative over the guard's lifetime — Retrain does not reset it.
 func (g *Guard) Flagged() int { return g.flagged }
 
 // suspicious builds the content on first use and runs the policy chain;
@@ -148,17 +146,9 @@ func (g *Guard) RetrainPossible() bool {
 	}
 	return true
 }
-func (g *Guard) Len() int       { return g.backend.Len() }
-func (g *Guard) Keys() keys.Set { return g.backend.Keys() }
-
-// Stats reports the wrapped backend's summary with the guard's cumulative
-// rejected-insert count in Flagged (index.Stats) — the defense-effect
-// reading the Pareto sweeps consume. Flagged survives Retrain.
-func (g *Guard) Stats() index.Stats {
-	st := g.backend.Stats()
-	st.Flagged = g.flagged
-	return st
-}
+func (g *Guard) Len() int           { return g.backend.Len() }
+func (g *Guard) Keys() keys.Set     { return g.backend.Keys() }
+func (g *Guard) Stats() index.Stats { return g.backend.Stats() }
 
 // Snapshot hands out the wrapped backend's snapshot unchanged: the guard
 // screens writes, so its read plane IS the backend's read plane.

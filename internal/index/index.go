@@ -88,11 +88,6 @@ type Stats struct {
 	// Window is the guaranteed search-window width of the base model
 	// (maximum across shards for partitioned backends); 0 when model-free.
 	Window int
-	// Flagged counts inserts a defense wrapper (internal/defense) rejected
-	// as suspected poison. It is CUMULATIVE over the backend's lifetime —
-	// Retrain does not reset it, so sweeps can read the defense effect
-	// straight off Stats without unwrapping. Always 0 for bare backends.
-	Flagged int
 }
 
 // PointReader is the minimal probe-counted read surface. Both Backend

@@ -83,10 +83,8 @@ type TriggerPredictor interface {
 // ChurnStats is the pipeline's cumulative accounting, the raw material of
 // the churn scenario's per-epoch report.
 type ChurnStats struct {
-	Now       int64 // current logical tick
-	Triggers  int   // retrain requests observed (explicit + policy)
-	Coalesced int   // triggers that landed while a rebuild was in flight
-	Publishes int   // snapshots published (zero-cost publishes included)
+	Coalesced int // retrain requests that landed while a rebuild was in flight
+	Publishes int // snapshots published (zero-cost publishes included)
 	// StaleTicks counts ticks spent with a rebuild in flight — the window
 	// during which reads are served from a frozen pre-rebuild snapshot.
 	StaleTicks int64
@@ -165,11 +163,7 @@ func (p *Pipeline) WithPool(ctx context.Context, pool *engine.Pool) *Pipeline {
 }
 
 // ChurnStats returns the cumulative pipeline accounting.
-func (p *Pipeline) ChurnStats() ChurnStats {
-	s := p.stats
-	s.Now = p.now
-	return s
-}
+func (p *Pipeline) ChurnStats() ChurnStats { return p.stats }
 
 // IsStale reports whether a rebuild is in flight — i.e. whether reads are
 // currently served from a frozen pre-rebuild snapshot.
@@ -263,7 +257,6 @@ func (p *Pipeline) rebuildSize() int {
 // state captured immediately before it (nil when the cost model is zero —
 // no window to serve it in).
 func (p *Pipeline) trigger(pre Snapshot) {
-	p.stats.Triggers++
 	if p.cost.Zero() {
 		p.stats.Publishes++
 		return

@@ -87,7 +87,7 @@ func TestPipelineZeroCostTransparent(t *testing.T) {
 				check(step)
 			}
 			st := piped.ChurnStats()
-			if st.StaleTicks != 0 || st.MaxLatencyTicks != 0 || st.Triggers != st.Publishes {
+			if st.StaleTicks != 0 || st.MaxLatencyTicks != 0 || st.Coalesced != 0 {
 				t.Fatalf("zero-cost pipeline accrued stale accounting: %+v", st)
 			}
 		})
@@ -162,7 +162,7 @@ func TestPipelineStaleWindow(t *testing.T) {
 		}
 	}
 	st := p.ChurnStats()
-	if st.Triggers != 1 || st.Publishes != 1 || st.Coalesced != 0 {
+	if st.Publishes != 1 || st.Coalesced != 0 {
 		t.Fatalf("counts: %+v", st)
 	}
 	if st.StaleTicks != 10 || st.LatencyTicks != 10 || st.MaxLatencyTicks != 10 || st.RebuildTicks != 10 {
@@ -189,7 +189,7 @@ func TestPipelineCoalescing(t *testing.T) {
 	p.Tick(2)
 	p.Retrain() // coalesces again at tick 5 — same queued rebuild
 	st := p.ChurnStats()
-	if st.Triggers != 3 || st.Coalesced != 2 || st.Publishes != 0 {
+	if st.Coalesced != 2 || st.Publishes != 0 {
 		t.Fatalf("mid-flight counts: %+v", st)
 	}
 	// Mid-flight version check: a sits in the pre-rebuild snapshot's delta

@@ -30,10 +30,10 @@ import (
 var ErrEmpty = errors.New("pla: cannot build over an empty key set")
 
 // segment is one linear piece: positions predicted as
-// pos ≈ slope·(key − startKey) + startPos for keys in [startKey, endKey].
+// pos ≈ slope·(key − startKey) + startPos for keys from startKey up to the
+// next segment's.
 type segment struct {
 	startKey int64
-	endKey   int64
 	startPos int // 0-based position of startKey
 	slope    float64
 }
@@ -90,7 +90,6 @@ func Build(ks keys.Set, epsilon int) (*Index, error) {
 		}
 		idx.segs = append(idx.segs, segment{
 			startKey: k0,
-			endKey:   ks.At(end),
 			startPos: start,
 			slope:    slope,
 		})

@@ -40,7 +40,6 @@ func (q Quad) Predict(k int64) float64 {
 type QuadModel struct {
 	Quad
 	Loss float64
-	N    int
 }
 
 // FitQuadCDF fits rank ≈ a·k² + b·k + c by least squares on the key set's
@@ -57,7 +56,7 @@ func FitQuadCDF(ks keys.Set) (QuadModel, error) {
 		if err != nil {
 			return QuadModel{}, err
 		}
-		return QuadModel{Quad: Quad{A: 0, B: lin.W, C: lin.B, Scale: 1}, Loss: 0, N: n}, nil
+		return QuadModel{Quad: Quad{A: 0, B: lin.W, C: lin.B, Scale: 1}, Loss: 0}, nil
 	}
 	origin := ks.Min()
 	span := float64(ks.Max() - origin)
@@ -95,9 +94,9 @@ func FitQuadCDF(ks keys.Set) (QuadModel, error) {
 		if err != nil {
 			return QuadModel{}, err
 		}
-		return QuadModel{Quad: Quad{A: 0, B: lin.W, C: lin.B, Scale: 1}, Loss: lin.Loss, N: n}, nil
+		return QuadModel{Quad: Quad{A: 0, B: lin.W, C: lin.B, Scale: 1}, Loss: lin.Loss}, nil
 	}
-	m := QuadModel{N: n, Quad: Quad{A: a, B: b, C: c, Origin: origin, Scale: span}}
+	m := QuadModel{Quad: Quad{A: a, B: b, C: c, Origin: origin, Scale: span}}
 	var ss float64
 	for i := 0; i < n; i++ {
 		d := m.Predict(ks.At(i)) - float64(i+1)

@@ -40,13 +40,10 @@ var ErrEmpty = errors.New("rmi: cannot build over an empty key set")
 // stage2 is one second-stage model: a line predicting the global 1-based
 // rank, plus its guaranteed error envelope over the keys assigned to it.
 type stage2 struct {
-	line      regression.Line
-	eLo, eHi  float64 // min/max of (actual − predicted) over assigned keys
-	assigned  int
-	firstKey  int64
-	lastKey   int64
-	localMSE  float64 // second-stage MSE on local ranks (the paper's L_i)
-	saturated bool    // no interior gap: unpoisonable region
+	line     regression.Line
+	eLo, eHi float64 // min/max of (actual − predicted) over assigned keys
+	assigned int
+	localMSE float64 // second-stage MSE on local ranks (the paper's L_i)
 }
 
 // Index is an immutable two-stage RMI over a sorted key set.
@@ -101,11 +98,6 @@ func fitStage2(ks keys.Set, rows []int) stage2 {
 	if len(rows) == 0 {
 		return s
 	}
-	s.firstKey = ks.At(rows[0])
-	s.lastKey = ks.At(rows[len(rows)-1])
-	sub := ks.Slice(rows[0], rows[len(rows)-1]+1)
-	s.saturated = sub.Saturated()
-
 	if len(rows) == 1 {
 		s.line = regression.Line{W: 0, B: float64(rows[0] + 1)}
 		return s
@@ -158,9 +150,7 @@ func (idx *Index) route(k int64) int {
 type LookupResult struct {
 	Pos    int // 0-based position among the sorted keys (valid when Found)
 	Found  bool
-	Model  int // second-stage model that served the query
 	Probes int // key comparisons performed by the last-mile search
-	Window int // width of the guaranteed search window
 }
 
 // Lookup finds a key. Stored keys are always found (the model that serves
@@ -169,7 +159,7 @@ type LookupResult struct {
 func (idx *Index) Lookup(k int64) LookupResult {
 	m := idx.route(k)
 	s := &idx.models[m]
-	res := LookupResult{Model: m, Pos: -1}
+	res := LookupResult{Pos: -1}
 	if s.assigned == 0 {
 		return res // nothing was ever routed here; key cannot be stored
 	}
@@ -185,7 +175,6 @@ func (idx *Index) Lookup(k int64) LookupResult {
 	if lo > hi {
 		return res
 	}
-	res.Window = hi - lo + 1
 	// Last-mile binary search within [lo, hi].
 	for lo <= hi {
 		mid := (lo + hi) / 2
@@ -236,23 +225,19 @@ func (idx *Index) SecondStageMSE() float64 {
 
 // Stats summarizes lookup-cost structure across second-stage models.
 type Stats struct {
-	Models         int
-	EmptyModels    int
 	MaxWindow      int     // widest guaranteed search window
 	AvgWindow      float64 // key-weighted mean window width
-	AvgLogWindow   float64 // key-weighted mean log2(window): ~probes per query
 	SecondStageMSE float64
 	MemoryBytes    int // rough model storage footprint
 }
 
 // Stats computes the summary.
 func (idx *Index) Stats() Stats {
-	st := Stats{Models: len(idx.models), SecondStageMSE: idx.SecondStageMSE()}
-	var wsum, lsum float64
+	st := Stats{SecondStageMSE: idx.SecondStageMSE()}
+	var wsum float64
 	var total int
 	for _, s := range idx.models {
 		if s.assigned == 0 {
-			st.EmptyModels++
 			continue
 		}
 		w := int(math.Ceil(s.eHi)-math.Floor(s.eLo)) + 1
@@ -263,12 +248,10 @@ func (idx *Index) Stats() Stats {
 			st.MaxWindow = w
 		}
 		wsum += float64(w) * float64(s.assigned)
-		lsum += math.Log2(float64(w)+1) * float64(s.assigned)
 		total += s.assigned
 	}
 	if total > 0 {
 		st.AvgWindow = wsum / float64(total)
-		st.AvgLogWindow = lsum / float64(total)
 	}
 	// Two float64 line parameters + two float64 bounds per model, plus the
 	// router's boundaries.

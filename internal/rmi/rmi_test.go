@@ -86,7 +86,7 @@ func TestFanoutOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyAllFound(t, idx, ks)
-	if m := idx.Stats().Models; m != 1 {
+	if m := len(idx.models); m != 1 {
 		t.Fatalf("fanout %d", m)
 	}
 }
@@ -97,7 +97,7 @@ func TestFanoutLargerThanKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := idx.Stats().Models; m != 10 { // clamped to n
+	if m := len(idx.models); m != 10 { // clamped to n
 		t.Fatalf("fanout %d, want clamp to 10", m)
 	}
 	verifyAllFound(t, idx, ks)
@@ -174,8 +174,8 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := idx.Stats()
-	if st.Models != 10 {
-		t.Errorf("models %d", st.Models)
+	if len(idx.models) != 10 {
+		t.Errorf("models %d", len(idx.models))
 	}
 	if st.MaxWindow < 1 || st.AvgWindow < 1 {
 		t.Errorf("windows: %+v", st)
@@ -198,8 +198,8 @@ func TestPerfectRootMatchesPartition(t *testing.T) {
 	}
 	for i := 0; i < ks.Len(); i++ {
 		want := i / 25
-		if r := idx.Lookup(ks.At(i)); r.Model != want {
-			t.Fatalf("key pos %d served by model %d, want %d", i, r.Model, want)
+		if m := idx.route(ks.At(i)); m != want {
+			t.Fatalf("key pos %d served by model %d, want %d", i, m, want)
 		}
 	}
 }

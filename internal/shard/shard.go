@@ -354,14 +354,21 @@ func (x *Index) Keys() keys.Set {
 	return keys.FromSorted(out)
 }
 
-// Stats aggregates across shards: counts sum, losses are key-weighted
-// means (each shard models its own subrange, so its loss lives in
-// shard-local rank space), Window is the worst shard's.
+// Stats aggregates across shards (Aggregate).
 func (x *Index) Stats() index.Stats {
+	return Aggregate(len(x.shards), func(i int) index.Stats { return x.shards[i].Stats() })
+}
+
+// Aggregate folds n per-shard summaries, at(i) being shard i's, into the
+// index-wide one: counts sum, losses are key-weighted means (each shard
+// models its own subrange, so its loss lives in shard-local rank space),
+// Window is the worst shard's. Taking an accessor rather than a slice lets
+// Stats fold its shards without allocating one.
+func Aggregate(n int, at func(i int) index.Stats) index.Stats {
 	var agg index.Stats
 	var lossW, contentW float64
-	for _, s := range x.shards {
-		st := s.Stats()
+	for i := 0; i < n; i++ {
+		st := at(i)
 		agg.Keys += st.Keys
 		agg.Buffered += st.Buffered
 		agg.Retrains += st.Retrains
