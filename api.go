@@ -102,7 +102,10 @@ type AttackOption = core.Option
 
 // WithParallelism bounds the attack's worker pool: n == 1 runs
 // sequentially on the calling goroutine (the default), n > 1 uses exactly
-// n workers, and n <= 0 uses one worker per core.
+// n workers, and n <= 0 uses one worker per core. The pool reaches exactly
+// Algorithm 1's candidate scans (the single-point oracles, GreedyMultiPoint
+// and every scenario oracle built on it) and Algorithm 2's per-segment
+// attacks (RMIAttack); everything else runs sequentially.
 func WithParallelism(n int) AttackOption { return core.WithWorkers(n) }
 
 // WithCancellation makes the attack abort with ctx.Err() once ctx is
@@ -175,7 +178,9 @@ func GreedyMultiPoint(ks KeySet, p int, opts ...AttackOption) (GreedyResult, err
 }
 
 // LossSequence evaluates the poisoned loss for every feasible poisoning key
-// (the Figure 3 curve); the second result is the clean loss.
+// (the Figure 3 curve); the second result is the clean loss. The scan is
+// sequential: WithParallelism changes nothing, and WithCancellation is
+// checked once per gap.
 func LossSequence(ks KeySet, opts ...AttackOption) ([]LossPoint, float64, error) {
 	return core.LossSequence(ks, opts...)
 }
@@ -280,7 +285,7 @@ const (
 // learned index between retrains, interleaved with an honest insert stream,
 // and the damage is tracked per epoch against a clean counterfactual index
 // running the same retrain policy. WithParallelism fans out the per-epoch
-// oracle scans and probe evaluation without changing any result byte.
+// oracle scans without changing any result byte.
 func OnlinePoisonAttack(initial KeySet, opts OnlineOptions, execOpts ...AttackOption) (OnlineResult, error) {
 	return core.OnlinePoisonAttack(initial, opts, execOpts...)
 }
@@ -394,7 +399,8 @@ func ParseRebuildCost(s string) (RebuildCostModel, error) { return index.ParseCo
 // background-retrain schedule: a retrain triggered at logical tick T keeps
 // the read plane on the pre-rebuild snapshot until tick T+cost, with
 // coalescing, staleness, and publish-latency accounting. It is itself an
-// IndexBackend. See DESIGN.md §7.
+// IndexBackend, and it runs every retrain through the wrapped backend's own
+// Retrain on the caller's goroutine. See DESIGN.md §7.
 type RetrainPipeline = index.Pipeline
 
 // PipelineChurnStats is a RetrainPipeline's cumulative accounting:
@@ -427,8 +433,7 @@ type ServeShardReport = core.ServeShardReport
 // per-epoch key budget poisons a sharded serving index (NewShardedIndex)
 // while an honest population reads and writes it, tracked against a clean
 // counterfactual running the identical operation stream. WithParallelism
-// fans out the oracle scans and the read-probe evaluation without changing
-// any result byte.
+// fans out the oracle scans without changing any result byte.
 func ServeAttack(initial KeySet, opts ServeOptions, execOpts ...AttackOption) (ServeResult, error) {
 	return core.ServeAttack(initial, opts, execOpts...)
 }
@@ -450,8 +455,8 @@ type ChurnEpochReport = core.ChurnEpochReport
 // rebuild work, maximizing retrain frequency × rebuild cost × stale-window
 // exposure on a sharded index behind a RetrainPipeline, against a clean
 // counterfactual running the identical pipeline and operation stream.
-// WithParallelism fans out the oracle scans and rebuild fan-out without
-// changing any result byte.
+// WithParallelism fans out the oracle scans without changing any result
+// byte.
 func ChurnAttack(initial KeySet, opts ChurnOptions, execOpts ...AttackOption) (ChurnResult, error) {
 	return core.ChurnAttack(initial, opts, execOpts...)
 }
@@ -493,8 +498,8 @@ type CascadeEpochReport = core.CascadeEpochReport
 // where every insert shifts the longest occupied runs and the split
 // threshold is nearest — forcing cascading splits and fanout-overflow
 // rebuilds, against a clean counterfactual running the identical operation
-// stream. WithParallelism fans out the insert-cost oracle without changing
-// any result byte.
+// stream. The scenario is sequential: WithParallelism changes nothing, and
+// WithCancellation aborts between epochs and between operations.
 func CascadeAttack(initial KeySet, opts CascadeOptions, execOpts ...AttackOption) (CascadeResult, error) {
 	return core.CascadeAttack(initial, opts, execOpts...)
 }

@@ -554,7 +554,7 @@ var scenarios = map[string]*scenario{
 	},
 	"cascade": {
 		flags: scenarioFlags{
-			names:    "in epochs percent leaf workload ops seed workers o",
+			names:    "in epochs percent leaf workload ops seed o",
 			defaults: scenarioArgs{epochs: 6, percent: 2, workload: "zipf:1.1:85", seed: 42},
 		},
 		armedPolicy: manualPolicy, run: runCascade,
@@ -881,7 +881,7 @@ func runCascade(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutcome
 	res, err := cdfpoison.CascadeAttack(in.ks, cdfpoison.CascadeOptions{
 		Epochs: in.epochs, OpsPerEpoch: in.ops, EpochBudget: in.budget,
 		LeafTarget: in.leaf, Workload: in.mix, Seed: in.seed, Defense: d,
-	}, cdfpoison.WithParallelism(in.workers))
+	})
 	if err != nil {
 		return scenarioOutcome{}, err
 	}
@@ -922,7 +922,7 @@ func runThroughput(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutc
 		Seed: in.seed, Cost: in.rebuild, Oracle: cdfpoison.GreedyPoisonOracle(),
 		ManualRetrain: in.retrain == cdfpoison.RetrainManually(),
 	}
-	plane := cdfpoison.ServingPlaneOptions{Readers: in.readers, BatchSize: in.batch}
+	plane := cdfpoison.ServingPlaneOptions{Readers: in.readers, BatchSize: in.batch}.ForEpoch(in.ops)
 	serve := func(budget int) ([]cdfpoison.ServingEpochMetrics, float64, error) {
 		b, err := cdfpoison.NewShardedIndex(in.ks, in.shards, in.retrain)
 		if err != nil {
@@ -964,6 +964,6 @@ func runThroughput(in *scenarioInput, d cdfpoison.ScenarioDefense) (scenarioOutc
 			cdfpoison.SafeRatio(float64(p.P999), float64(c.P999)))
 	}
 	fmt.Fprintf(&b, "wall-clock (machine-dependent): clean %.0f ops/s, poisoned %.0f ops/s, %d readers\n",
-		cleanOps, poisonedOps, plane.WithDefaults().Readers)
+		cleanOps, poisonedOps, plane.Readers)
 	return scenarioOutcome{report: b.String()}, nil
 }

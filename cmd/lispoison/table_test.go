@@ -201,6 +201,20 @@ func TestThroughputOversizedKnobs(t *testing.T) {
 	}
 }
 
+// TestThroughputReportsPlaneThatRan: the wall-clock line names the reader
+// count the plane ran, not the one asked for. 100 ops per epoch fill two
+// default batches of 64 reads, so -readers 8 runs 2 readers.
+func TestThroughputReportsPlaneThatRan(t *testing.T) {
+	stdout, stderr, code := lispoison(t, t.TempDir(), "throughput", "-in", spacedKeyFile(t), "-epochs", "2",
+		"-readers", "8", "-ops", "100")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "ops/s, 2 readers\n") {
+		t.Fatalf("wall-clock line does not report the 2 readers that ran:\n%s", stdout)
+	}
+}
+
 // TestThroughputRatioOnLinearCDF: 400 evenly spaced keys lie on a line,
 // so the clean model's loss is 0 and any poisoned loss is an infinite
 // ratio. throughput's ratio column must say +Inf there, as serve's does,

@@ -80,20 +80,27 @@
 // # Parallel execution
 //
 // Attack entry points accept execution options. WithParallelism(n) runs the
-// hot loops — per-gap candidate evaluation in Algorithm 1, per-segment
-// second-stage attacks in Algorithm 2 — on a bounded worker pool (n == 1
-// sequential, n > 1 exactly n workers, n <= 0 one worker per core), and
-// WithCancellation(ctx) aborts mid-attack when ctx is cancelled:
+// paper's two costs — per-gap candidate evaluation in Algorithm 1 (its
+// endpoint and pruned scans), per-segment second-stage attacks in
+// Algorithm 2 — on a bounded worker pool (n == 1 sequential, n > 1 exactly
+// n workers, n <= 0 one worker per core), and WithCancellation(ctx) aborts
+// mid-attack when ctx is cancelled:
 //
 //	atk, _ := cdfpoison.GreedyMultiPoint(ks, 50, cdfpoison.WithParallelism(0))
 //	res, _ := cdfpoison.RMIAttack(ks, opts, cdfpoison.WithParallelism(8))
+//
+// Nothing else takes the pool: the scenarios parallelise only the
+// Algorithm 1 or 2 oracle they run each epoch, and the Figure 3 loss
+// sequence, the cascade scenario's insert-cost oracle, probe evaluation
+// and retrains all run sequentially.
 //
 // The determinism contract: parallelism never changes results. Worker pools
 // distribute tasks dynamically but reduce results in task-index order
 // (internal/engine), so any worker count produces output byte-identical to
 // the sequential run — equivalence tests enforce this for every
 // parallelized path. The cmd/lisbench and cmd/lispoison tools expose the
-// same knob as -workers; the figure sweeps additionally fan out whole
+// same knob as -workers (lispoison cascade has none, since nothing in it
+// runs in parallel); the figure sweeps additionally fan out whole
 // experiment cells via internal/bench's Options.Workers.
 //
 // See README.md for the attack catalog and how to run the figure sweeps,

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dataset"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/stats"
 	"cdfpoison/internal/xrand"
@@ -74,7 +72,6 @@ func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, erro
 	opts = opts.fill()
 	keyCounts, densities, poisonPcts, trials := gridShape(opts.Scale)
 	root := opts.rng()
-	pool := opts.pool()
 	res := RegressionGridResult{Trials: trials}
 	for _, n := range keyCounts {
 		for _, dens := range densities {
@@ -93,24 +90,12 @@ func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, erro
 				sets[t] = ks
 			}
 			// Fan the (percentage, trial) attack grid out across the pool;
-			// each attack is pure, and results are folded back pct-major /
+			// each attack is pure, and results fold back pct-major /
 			// trial-minor — the exact sequential iteration order.
-			type task struct {
-				pct    float64
-				budget int
-				trial  int
-			}
-			var tasks []task
-			for _, pct := range poisonPcts {
-				for t := 0; t < trials; t++ {
-					tasks = append(tasks, task{pct: pct, budget: budgetOf(n, pct), trial: t})
-				}
-			}
-			ratios, err := engine.Map(context.Background(), pool, len(tasks), func(i int) (float64, error) {
-				tk := tasks[i]
-				g, err := core.GreedyMultiPoint(sets[tk.trial], tk.budget)
+			ratios, err := grid(opts, poisonPcts, sets, func(pct float64, ks keys.Set) (float64, error) {
+				g, err := core.GreedyMultiPoint(ks, budgetOf(n, pct))
 				if err != nil {
-					return 0, fmt.Errorf("bench: grid attack n=%d dens=%v pct=%v: %w", n, dens, tk.pct, err)
+					return 0, fmt.Errorf("bench: grid attack n=%d dens=%v pct=%v: %w", n, dens, pct, err)
 				}
 				return g.RatioLoss(), nil
 			})

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"cdfpoison/internal/core"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/stats"
 )
 
@@ -56,8 +54,14 @@ func rmiShape(s Scale) (n int, modelSizes []int, domainMults []int64, poisonPcts
 func RMISynthetic(opts Options) (RMISyntheticResult, error) {
 	opts = opts.fill()
 	n, modelSizes, domainMults, poisonPcts, alphas := rmiShape(opts.Scale)
+	type pctAlpha struct{ pct, alpha float64 }
+	var pas []pctAlpha
+	for _, pct := range poisonPcts {
+		for _, alpha := range alphas {
+			pas = append(pas, pctAlpha{pct, alpha})
+		}
+	}
 	root := opts.rng()
-	pool := opts.pool()
 	res := RMISyntheticResult{Keys: n}
 	for _, dist := range []Distribution{DistUniform, DistLogNormal} {
 		for _, mult := range domainMults {
@@ -67,27 +71,11 @@ func RMISynthetic(opts Options) (RMISyntheticResult, error) {
 			if err != nil {
 				return RMISyntheticResult{}, fmt.Errorf("bench: fig6 %s domain=%d: %w", dist, m, err)
 			}
-			// Every (model size, poisoning %, alpha) attack on this dataset
-			// is independent; fan them out and append cells in the original
-			// size-major iteration order.
-			type combo struct {
-				size       int
-				pct, alpha float64
-			}
-			var combos []combo
-			for _, size := range modelSizes {
-				for _, pct := range poisonPcts {
-					for _, alpha := range alphas {
-						combos = append(combos, combo{size: size, pct: pct, alpha: alpha})
-					}
-				}
-			}
-			cells, err := engine.Map(context.Background(), pool, len(combos), func(i int) (RMICell, error) {
-				c := combos[i]
-				N := n / c.size
-				if N < 1 {
-					N = 1
-				}
+			// Every (model size, (poisoning %, alpha)) attack on this
+			// dataset is independent; cells come back size-major, the
+			// sequential iteration order.
+			cells, err := grid(opts, modelSizes, pas, func(size int, c pctAlpha) (RMICell, error) {
+				N := max(n/size, 1)
 				atk, err := core.RMIAttack(ks, core.RMIAttackOptions{
 					NumModels: N,
 					Percent:   c.pct,
@@ -95,9 +83,9 @@ func RMISynthetic(opts Options) (RMISyntheticResult, error) {
 					MaxMoves:  maxMovesFor(opts.Scale, N),
 				})
 				if err != nil {
-					return RMICell{}, fmt.Errorf("bench: fig6 attack %s size=%d pct=%v α=%v: %w", dist, c.size, c.pct, c.alpha, err)
+					return RMICell{}, fmt.Errorf("bench: fig6 attack %s size=%d pct=%v α=%v: %w", dist, size, c.pct, c.alpha, err)
 				}
-				return newRMICell(dist, m, c.size, c.pct, c.alpha, atk), nil
+				return newRMICell(dist, m, size, c.pct, c.alpha, atk), nil
 			})
 			if err != nil {
 				return RMISyntheticResult{}, err

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/dataset"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
@@ -87,32 +85,18 @@ func RealData(ds RealDataset, opts Options) (RealDataResult, error) {
 	const alpha = 3.0
 	// Fan the (model size, poisoning %) grid out across the pool; cells
 	// return in size-major order, matching the sequential sweep.
-	type combo struct {
-		size int
-		pct  float64
-	}
-	var combos []combo
-	for _, size := range modelSizes {
-		for _, pct := range poisonPcts {
-			combos = append(combos, combo{size: size, pct: pct})
-		}
-	}
-	cells, err := engine.Map(context.Background(), opts.pool(), len(combos), func(i int) (RMICell, error) {
-		c := combos[i]
-		N := ks.Len() / c.size
-		if N < 1 {
-			N = 1
-		}
+	cells, err := grid(opts, modelSizes, poisonPcts, func(size int, pct float64) (RMICell, error) {
+		N := max(ks.Len()/size, 1)
 		atk, err := core.RMIAttack(ks, core.RMIAttackOptions{
 			NumModels: N,
-			Percent:   c.pct,
+			Percent:   pct,
 			Alpha:     alpha,
 			MaxMoves:  maxMovesFor(opts.Scale, N),
 		})
 		if err != nil {
-			return RMICell{}, fmt.Errorf("bench: fig7 %s size=%d pct=%v: %w", ds, c.size, c.pct, err)
+			return RMICell{}, fmt.Errorf("bench: fig7 %s size=%d pct=%v: %w", ds, size, pct, err)
 		}
-		return newRMICell(Distribution(ds), domain, c.size, c.pct, alpha, atk), nil
+		return newRMICell(Distribution(ds), domain, size, pct, alpha, atk), nil
 	})
 	if err != nil {
 		return RealDataResult{}, err

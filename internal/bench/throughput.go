@@ -104,7 +104,7 @@ func ThroughputSweep(opts Options) (ThroughputSweepResult, error) {
 		return ThroughputSweepResult{}, fmt.Errorf("bench: throughput initial set: %w", err)
 	}
 
-	plane := serve.Options{Readers: opts.Workers}.WithDefaults()
+	plane := serve.Options{Readers: opts.Workers}.ForEpoch(opsPerEpoch)
 	res := ThroughputSweepResult{
 		Keys:          n,
 		Shards:        shards,

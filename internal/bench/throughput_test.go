@@ -27,8 +27,10 @@ func TestThroughputSweepShape(t *testing.T) {
 	if len(res.Cells) != 6 { // 3 workload mixes × 2 cost models
 		t.Fatalf("%d cells, want 6", len(res.Cells))
 	}
-	if res.Readers != 2 {
-		t.Fatalf("resolved readers = %d, want 2", res.Readers)
+	// Quick scale runs 60 ops per epoch: one batch of 60 reads at most, so
+	// one reader, whatever Workers asks for.
+	if res.Readers != 1 || res.BatchSize != 60 {
+		t.Fatalf("plane = %d readers × batch %d, want 1 × 60 (what a 60-op epoch runs)", res.Readers, res.BatchSize)
 	}
 	for _, c := range res.Cells {
 		if len(c.Clean) != res.EpochsPerCell || len(c.Poisoned) != res.EpochsPerCell {

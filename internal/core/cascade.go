@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"cdfpoison/internal/alex"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/workload"
 )
@@ -132,10 +131,9 @@ type cascadeCandidate struct {
 // split threshold nearest), harvests candidate keys from the key-space gaps
 // of the densest leaves, prices each candidate with the victim's pure
 // insert-cost oracle — slot writes the current layout would pay — and keeps
-// the budget's worth of most expensive keys. Scoring fans over the worker
-// pool; candidate order, scores, and the final sort are all deterministic,
-// so any worker count picks identical poison (TestCascadeWorkerEquivalence).
-func cascadePlan(v *alex.Index, budget int, ex exec) ([]int64, int, float64, error) {
+// the budget's worth of most expensive keys. It prices at most 4·budget
+// candidates, sequentially.
+func cascadePlan(v *alex.Index, budget int) ([]int64, int, float64) {
 	type rank struct {
 		i       int
 		density float64
@@ -164,16 +162,12 @@ func cascadePlan(v *alex.Index, budget int, ex exec) ([]int64, int, float64, err
 		}
 	}
 	if len(cands) == 0 {
-		return nil, target, targetDensity, nil
+		return nil, target, targetDensity
 	}
-	costs, err := engine.Map(ex.ctx, ex.pool, len(cands), func(i int) (int64, error) {
-		return int64(v.InsertCost(cands[i].node, cands[i].key)), nil
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
+	costs := make([]int, len(cands))
 	order := make([]int, len(cands))
-	for i := range order {
+	for i, c := range cands {
+		costs[i] = v.InsertCost(c.node, c.key)
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -190,7 +184,7 @@ func cascadePlan(v *alex.Index, budget int, ex exec) ([]int64, int, float64, err
 	for i, idx := range order {
 		poison[i] = cands[idx].key
 	}
-	return poison, target, targetDensity, nil
+	return poison, target, targetDensity
 }
 
 // CascadeAttack mounts the split-cascade scenario: an adversary with a
@@ -216,11 +210,8 @@ func cascadePlan(v *alex.Index, budget int, ex exec) ([]int64, int, float64, err
 //     indexes, the victim/clean structural-cost and probe ratios, and the
 //     epoch's damage score.
 //
-// Determinism contract: WithWorkers parallelism reaches only the oracle's
-// candidate pricing, which folds in task-index order — any worker count
-// produces byte-identical results (TestCascadeWorkerEquivalence).
-// WithCancellation aborts between epochs, between operations, and inside
-// the oracle.
+// Determinism contract: the scenario is sequential; WithWorkers changes
+// nothing. WithCancellation aborts between epochs and between operations.
 func CascadeAttack(initial keys.Set, opts CascadeOptions, execOpts ...Option) (CascadeResult, error) {
 	if err := opts.validate(); err != nil {
 		return CascadeResult{}, err
@@ -254,10 +245,7 @@ func CascadeAttack(initial keys.Set, opts CascadeOptions, execOpts ...Option) (C
 		// 1. Plan: densest leaf, priced candidates, top-budget poison.
 		var poison []int64
 		if opts.EpochBudget > 0 {
-			poison, rep.TargetNode, rep.TargetDensity, err = cascadePlan(t.victim, opts.EpochBudget, ex)
-			if err != nil {
-				return CascadeResult{}, fmt.Errorf("core: cascade epoch %d oracle: %w", e+1, err)
-			}
+			poison, rep.TargetNode, rep.TargetDensity = cascadePlan(t.victim, opts.EpochBudget)
 		}
 
 		// 2. Serve: honest ops with the poison drip interleaved.

@@ -207,8 +207,8 @@ func churnTarget(v *shard.Index, policy dynamic.RetrainPolicy, budget int, cost 
 //     coalescing, rebuild ticks, live loss ratios, and inline probe costs.
 //
 // Determinism contract: WithWorkers parallelism reaches only the per-epoch
-// oracle's candidate scans and the epoch-end rebuild fan-out, both of
-// which produce byte-identical results for any worker count
+// oracle's candidate scans, which produce byte-identical results for any
+// worker count
 // (TestChurnWorkerEquivalence at scenario level, TestChurnSweepWorker
 // Equivalence at sweep level, TestChurnWorkersFlagDeterminism at CLI
 // level). WithCancellation aborts between epochs, between operations, and

@@ -12,9 +12,11 @@ import (
 // to the historical single-threaded implementation.
 //
 // Determinism contract: for ANY worker count the attack output is identical
-// to the sequential run. Parallel paths reduce per-chunk results in task
-// index order (see internal/engine), so worker scheduling can never leak
-// into results. The equivalence tests in parallel_test.go enforce this.
+// to the sequential run. The parallel paths — Algorithm 1's endpoint and
+// pruned scans (singlepoint.go, pruned.go) and Algorithm 2's segment tasks
+// (rmiattack.go) — reduce per-chunk results in task index order (see
+// internal/engine), so worker scheduling can never leak into results. The
+// equivalence tests in parallel_test.go enforce this.
 type Option func(*exec)
 
 type exec struct {

@@ -202,10 +202,10 @@ func onlineOracle(visible keys.Set, opts OnlineOptions, execOpts []Option) ([]in
 //     mean lookup probes over the honest workload.
 //
 // Determinism contract: WithWorkers parallelism reaches only the per-epoch
-// oracle's candidate scans and the probe evaluation, all of which reduce in
-// index order; the result is byte-identical for every worker count (see
-// TestOnlineWorkerEquivalence). WithCancellation aborts between and inside
-// epochs with ctx.Err().
+// oracle's candidate scans, which reduce in index order; the result is
+// byte-identical for every worker count (see TestOnlineWorkerEquivalence).
+// WithCancellation aborts between epochs and inside the oracle with
+// ctx.Err().
 func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option) (OnlineResult, error) {
 	if err := opts.validate(); err != nil {
 		return OnlineResult{}, err
@@ -224,7 +224,7 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 	// arrival the clean side accepted. It only grows, so pe re-sorts it
 	// only in epochs that grew it.
 	legit := append([]int64(nil), initial.Keys()...)
-	pe := newProbeEval()
+	var pe probeEval
 	epochs := opts.epochs()
 	res := OnlineResult{Epochs: make([]EpochReport, 0, epochs)}
 	honestSeen := 0
@@ -266,10 +266,7 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 		rep.Retrains, rep.BufferLen = vs.Retrains, vs.Buffered
 		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = cs.ContentLoss, vs.ContentLoss, ratio
 		pe.refresh(legit)
-		total, err := pe.measurePair(ex, endpointGrainFloor, pe.sorted, t.cFront, t.vFront)
-		if err != nil {
-			return OnlineResult{}, err
-		}
+		total := measurePair(pe.sorted, t.cFront, t.vFront)
 		rep.CleanProbes, rep.PoisonedProbes = total.means(len(pe.sorted))
 		res.Epochs = append(res.Epochs, rep)
 	}

@@ -103,42 +103,6 @@ func TestGreedyMultiPointEquivalence(t *testing.T) {
 	}
 }
 
-func TestLossSequenceEquivalence(t *testing.T) {
-	for name, ks := range testSets(t) {
-		if ks.FreeSlots() > 200_000 {
-			continue
-		}
-		wantSeq, wantClean, wantErr := LossSequence(ks, WithWorkers(1))
-		for _, w := range workerCounts() {
-			seq, clean, err := LossSequence(ks, WithWorkers(w))
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("%s workers=%d: err %v vs %v", name, w, err, wantErr)
-			}
-			if clean != wantClean || !reflect.DeepEqual(seq, wantSeq) {
-				t.Fatalf("%s workers=%d: loss sequence diverged from sequential", name, w)
-			}
-		}
-	}
-}
-
-func TestCheckGapConvexityEquivalence(t *testing.T) {
-	for name, ks := range testSets(t) {
-		if ks.FreeSlots() > 200_000 {
-			continue
-		}
-		want, wantErr := CheckGapConvexity(ks, WithWorkers(1))
-		for _, w := range workerCounts() {
-			got, err := CheckGapConvexity(ks, WithWorkers(w))
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("%s workers=%d: err %v vs %v", name, w, err, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s workers=%d: convexity reports diverged", name, w)
-			}
-		}
-	}
-}
-
 // TestRMIAttackEquivalence: Algorithm 2's full output — per-model reports,
 // poison keys, exchange count — must match the sequential run exactly.
 func TestRMIAttackEquivalence(t *testing.T) {

@@ -1,7 +1,7 @@
 package core
 
 // Tests for the scenario-side batch-eval plumbing (probeeval.go): the
-// steady-state allocation budget and the chunked-eval-vs-per-key-reference
+// steady-state allocation budget and the batch-eval-vs-per-key-reference
 // differential. The kernel-vs-reference bit-identity of each backend is
 // pinned where the kernels live, in internal/index's differential and fuzz
 // suites.
@@ -18,9 +18,8 @@ import (
 )
 
 // TestProbeEvalZeroAllocs pins the epoch-eval allocation budget: once the
-// scratch is warm, a steady-state epoch (unchanged workload) allocates
-// NOTHING — no sorted-cache copy, no chunk buffer, no closure — on the
-// sequential path the worker-equivalence contract makes canonical.
+// sorted cache is warm, a steady-state epoch (unchanged workload) allocates
+// NOTHING — no sorted-cache copy and nothing in the kernel passes.
 func TestProbeEvalZeroAllocs(t *testing.T) {
 	initial, err := dataset.Uniform(xrand.New(31), 2000, 80000)
 	if err != nil {
@@ -35,14 +34,11 @@ func TestProbeEvalZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	legit := initial.Keys()
-	ex := newExec(nil) // sequential: the canonical byte-identical path
-	pe := newProbeEval()
+	var pe probeEval
 	pe.refresh(legit)
 	allocs := testing.AllocsPerRun(20, func() {
 		pe.refresh(legit) // steady state: length unchanged, no copy
-		if _, err := pe.measurePair(ex, endpointGrainFloor, pe.sorted, clean, victim); err != nil {
-			t.Fatal(err)
-		}
+		measurePair(pe.sorted, clean, victim)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state epoch eval allocates %.1f objects/run, want 0", allocs)
@@ -50,10 +46,9 @@ func TestProbeEvalZeroAllocs(t *testing.T) {
 }
 
 // TestMeasurePairMatchesProbeSum is the probe-eval differential: a sorted
-// batch of hits and misses, chunked across 1, 2, and 4 workers, must fold
-// to exactly the per-key reference totals (index.ProbeSum) on both sides —
-// for a dynamic index with a live delta buffer against a fresh one, and for
-// a pair of 4-shard snapshots.
+// batch of hits and misses must evaluate to exactly the per-key reference
+// totals (index.ProbeSum) on both sides — for a dynamic index with a live
+// delta buffer against a fresh one, and for a pair of 4-shard snapshots.
 func TestMeasurePairMatchesProbeSum(t *testing.T) {
 	initial, err := dataset.Uniform(xrand.New(37), 2000, 80000)
 	if err != nil {
@@ -104,16 +99,9 @@ func TestMeasurePairMatchesProbeSum(t *testing.T) {
 	} {
 		wantClean, _ := index.ProbeSum(tc.clean, batch)
 		wantVictim, _ := index.ProbeSum(tc.victim, batch)
-		for _, w := range []int{1, 2, 4} {
-			// A grain floor of 64 splits the batch into many chunks.
-			got, err := newProbeEval().measurePair(newExec([]Option{WithWorkers(w)}), 64, batch, tc.clean, tc.victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.clean != wantClean || got.victim != wantVictim {
-				t.Fatalf("%s workers=%d: measurePair = (clean %d, victim %d), ProbeSum = (%d, %d)",
-					tc.name, w, got.clean, got.victim, wantClean, wantVictim)
-			}
+		if got := measurePair(batch, tc.clean, tc.victim); got.clean != wantClean || got.victim != wantVictim {
+			t.Fatalf("%s: measurePair = (clean %d, victim %d), ProbeSum = (%d, %d)",
+				tc.name, got.clean, got.victim, wantClean, wantVictim)
 		}
 	}
 }

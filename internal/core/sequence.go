@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 )
@@ -19,7 +18,8 @@ type LossPoint struct {
 // O(m + n) once the prefix trick replaces from-scratch refits).
 //
 // The second return value is the clean (pre-poisoning) loss, drawn as the
-// horizontal reference line in the figure.
+// horizontal reference line in the figure. The scan is sequential;
+// WithCancellation is checked once per gap.
 func LossSequence(ks keys.Set, opts ...Option) ([]LossPoint, float64, error) {
 	if ks.Len() < 2 {
 		return nil, 0, ErrTooFew
@@ -30,27 +30,17 @@ func LossSequence(ks keys.Set, opts ...Option) ([]LossPoint, float64, error) {
 	}
 	ex := newExec(opts)
 	origin := ks.Min()
-	// Each chunk of neighbour pairs emits its slice of the sequence; chunk
-	// slices concatenate in chunk order, reproducing the sequential scan.
-	chunks, err := engine.MapChunks(ex.ctx, ex.pool, ks.Len()-1, engine.GrainFor(ks.Len()-1, ex.pool),
-		func(clo, chi int) ([]LossPoint, error) {
-			var part []LossPoint
-			cf, suf := pre.ClosedForm(), pre.Suffix(clo+1)
-			for i := clo; i < chi; i++ {
-				pos := i + 1
-				for k := ks.At(i) + 1; k < ks.At(i+1); k++ {
-					part = append(part, LossPoint{Key: k, Loss: cf.Loss(k, pos, suf)})
-				}
-				suf -= ks.At(i+1) - origin
-			}
-			return part, nil
-		})
-	if err != nil {
-		return nil, 0, err
-	}
 	var seq []LossPoint
-	for _, part := range chunks {
-		seq = append(seq, part...)
+	cf, suf := pre.ClosedForm(), pre.Suffix(1)
+	for i := 0; i < ks.Len()-1; i++ {
+		if err := ex.ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		pos := i + 1
+		for k := ks.At(i) + 1; k < ks.At(i+1); k++ {
+			seq = append(seq, LossPoint{Key: k, Loss: cf.Loss(k, pos, suf)})
+		}
+		suf -= ks.At(i+1) - origin
 	}
 	if len(seq) == 0 {
 		return nil, 0, ErrNoGap
@@ -85,8 +75,9 @@ type GapConvexityReport struct {
 // CheckGapConvexity evaluates the Theorem 2 corollary — "the maximum loss
 // for each convex subsequence is given either by the first or the last
 // poisoning key of its domain" — on every gap of the set. It returns one
-// report per gap that has interior keys (width ≥ 3). Used by property tests
-// and by the lisbench convexity ablation.
+// report per gap that has interior keys (width ≥ 3), in gap order. Used by
+// property tests and by the lisbench convexity ablation. The scan is
+// sequential; WithCancellation is checked once per gap.
 func CheckGapConvexity(ks keys.Set, opts ...Option) ([]GapConvexityReport, error) {
 	if ks.Len() < 2 {
 		return nil, ErrTooFew
@@ -96,16 +87,17 @@ func CheckGapConvexity(ks keys.Set, opts ...Option) ([]GapConvexityReport, error
 		return nil, err
 	}
 	ex := newExec(opts)
-	gaps := ks.Gaps()
-	// One task per gap (gap widths vary wildly, so per-gap scheduling load
-	// balances); nil results for sub-width gaps are dropped in gap order.
-	perGap, err := engine.Map(ex.ctx, ex.pool, len(gaps), func(gi int) (*GapConvexityReport, error) {
-		g := gaps[gi]
+	cf := pre.ClosedForm()
+	var reports []GapConvexityReport
+	for _, g := range ks.Gaps() {
+		if err := ex.ctx.Err(); err != nil {
+			return nil, err
+		}
 		if g.Width() < 3 {
-			return nil, nil
+			continue
 		}
 		pos := g.Rank - 1
-		cf, suf := pre.ClosedForm(), pre.Suffix(pos)
+		suf := pre.Suffix(pos)
 		epMax := cf.Loss(g.Lo, pos, suf)
 		if l := cf.Loss(g.Hi, pos, suf); l > epMax {
 			epMax = l
@@ -118,16 +110,7 @@ func CheckGapConvexity(ks keys.Set, opts ...Option) ([]GapConvexityReport, error
 				inMax, first = l, false
 			}
 		}
-		return &GapConvexityReport{EndpointMax: epMax, Excess: inMax - epMax}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var reports []GapConvexityReport
-	for _, r := range perGap {
-		if r != nil {
-			reports = append(reports, *r)
-		}
+		reports = append(reports, GapConvexityReport{EndpointMax: epMax, Excess: inMax - epMax})
 	}
 	return reports, nil
 }

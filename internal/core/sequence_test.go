@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -65,6 +66,20 @@ func TestLossSequenceErrors(t *testing.T) {
 	}
 	if _, _, err := LossSequence(mustSet(t, []int64{7, 8, 9})); !errors.Is(err, ErrNoGap) {
 		t.Fatalf("want ErrNoGap, got %v", err)
+	}
+}
+
+// TestSequenceCancellation: a pre-cancelled context aborts both Figure 3
+// scans with context.Canceled instead of returning a partial sequence.
+func TestSequenceCancellation(t *testing.T) {
+	ks := mustSet(t, []int64{1, 5, 9, 20, 40})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if seq, _, err := LossSequence(ks, WithContext(ctx)); !errors.Is(err, context.Canceled) || seq != nil {
+		t.Fatalf("LossSequence = (%d points, %v), want context.Canceled", len(seq), err)
+	}
+	if reps, err := CheckGapConvexity(ks, WithContext(ctx)); !errors.Is(err, context.Canceled) || reps != nil {
+		t.Fatalf("CheckGapConvexity = (%d reports, %v), want context.Canceled", len(reps), err)
 	}
 }
 

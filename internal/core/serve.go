@@ -188,8 +188,7 @@ func (r ServeResult) MaxShardRatio() float64 {
 //
 // Determinism contract: the workload stream is a pure function of
 // (Workload, initial, Domain, Seed); WithWorkers parallelism reaches only
-// the oracle's candidate scans, the shard rebuild fan-out, and the
-// read-probe evaluation, all of which fold in index order — the result is
+// the oracle's candidate scans, which fold in index order — the result is
 // byte-identical for every worker count (TestServeWorkerEquivalence).
 // WithCancellation aborts between epochs and inside the oracle with
 // ctx.Err().
@@ -209,7 +208,6 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 		return ServeResult{}, err
 	}
 	res := ServeResult{Shards: opts.Shards, Epochs: make([]ServeEpochReport, 0, opts.Epochs)}
-	pe := newProbeEval()
 	var reads []int64 // epoch read-key scratch, reused across epochs
 	for e := 0; e < opts.Epochs; e++ {
 		if err := ex.ctx.Err(); err != nil {
@@ -248,9 +246,7 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 		// them in place (the batch kernel's precondition) changes no column.
 		rep.PoisonTotal, rep.Displaced = len(t.poison), t.displaced
 		slices.Sort(reads)
-		if err := measureServe(&rep, t, reads, pe); err != nil {
-			return ServeResult{}, err
-		}
+		measureServe(&rep, t, reads)
 		res.Epochs = append(res.Epochs, rep)
 	}
 	// Epochs >= 1 is validated, so the last report is always present; its
@@ -264,20 +260,13 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 	return res, nil
 }
 
-// serveProbeGrainFloor mirrors the online scenario's probe-scan chunking.
-const serveProbeGrainFloor = 256
-
 // measureServe fills the epoch report's loss, probe, and shard columns.
 // Loss, imbalance, and buffer columns read the LIVE shard state (the
 // admin-plane truth the operator's dashboards aggregate); probe columns
 // are measured against each pipeline's PUBLISHED read plane, captured once
-// as an immutable snapshot and then fanned across the worker pool in
-// chunks of the caller-sorted read batch — each chunk runs the sorted-batch
-// kernel (DESIGN.md §12), snapshot lookups are pure reads on frozen state,
-// and the sums are integers folded in chunk order, so any worker count
-// produces identical bytes, with no mutable state shared across workers at
-// all.
-func measureServe(rep *ServeEpochReport, t *twin[*shard.Index], reads []int64, pe *probeEval) error {
+// as an immutable snapshot and evaluated over the caller-sorted read batch
+// with one sorted-batch kernel pass per side (DESIGN.md §12).
+func measureServe(rep *ServeEpochReport, t *twin[*shard.Index], reads []int64) {
 	// Per-shard stats are the expensive part (ContentLoss is an O(shard)
 	// scan); collect them once per side and fold the aggregates from them,
 	// instead of paying a second full pass through victim.Stats().
@@ -296,11 +285,6 @@ func measureServe(rep *ServeEpochReport, t *twin[*shard.Index], reads []int64, p
 		rep.Shards[i] = ServeShardReport{Shard: i, RatioLoss: SafeRatio(vShards[i].ContentLoss, cShards[i].ContentLoss)}
 	}
 
-	vSnap, cSnap := t.vPipe.Snapshot(), t.cPipe.Snapshot()
-	total, err := pe.measurePair(t.ex, serveProbeGrainFloor, reads, cSnap, vSnap)
-	if err != nil {
-		return err
-	}
+	total := measurePair(reads, t.cPipe.Snapshot(), t.vPipe.Snapshot())
 	rep.CleanProbes, rep.PoisonedProbes = total.means(len(reads))
-	return nil
 }

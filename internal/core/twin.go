@@ -49,7 +49,7 @@ type twin[B index.Backend] struct {
 
 // buildTwin builds both sides with the same constructor, mounts the
 // spec's guard and defense arms on each, and, when cost is non-nil, puts
-// both behind a retrain pipeline running on ex's pool.
+// both behind a retrain pipeline.
 func buildTwin[B index.Backend](initial keys.Set, build func(keys.Set) (B, error), spec DefenseSpec, cost *index.CostModel, ex exec) (*twin[B], error) {
 	t := &twin[B]{atkSrc: spec.attackerSource(), ex: ex}
 	var err error
@@ -63,8 +63,8 @@ func buildTwin[B index.Backend](initial keys.Set, build func(keys.Set) (B, error
 	t.vFront, vGuard = spec.wrap(t.victim)
 	t.cFront, cGuard = spec.wrap(t.clean)
 	if cost != nil {
-		t.vPipe = index.NewPipeline(t.vFront, *cost).WithPool(ex.ctx, ex.pool)
-		t.cPipe = index.NewPipeline(t.cFront, *cost).WithPool(ex.ctx, ex.pool)
+		t.vPipe = index.NewPipeline(t.vFront, *cost)
+		t.cPipe = index.NewPipeline(t.cFront, *cost)
 		t.vFront, t.cFront = t.vPipe, t.cPipe
 	}
 	t.vArm = spec.newArm(t.vFront, vGuard, &t.defense, false)

@@ -8,9 +8,6 @@ package defense
 // index.Backend.
 
 import (
-	"context"
-
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 )
@@ -115,18 +112,6 @@ func (g *Guard) Lookup(k int64) index.LookupResult { return g.backend.Lookup(k) 
 // guard's content stays valid (TestGuardMirrorMatchesReference pins this on
 // every backend).
 func (g *Guard) Retrain() { g.backend.Retrain() }
-
-// RetrainParallel forwards the pooled rebuild when the wrapped backend
-// supports it and falls back to the sequential Retrain otherwise, so a
-// guard never hides the inner backend's parallel rebuild path from the
-// retrain pipeline (index.ParallelRetrainer).
-func (g *Guard) RetrainParallel(ctx context.Context, pool *engine.Pool) error {
-	if pr, ok := g.backend.(index.ParallelRetrainer); ok {
-		return pr.RetrainParallel(ctx, pool)
-	}
-	g.backend.Retrain()
-	return nil
-}
 
 // LastRebuildSize forwards the wrapped backend's rebuild size when it
 // reports one, else the full length (index.RebuildSizer).

@@ -10,7 +10,6 @@ package defense
 // queries for the backends with index.Ranker, a private mirror otherwise.
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -18,7 +17,6 @@ import (
 	"cdfpoison/internal/btree"
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
@@ -120,7 +118,6 @@ func TestGuardMirrorMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := engine.New(2)
 	for bname, build := range mirrorBackends() {
 		for cname, chain := range mirrorChains(t) {
 			t.Run(bname+"/"+cname, func(t *testing.T) {
@@ -162,15 +159,9 @@ func TestGuardMirrorMatchesReference(t *testing.T) {
 							run = append(run, a+j)
 						}
 						k, run = run[0], run[1:]
-					case r < 87:
-						insert = false
-						g.Retrain()
-						twin.Retrain()
 					case r < 94:
 						insert = false
-						if err := g.RetrainParallel(context.Background(), pool); err != nil {
-							t.Fatal(err)
-						}
+						g.Retrain()
 						twin.Retrain()
 					default:
 						insert = false

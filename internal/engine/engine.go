@@ -55,9 +55,6 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Sequential reports whether the pool runs tasks inline.
-func (p *Pool) Sequential() bool { return p.Workers() == 1 }
-
 // ctxErr is a non-blocking cancellation check.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {

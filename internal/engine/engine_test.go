@@ -22,8 +22,8 @@ func TestNewWorkerResolution(t *testing.T) {
 		t.Fatalf("New(-3).Workers() = %d, want >= 1 (GOMAXPROCS)", got)
 	}
 	var nilPool *Pool
-	if !nilPool.Sequential() {
-		t.Fatal("nil pool must be sequential")
+	if got := nilPool.Workers(); got != 1 {
+		t.Fatalf("nil pool Workers() = %d, want 1 (sequential)", got)
 	}
 }
 

@@ -27,9 +27,10 @@
 //
 // Beside the planes, a backend may implement optional faces that callers
 // discover by type assertion: BatchReader (a sorted-batch probe kernel),
-// ParallelRetrainer, RebuildSizer and TriggerPredictor (what the retrain
-// pipeline uses), and Ranker (rank queries against the live content, which
-// a defense.Guard reads instead of copying the keys).
+// RebuildSizer and TriggerPredictor (what the retrain pipeline uses), and
+// Ranker (rank queries against the live content, which a defense.Guard
+// reads instead of copying the keys). ParallelRetrainer is declared but
+// implemented and called nowhere in this module; see its comment.
 //
 // On top of the planes, this package provides the deterministic
 // background-retrain pipeline (pipeline.go): a wrapper that decouples WHEN
@@ -37,10 +38,11 @@
 // plane triggered it, on a logical tick clock — the substrate of the
 // retrain-churn attack scenario (see DESIGN.md §7).
 //
-// The package is a near-leaf: it depends only on internal/keys and the
-// parallel substrate internal/engine, so backends in any substrate package
-// can import it without cycles, and internal/core can stay independent of
-// the substrates it attacks (see DESIGN.md §1, dependency rules).
+// The package is a near-leaf: it depends only on internal/keys and (for
+// the ParallelRetrainer declaration) internal/engine, so backends in any
+// substrate package can import it without cycles, and internal/core can
+// stay independent of the substrates it attacks (see DESIGN.md §1,
+// dependency rules).
 //
 // Contract notes:
 //

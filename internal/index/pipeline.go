@@ -50,10 +50,11 @@ import (
 
 var _ Backend = (*Pipeline)(nil)
 
-// ParallelRetrainer is the optional backend face the pipeline uses to fan
-// a full-index rebuild across a worker pool (shard.Index implements it:
-// per-shard rebuilds are independent and deterministic, so any worker
-// count produces identical bytes).
+// ParallelRetrainer is a pooled full-index rebuild face. Nothing in this
+// module implements or calls it: no scenario or benchmark measured a pooled
+// rebuild, so the pipeline retrains sequentially. It stays declared only
+// because perfbench's traced decorator still names it; the benchmark change
+// that updates perfbench deletes the two together.
 type ParallelRetrainer interface {
 	RetrainParallel(ctx context.Context, pool *engine.Pool) error
 }
@@ -115,11 +116,6 @@ type Pipeline struct {
 	backend Backend
 	cost    CostModel
 
-	// pool, when non-nil, fans explicit Retrain calls across workers for
-	// backends implementing ParallelRetrainer. ctx bounds those rebuilds.
-	pool *engine.Pool
-	ctx  context.Context
-
 	now int64
 
 	// published is non-nil exactly while a rebuild is in flight: the
@@ -148,18 +144,7 @@ type Pipeline struct {
 
 // NewPipeline wraps a backend with the given rebuild cost model.
 func NewPipeline(b Backend, cost CostModel) *Pipeline {
-	return &Pipeline{backend: b, cost: cost, queuedAt: -1, ctx: context.Background()}
-}
-
-// WithPool makes explicit Retrain calls use the backend's parallel rebuild
-// path (ParallelRetrainer) when available. Determinism is unaffected: the
-// parallel rebuild produces bytes identical to the sequential one.
-func (p *Pipeline) WithPool(ctx context.Context, pool *engine.Pool) *Pipeline {
-	if ctx != nil {
-		p.ctx = ctx
-	}
-	p.pool = pool
-	return p
+	return &Pipeline{backend: b, cost: cost, queuedAt: -1}
 }
 
 // ChurnStats returns the cumulative pipeline accounting.
@@ -336,23 +321,13 @@ func (p *Pipeline) retrainPossible() bool {
 func (p *Pipeline) RetrainPossible() bool { return p.retrainPossible() }
 
 // Retrain runs the backend's maintenance step and schedules its
-// publication. With a pool configured and a ParallelRetrainer backend the
-// rebuild fans across workers (byte-identical results).
+// publication.
 func (p *Pipeline) Retrain() {
 	var pre Snapshot
 	if !p.cost.Zero() && p.published == nil {
 		pre = p.backend.Snapshot()
 	}
-	if pr, ok := p.backend.(ParallelRetrainer); ok && p.pool != nil && !p.pool.Sequential() {
-		if err := pr.RetrainParallel(p.ctx, p.pool); err != nil {
-			// Cancellation mid-rebuild: fall back to the sequential path so
-			// the backend is never left half-retrained (the caller's context
-			// error surfaces at its own next check).
-			p.backend.Retrain()
-		}
-	} else {
-		p.backend.Retrain()
-	}
+	p.backend.Retrain()
 	p.trigger(pre)
 	if p.published == nil {
 		p.rev++

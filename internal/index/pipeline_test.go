@@ -6,14 +6,11 @@ package index_test
 // can drive the pipeline over the real substrates.
 
 import (
-	"context"
 	"testing"
 
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
-	"cdfpoison/internal/shard"
 	"cdfpoison/internal/xrand"
 )
 
@@ -235,40 +232,5 @@ func TestPipelineCoalescing(t *testing.T) {
 	}
 	if st.StaleTicks != 20 || st.RebuildTicks != 20 {
 		t.Fatalf("window accounting: %+v", st)
-	}
-}
-
-// TestPipelineParallelRetrainEquivalence: an explicit Retrain through the
-// pooled rebuild path produces a backend byte-identical to the sequential
-// one — the §2 determinism contract on the pipeline's rebuild fan-out.
-func TestPipelineParallelRetrainEquivalence(t *testing.T) {
-	initial := fixture(t, 600)
-	build := func() *index.Pipeline {
-		s, err := shard.New(initial, 4, dynamic.ManualPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return index.NewPipeline(s, index.CostModel{Fixed: 3})
-	}
-	seqP := build()
-	parP := build().WithPool(context.Background(), engine.New(4))
-
-	rngA, rngB := xrand.New(5), xrand.New(5)
-	domain := 2 * (initial.Max() + 1)
-	for round := 0; round < 3; round++ {
-		driveOps(seqP, seqP, seqP.Tick, rngA, domain, 40)
-		driveOps(parP, parP, parP.Tick, rngB, domain, 40)
-		queries := initial.Keys()
-		ap, am := seqP.ProbeSum(queries)
-		bp, bm := parP.ProbeSum(queries)
-		if ap != bp || am != bm {
-			t.Fatalf("round %d: sequential (%d,%d) != pooled (%d,%d)", round, ap, am, bp, bm)
-		}
-		if as, bs := seqP.Stats(), parP.Stats(); as != bs {
-			t.Fatalf("round %d: stats diverged: %+v vs %+v", round, as, bs)
-		}
-		if sa, sb := seqP.ChurnStats(), parP.ChurnStats(); sa != sb {
-			t.Fatalf("round %d: churn stats diverged: %+v vs %+v", round, sa, sb)
-		}
 	}
 }

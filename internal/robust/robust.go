@@ -9,8 +9,7 @@
 // Structures", PAPERS.md).
 //
 // Every fitter is deterministic (no RNG, no map iteration) and runs on the
-// caller's goroutine: a parallel retrain spreads whole shards, not keys
-// (shard.Index.RetrainParallel).
+// caller's goroutine, as every retrain does.
 //
 // Order statistics come from one bounded selection, not a sort: Trimmed
 // keeps the pairs at or below its keepN-th smallest (residual, index) pair,

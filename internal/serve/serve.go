@@ -305,15 +305,17 @@ func (e *tickExec) flush(h *Histogram) int64 {
 // error; every goroutine the plane started is drained and joined before
 // return.
 func RunConcurrent(ctx context.Context, b index.Backend, o ScenarioOptions, popts Options) ([]EpochMetrics, error) {
-	plane := NewPlane(popts.fit(o.OpsPerEpoch))
+	plane := NewPlane(popts.ForEpoch(o.OpsPerEpoch))
 	defer plane.Close()
 	return runScenario(ctx, b, o, &concExec{plane: plane})
 }
 
-// fit bounds the knobs by what an epoch of opsPerEpoch operations can use:
-// a batch never holds more than the epoch's reads, and readers past the
-// epoch's batch count would never get work.
-func (o Options) fit(opsPerEpoch int) Options {
+// ForEpoch resolves the defaults and bounds the knobs by what an epoch of
+// opsPerEpoch operations can use: a batch never holds more than the
+// epoch's reads, and readers past the epoch's batch count would never get
+// work. It is the plane shape RunConcurrent runs, so reports that echo the
+// shape call it too.
+func (o Options) ForEpoch(opsPerEpoch int) Options {
 	o = o.WithDefaults()
 	ops := max(opsPerEpoch, 1)
 	o.BatchSize = min(o.BatchSize, ops)

@@ -27,19 +27,15 @@
 //
 // Determinism under concurrency: mutation (Insert/Retrain) is
 // single-writer, exactly like every other backend; Lookup and ProbeSum are
-// pure reads. RetrainParallel fans the per-shard refits across an
-// engine.Pool; each shard's refit reads only its own keys, so any worker
-// count leaves byte-identical models (DESIGN.md §2).
+// pure reads.
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
@@ -216,24 +212,6 @@ func (x *Index) Retrain() {
 		s.Retrain()
 	}
 	x.lastRebuild = x.Len()
-}
-
-// RetrainParallel force-retrains every shard with the per-shard rebuilds
-// fanned out across the pool. Shards are independent and each rebuild is a
-// deterministic function of that shard's own state, so the resulting index
-// is byte-identical to a sequential Retrain for any worker count — the §2
-// determinism contract. This is the rebuild path the background-retrain
-// pipeline (index.Pipeline) uses when given a pool.
-func (x *Index) RetrainParallel(ctx context.Context, pool *engine.Pool) error {
-	_, err := engine.Map(ctx, pool, len(x.shards), func(i int) (struct{}, error) {
-		x.shards[i].Retrain()
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return err
-	}
-	x.lastRebuild = x.Len()
-	return nil
 }
 
 // LastRebuildSize reports the key count of the most recent retrain — one
