@@ -205,8 +205,11 @@ func (p DensityPolicy) Suspicious(c *Content, k int64) bool {
 		}
 		return float64(hi-lo) / float64(width)
 	}
-	left := side(pos-p.Window, pos-1)  // the Window keys below k
-	right := side(pos, pos-1+p.Window) // the Window keys at/above k
+	// A window of n already covers every rank, and clamping to it keeps
+	// pos-1+w from overflowing on a window near math.MaxInt.
+	w := min(p.Window, n)
+	left := side(pos-w, pos-1)  // the Window keys below k
+	right := side(pos, pos-1+w) // the Window keys at/above k
 	density := left
 	if right > density {
 		density = right

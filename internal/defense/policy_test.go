@@ -1,6 +1,8 @@
 package defense
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"cdfpoison/internal/keys"
@@ -47,6 +49,44 @@ func TestDupMassPolicy(t *testing.T) {
 	c := contentOf(base)
 	p.Suspicious(c, 1<<62)
 	p.Suspicious(c, -(1 << 62))
+}
+
+// TestDensityPolicyWideWindows: any window of n or more covers every rank,
+// so windows n, n+1 and math.MaxInt decide every probe alike, built as a
+// struct or parsed from a spec. The math.MaxInt rows fail if the right
+// side's end, pos-1+Window, wraps negative and empties that side.
+func TestDensityPolicyWideWindows(t *testing.T) {
+	ks := sparse(t, 100, 1000) // 1000, 2000, ... 100000
+	run := make([]int64, 50)
+	for i := range run {
+		run[i] = 50_001 + int64(i)
+	}
+	c := contentOf(ks.Union(policySet(t, run)))
+	n := c.Len()
+	ref := DensityPolicy{Window: n, Ratio: 1.1}
+	probes, flagged := 0, 0
+	for k := int64(0); k <= 108_000; k += 20 {
+		probes++
+		if ref.Suspicious(c, k) {
+			flagged++
+		}
+	}
+	if flagged == 0 || flagged == probes {
+		t.Fatalf("fixture decides all %d probes alike at window n", probes)
+	}
+	for _, w := range []int{n + 1, math.MaxInt} {
+		ps, err := ParsePolicyChain(fmt.Sprintf("density:%d:1.1", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Policy{DensityPolicy{Window: w, Ratio: 1.1}, ps[0]} {
+			for k := int64(0); k <= 108_000; k += 20 {
+				if got, want := p.Suspicious(c, k), ref.Suspicious(c, k); got != want {
+					t.Fatalf("%s at key %d: %v, window n=%d decides %v", p.Name(), k, got, n, want)
+				}
+			}
+		}
+	}
 }
 
 func TestGapOutlierPolicy(t *testing.T) {

@@ -11,17 +11,17 @@
 // Every fitter is deterministic (no RNG, no map iteration) and runs on the
 // caller's goroutine, as every retrain does.
 //
-// Order statistics come from one bounded selection, not a sort: Trimmed
-// keeps the pairs at or below its keepN-th smallest (residual, index) pair,
-// collected in index order, and TheilSen selects its medians. Poison keys
-// choose the values being ranked, so the selection falls back to sorting
-// after 2·bits.Len(n) unbalanced partitions: O(n) on typical inputs,
-// O(n log n) on a crafted key set, never quadratic. See DESIGN.md §10 for
-// the fitter contract.
+// Order statistics come from one bounded selection over float64 values,
+// not a sort: Trimmed selects its keepN-th smallest residual r and keeps,
+// in index order, every key below r plus the first keys equal to r, as
+// many as it still needs; TheilSen selects its medians. Poison keys choose
+// the values being ranked, so the selection falls back to sorting after
+// 2·bits.Len(n) unbalanced partitions: O(n) on typical inputs, O(n log n)
+// on a crafted key set, never quadratic. See DESIGN.md §10 for the fitter
+// contract.
 package robust
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -117,25 +117,6 @@ func (t Trimmed) Name() string { return fmt.Sprintf("trimmed:%g", t.Pct) }
 
 const trimRounds = 2
 
-// scored is one key's absolute rank residual r under the current line,
-// tagged with the key's index.
-type scored struct {
-	r   float64
-	idx int
-}
-
-// compare orders scored pairs by residual, then by index. Indices are
-// distinct, so no two pairs of one fit compare equal.
-func (a scored) compare(b scored) int {
-	switch {
-	case a.r < b.r:
-		return -1
-	case a.r > b.r:
-		return 1
-	}
-	return cmp.Compare(a.idx, b.idx)
-}
-
 // Fit runs the estimator.
 func (t Trimmed) Fit(ks keys.Set) (regression.Model, error) {
 	if math.IsNaN(t.Pct) || t.Pct <= 0 || t.Pct >= 50 {
@@ -153,41 +134,51 @@ func (t Trimmed) Fit(ks keys.Set) (regression.Model, error) {
 	if drop == 0 {
 		return full, nil
 	}
-	// kept holds the surviving keys, always in ascending index order; spare
-	// is the selection's scratch and xy the refit's coordinates. Both
-	// rounds reuse these two allocations.
-	pairs := make([]scored, 2*n)
-	kept, spare := pairs[:n], pairs[n:]
-	for i := range kept {
-		kept[i].idx = i
-	}
+	// x and y hold the surviving keys and their ORIGINAL 1-based ranks (the
+	// refit must still predict positions in the full stored array), always
+	// in ascending index order, and each round compacts them in place;
+	// resid is the selection's scratch. Two allocations rather than one of
+	// 3n: past 32 KB the allocator rounds to whole pages, and the two size
+	// classes waste less.
+	resid := make([]float64, n)
 	xy := make([]float64, 2*n)
+	x, y := xy[:n], xy[n:]
+	for i := range x {
+		x[i] = float64(ks.At(i))
+		y[i] = float64(i + 1)
+	}
 	line := full.Line
 	for round := 0; round < trimRounds; round++ {
-		for j, s := range kept {
-			kept[j].r = math.Abs(line.Predict(ks.At(s.idx)) - float64(s.idx+1))
+		m := len(x)
+		for j := range m {
+			resid[j] = math.Abs(line.W*x[j] + line.B - y[j])
 		}
-		keepN := max(len(kept)-drop, 2)
+		keepN := max(m-drop, 2)
 		// Keep the keepN smallest residuals, ties broken on the lower
-		// original index. The pairs are distinct, so exactly keepN of them
-		// compare <= the keepN-th smallest, and one pass in index order
-		// collects them already sorted by index.
-		pivot := selectKth(append(spare[:0], kept...), keepN-1, scored.compare)
+		// original index: every residual below the keepN-th smallest value
+		// r, then the first keepN-less residuals equal to r in index order.
+		// The selection leaves every value below r in resid[:keepN-1].
+		r := selectKth(resid[:m], keepN-1)
+		less := 0
+		for _, v := range resid[:keepN-1] {
+			if v < r {
+				less++
+			}
+		}
+		ties := keepN - less
 		w := 0
-		for _, s := range kept {
-			if s.compare(pivot) <= 0 {
-				kept[w] = s
+		for j := range m {
+			// The expression that filled resid, so the same bits.
+			d := math.Abs(line.W*x[j] + line.B - y[j])
+			if d < r || (d == r && ties > 0) {
+				if d == r {
+					ties--
+				}
+				x[w], y[w] = x[j], y[j]
 				w++
 			}
 		}
-		kept = kept[:w]
-		// Refit the survivors against their ORIGINAL 1-based ranks: the
-		// model must still predict positions in the full stored array.
-		x, y := xy[:w], xy[n:n+w]
-		for j, s := range kept {
-			x[j] = float64(ks.At(s.idx))
-			y[j] = float64(s.idx + 1)
-		}
+		x, y = x[:w], y[:w]
 		line, err = regression.FitXY(x, y)
 		if err != nil {
 			return regression.Model{}, err
@@ -204,7 +195,7 @@ func (t Trimmed) Fit(ks keys.Set) (regression.Model, error) {
 // lengths), reordering xs in place. xs must be non-empty.
 func median(xs []float64) float64 {
 	m := len(xs)
-	upper := selectKth(xs, m/2, cmp.Compare[float64])
+	upper := selectKth(xs, m/2)
 	if m%2 == 1 {
 		return upper
 	}
@@ -216,20 +207,20 @@ func median(xs []float64) float64 {
 // selectSortCutoff is the range length below which selectKth just sorts.
 const selectSortCutoff = 12
 
-// selectKth reorders s so that s[k] holds what a full sort by compare would
-// put there, with nothing after it ordered before it and nothing before it
-// ordered after it, and returns s[k]. It is quickselect; a partition that
-// keeps more than 7/8 of its range is unbalanced, and after
-// 2·bits.Len(len(s)) of those the remaining range is sorted with
-// slices.SortFunc instead. The keys being fitted choose the values ranked
-// here, so this bound keeps a crafted key set at O(n log n) comparisons
-// rather than O(n²); typical inputs take O(n).
-func selectKth[T any](s []T, k int, compare func(a, b T) int) T {
+// selectKth reorders s so that s[k] holds what sorting s would put there,
+// with no larger value before it and no smaller value after it, and
+// returns s[k]. It is quickselect; a partition that keeps more than 7/8 of
+// its range is unbalanced, and after 2·bits.Len(len(s)) of those the
+// remaining range is sorted with slices.Sort instead. The keys being
+// fitted choose the values ranked here, so this bound keeps a crafted key
+// set at O(n log n) comparisons rather than O(n²); typical inputs take
+// O(n). s must hold no NaN.
+func selectKth(s []float64, k int) float64 {
 	lo, hi := 0, len(s)
 	unbalanced := 2 * bits.Len(uint(len(s)))
 	for hi-lo > selectSortCutoff && unbalanced > 0 {
 		size := hi - lo
-		p := lo + partition(s[lo:hi], compare)
+		p := lo + partition(s[lo:hi])
 		switch {
 		case k < p:
 			hi = p
@@ -242,27 +233,27 @@ func selectKth[T any](s []T, k int, compare func(a, b T) int) T {
 			unbalanced--
 		}
 	}
-	slices.SortFunc(s[lo:hi], compare)
+	slices.Sort(s[lo:hi])
 	return s[k]
 }
 
 // partition takes the median of the elements at s's quartile positions as
 // the pivot, moves it to the position p it holds in sorted order and
-// returns p, with every element of s[:p] ordered no later than it and every
-// element of s[p+1:] no earlier. Sampling the quartiles rather than the
-// ends keeps pivots central on residuals that rise or fall smoothly with
-// the key index. Elements equal to the pivot stop both scans and are
-// swapped, so runs of equal values split evenly instead of all landing on
-// one side. len(s) must be at least 3.
-func partition[T any](s []T, compare func(a, b T) int) int {
+// returns p, with no element of s[:p] above it and no element of s[p+1:]
+// below it. Sampling the quartiles rather than the ends keeps pivots
+// central on residuals that rise or fall smoothly with the key index.
+// Elements equal to the pivot stop both scans and are swapped, so runs of
+// equal values split evenly instead of all landing on one side. len(s)
+// must be at least 3.
+func partition(s []float64) int {
 	a, b, c := len(s)/4, len(s)/2, len(s)*3/4
 	// Order s[a], s[b], s[c]; the median ends up at b.
-	if compare(s[b], s[a]) < 0 {
+	if s[b] < s[a] {
 		s[a], s[b] = s[b], s[a]
 	}
-	if compare(s[c], s[b]) < 0 {
+	if s[c] < s[b] {
 		s[b], s[c] = s[c], s[b]
-		if compare(s[b], s[a]) < 0 {
+		if s[b] < s[a] {
 			s[a], s[b] = s[b], s[a]
 		}
 	}
@@ -270,10 +261,10 @@ func partition[T any](s []T, compare func(a, b T) int) int {
 	pivot := s[0]
 	i, j := 1, len(s)-1
 	for {
-		for i <= j && compare(s[i], pivot) < 0 {
+		for i <= j && s[i] < pivot {
 			i++
 		}
-		for i <= j && compare(s[j], pivot) > 0 {
+		for i <= j && s[j] > pivot {
 			j--
 		}
 		if i >= j {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -282,6 +283,34 @@ func sortMedian(xs []float64) float64 {
 	return (s[m/2-1] + s[m/2]) / 2
 }
 
+// sortTheilSenFit is TheilSen.Fit with both medians taken by sortMedian,
+// the reference the selection must reproduce bit for bit.
+func sortTheilSenFit(ks keys.Set) (regression.Model, error) {
+	n := ks.Len()
+	if n == 0 {
+		return regression.Model{}, regression.ErrTooFew
+	}
+	if n == 1 {
+		return regression.Model{Line: regression.Line{W: 0, B: 1}, Loss: 0, N: 1}, nil
+	}
+	h := n / 2
+	slopes := make([]float64, n-h)
+	for i := range slopes {
+		slopes[i] = float64(h) / float64(ks.At(i+h)-ks.At(i))
+	}
+	w := sortMedian(slopes)
+	resid := make([]float64, n)
+	for i := range resid {
+		resid[i] = float64(i+1) - w*float64(ks.At(i))
+	}
+	line := regression.Line{W: w, B: sortMedian(resid)}
+	loss, err := regression.EvaluateCDF(line, ks)
+	if err != nil {
+		return regression.Model{}, err
+	}
+	return regression.Model{Line: line, Loss: loss, N: n}, nil
+}
+
 // sameBits reports whether two models agree bit for bit on every field.
 func sameBits(a, b regression.Model) bool {
 	return math.Float64bits(a.Line.W) == math.Float64bits(b.Line.W) &&
@@ -371,6 +400,29 @@ func FuzzTrimmedFit(f *testing.F) {
 	})
 }
 
+// FuzzTheilSenFit runs the same differential for TheilSen against
+// sortTheilSenFit, decoding keys as FuzzTrimmedFit does.
+func FuzzTheilSenFit(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw := make([]int64, len(data)/8)
+		for i := range raw {
+			raw[i] = int64(binary.LittleEndian.Uint64(data[8*i:]) >> 1)
+		}
+		ks, err := keys.New(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := sortTheilSenFit(ks)
+		got, err := TheilSen{}.Fit(ks)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("n=%d: err %v, reference err %v", ks.Len(), err, wantErr)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("n=%d: %+v, reference %+v", ks.Len(), got, want)
+		}
+	})
+}
+
 // TestMedianMatchesSortReference pins the selection-based median to the
 // sort-based one bit for bit, on raw slices of both parities (ties,
 // sorted, reversed) and on TheilSen's own slope and residual inputs over
@@ -426,20 +478,33 @@ func TestMedianMatchesSortReference(t *testing.T) {
 }
 
 // TestTrimmedFitAllocs holds the trimmed fit at the workload's mean shard
-// size to a fixed allocation budget: the pair and coordinate buffers are
-// allocated once per fit and reused by both rounds.
+// size to a fixed budget: one residual buffer and one coordinate buffer,
+// allocated once per fit and reused by both rounds, 24·n bytes before
+// size-class rounding. Scratch of (residual, index) pairs would need twice
+// that and fail the byte budget.
 func TestTrimmedFitAllocs(t *testing.T) {
-	ks, err := dataset.Uniform(xrand.New(1459), 1459, 1459*60)
+	const n = 1459
+	ks, err := dataset.Uniform(xrand.New(n), n, n*60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	fit := func() {
 		if _, err := (Trimmed{Pct: 10}).Fit(ks); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 4 {
-		t.Fatalf("Trimmed.Fit at n=1459: %v allocs per fit, budget 4", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, fit); allocs > 2 {
+		t.Fatalf("Trimmed.Fit at n=%d: %v allocs per fit, budget 2", n, allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fit()
+	}
+	runtime.ReadMemStats(&after)
+	if perFit := (after.TotalAlloc - before.TotalAlloc) / runs; perFit > 26*n {
+		t.Fatalf("Trimmed.Fit at n=%d: %d bytes per fit, budget %d", n, perFit, 26*n)
 	}
 }
 

@@ -4,19 +4,81 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
 	"cdfpoison/internal/xrand"
 )
 
+// selectKthFunc is selectKth with every comparison routed through
+// compare: the same introselect, pivot rule and sort fallback, step for
+// step. It exists so tests can count comparisons and run McIlroy's
+// adversary, which needs to see each comparison; TestSelectKthMatchesSort
+// requires it to leave the same slice and return the same value as
+// selectKth on every input, so the bounds it meets are selectKth's.
+func selectKthFunc[T any](s []T, k int, compare func(a, b T) int) T {
+	lo, hi := 0, len(s)
+	unbalanced := 2 * bits.Len(uint(len(s)))
+	for hi-lo > selectSortCutoff && unbalanced > 0 {
+		size := hi - lo
+		p := lo + partitionFunc(s[lo:hi], compare)
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return s[k]
+		}
+		if 8*(hi-lo) > 7*size {
+			unbalanced--
+		}
+	}
+	slices.SortFunc(s[lo:hi], compare)
+	return s[k]
+}
+
+// partitionFunc is partition with every comparison routed through compare.
+func partitionFunc[T any](s []T, compare func(a, b T) int) int {
+	a, b, c := len(s)/4, len(s)/2, len(s)*3/4
+	if compare(s[b], s[a]) < 0 {
+		s[a], s[b] = s[b], s[a]
+	}
+	if compare(s[c], s[b]) < 0 {
+		s[b], s[c] = s[c], s[b]
+		if compare(s[b], s[a]) < 0 {
+			s[a], s[b] = s[b], s[a]
+		}
+	}
+	s[0], s[b] = s[b], s[0]
+	pivot := s[0]
+	i, j := 1, len(s)-1
+	for {
+		for i <= j && compare(s[i], pivot) < 0 {
+			i++
+		}
+		for i <= j && compare(s[j], pivot) > 0 {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i++
+		j--
+	}
+	s[0], s[j] = s[j], s[0]
+	return j
+}
+
 // killerOrdering runs McIlroy's adversary ("A Killer Adversary for
-// Quicksort", 1999) against selectKth(·, k). Every value starts as
+// Quicksort", 1999) against selectKthFunc(·, k). Every value starts as
 // undecided gas, which compares above every frozen value. When two gas
 // values meet, one is frozen at the next smallest value: the pivot
 // candidate (the last gas value compared against a frozen one) if it is
 // one of the two. Pivots are thus frozen low and each partition keeps
-// almost its whole range. Replaying selectKth on the frozen values
+// almost its whole range. Replaying the selection on the frozen values
 // repeats the same comparisons, so the result is the median-of-three
 // killer for exactly this pivot rule.
 func killerOrdering(n, k int) []float64 {
@@ -28,7 +90,7 @@ func killerOrdering(n, k int) []float64 {
 		idx[i] = i
 	}
 	solid, candidate := 0, 0
-	selectKth(idx, k, func(x, y int) int {
+	selectKthFunc(idx, k, func(x, y int) int {
 		if val[x] == gas && val[y] == gas {
 			if x == candidate {
 				val[x] = solid
@@ -108,52 +170,56 @@ var selectOrderings = []struct {
 // about 25M comparisons, 47 times the bound.
 const selectCmpFactor = 4
 
-// TestSelectKthMatchesSort checks selectKth against slices.SortFunc on
-// every ordering, size and rank, both on the raw values and on scored
-// pairs carrying them as residuals (so all-equal values become
-// all-equal residuals told apart only by index, the tie rule Trimmed
-// relies on).
+// TestSelectKthMatchesSort checks selectKth against slices.Sort on every
+// ordering, size and rank, and runs selectKthFunc on the same input to
+// count comparisons: the twin must leave the same slice and return the
+// same value bit for bit, so its comparison count is selectKth's.
 func TestSelectKthMatchesSort(t *testing.T) {
 	for _, o := range selectOrderings {
 		for _, n := range []int{1, 2, 3, selectSortCutoff, selectSortCutoff + 1, 100, 1459, 10_000} {
 			for _, k := range []int{0, n / 4, n / 2, n * 9 / 10, n - 1} {
-				in := o.gen(n, k)
-				name := fmt.Sprintf("%s n=%d k=%d", o.name, n, k)
-				checkSelect(t, name, in, k, cmp.Compare[float64])
-				pairs := make([]scored, n)
-				for i, v := range in {
-					pairs[i] = scored{r: v, idx: n - 1 - i}
-				}
-				checkSelect(t, name+" scored", pairs, k, scored.compare)
+				checkSelect(t, fmt.Sprintf("%s n=%d k=%d", o.name, n, k), o.gen(n, k), k)
 			}
 		}
 	}
 }
 
 // checkSelect runs selectKth(in, k) on a copy and checks that the returned
-// element and s[k] equal the sorted k-th, nothing before k is ordered
-// after it, nothing after k before it, s stays a permutation of in, and
-// the comparison count stays within selectCmpFactor·n·log2(n).
-func checkSelect[T any](t *testing.T, name string, in []T, k int, compare func(a, b T) int) {
+// value and s[k] equal the sorted k-th, nothing before k is larger,
+// nothing after k smaller, and s stays a permutation of in. It then runs
+// selectKthFunc on another copy and checks that the twin returns the same
+// bits, leaves the same slice, and stays within selectCmpFactor·n·log2(n)
+// comparisons.
+func checkSelect(t *testing.T, name string, in []float64, k int) {
 	t.Helper()
 	want := slices.Clone(in)
-	slices.SortFunc(want, compare)
+	slices.Sort(want)
 	s := slices.Clone(in)
-	calls := 0
-	got := selectKth(s, k, func(a, b T) int {
-		calls++
-		return compare(a, b)
-	})
-	if compare(got, want[k]) != 0 || compare(s[k], want[k]) != 0 {
+	got := selectKth(s, k)
+	if got != want[k] || s[k] != want[k] {
 		t.Fatalf("%s: got %v, s[k] = %v, want %v", name, got, s[k], want[k])
 	}
 	for i, v := range s {
-		if (i < k && compare(v, s[k]) > 0) || (i > k && compare(v, s[k]) < 0) {
+		if (i < k && v > s[k]) || (i > k && v < s[k]) {
 			t.Fatalf("%s: s[%d] = %v on the wrong side of s[k] = %v", name, i, v, s[k])
 		}
 	}
-	slices.SortFunc(s, compare)
-	if slices.CompareFunc(s, want, compare) != 0 {
+	twin := slices.Clone(in)
+	calls := 0
+	twinGot := selectKthFunc(twin, k, func(a, b float64) int {
+		calls++
+		return cmp.Compare(a, b)
+	})
+	if math.Float64bits(twinGot) != math.Float64bits(got) {
+		t.Fatalf("%s: twin returned %v, selectKth %v", name, twinGot, got)
+	}
+	for i := range s {
+		if math.Float64bits(twin[i]) != math.Float64bits(s[i]) {
+			t.Fatalf("%s: twin left %v at %d, selectKth %v", name, twin[i], i, s[i])
+		}
+	}
+	slices.Sort(s)
+	if !slices.Equal(s, want) {
 		t.Fatalf("%s: result is not a permutation of the input", name)
 	}
 	n := float64(len(in))
