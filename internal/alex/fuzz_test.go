@@ -88,7 +88,7 @@ func FuzzAlexOps(f *testing.F) {
 				}
 			case 3: // maintenance + snapshot capture
 				s := x.Snapshot()
-				snapKeys = append(snapKeys, s.Keys().Clone())
+				snapKeys = append(snapKeys, copyOf(t, s.Keys()))
 				snapViews = append(snapViews, s)
 				x.Retrain()
 			}

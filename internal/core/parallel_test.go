@@ -204,6 +204,37 @@ func TestGreedyMultiPointAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestGreedyPoisonedIsIndependent: Poisoned is the greedy workspace's own
+// key buffer, handed over uncopied because the workspace dies with the
+// call. Two calls on one input must return equal sets, holding the input
+// plus the poison, that share no backing array, and neither may alias the
+// input.
+func TestGreedyPoisonedIsIndependent(t *testing.T) {
+	ks, err := dataset.Uniform(xrand.New(77), 500, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := GreedyMultiPoint(ks, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GreedyMultiPoint(ks, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := keys.New(append(append([]int64(nil), ks.Keys()...), a.Poison...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Poison) != 20 || !a.Poisoned.Equal(want) || !b.Poisoned.Equal(a.Poisoned) {
+		t.Fatalf("Poisoned sets: %d and %d keys, want %d", a.Poisoned.Len(), b.Poisoned.Len(), want.Len())
+	}
+	pa, pb, in := &a.Poisoned.Keys()[0], &b.Poisoned.Keys()[0], &ks.Keys()[0]
+	if pa == pb || pa == in || pb == in {
+		t.Fatal("Poisoned shares a backing array with the other call's result or with the input")
+	}
+}
+
 // BenchmarkBruteForceSinglePointWorkers measures the parallel brute-force
 // oracle (per-candidate O(1) over the whole free domain).
 func BenchmarkBruteForceSinglePointWorkers(b *testing.B) {

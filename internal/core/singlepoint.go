@@ -305,7 +305,9 @@ func GreedyMultiPoint(ks keys.Set, p int, opts ...Option) (GreedyResult, error) 
 	}
 	res.Poisoned = ks
 	if len(res.Poison) > 0 {
-		res.Poisoned = w.mut.Freeze()
+		// The workspace dies with this call, so its key buffer is
+		// Poisoned's own: no copy.
+		res.Poisoned = w.mut.View()
 	}
 	return res, nil
 }

@@ -75,11 +75,13 @@ func NewGuard(b index.Backend, opts GuardOptions) *Guard {
 func (g *Guard) Flagged() int { return g.flagged }
 
 // suspicious builds the content on first use and runs the policy chain;
-// any policy flagging k rejects it.
+// any policy flagging k rejects it. The rank policies of one screen share
+// one window read, and no read outlives its screen.
 func (g *Guard) suspicious(k int64) bool {
 	if g.content == nil {
 		g.content = newContent(g.backend)
 	}
+	g.content.read = false
 	for _, p := range g.policies {
 		if p.Suspicious(g.content, k) {
 			return true

@@ -87,31 +87,46 @@ func guardFixture(tb testing.TB, ks keys.Set, spec string) *Guard {
 
 // BenchmarkGuardInsert times one honest uniform write through the guard:
 // screening plus the backend insert plus the content's update (the
-// lossspike kernel's Insert under the lossspike chain). Every 4096 writes
-// the fixture is rebuilt off the clock so the index size stays near n.
+// lossspike kernel's Insert under the lossspike chain). The descending row
+// writes a run of new minimums instead, each of which moves the lossspike
+// kernel's origin. Every 4096 writes the fixture is rebuilt off the clock
+// so the index size stays near n.
 func BenchmarkGuardInsert(b *testing.B) {
 	const n, domain, cycle = 10_000, 1_000_000, 4096
-	ks, err := dataset.Uniform(xrand.New(3), n, domain)
+	raw, err := dataset.Uniform(xrand.New(3), n, domain)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := xrand.New(5)
-	writes := make([]int64, cycle)
-	for i := range writes {
-		writes[i] = rng.Int63n(domain)
+	shifted := make([]int64, n)
+	for i, k := range raw.Keys() {
+		shifted[i] = k + domain // room below for the descending run
 	}
-	for _, spec := range []string{"density:8:3|dupmass:3:3", "lossspike:1.5"} {
-		b.Run(spec, func(b *testing.B) {
+	ks := keys.FromSorted(shifted)
+	rng := xrand.New(5)
+	uniform, descending := make([]int64, cycle), make([]int64, cycle)
+	for i := range uniform {
+		uniform[i] = domain + rng.Int63n(domain)
+		descending[i] = ks.Min() - 1 - int64(i)
+	}
+	for _, row := range []struct {
+		name, spec string
+		writes     []int64
+	}{
+		{"density:8:3|dupmass:3:3", "density:8:3|dupmass:3:3", uniform},
+		{"lossspike:1.5", "lossspike:1.5", uniform},
+		{"lossspike:1.5/descending", "lossspike:1.5", descending},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			var g *Guard
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%cycle == 0 {
 					b.StopTimer()
-					g = guardFixture(b, ks, spec)
+					g = guardFixture(b, ks, row.spec)
 					b.StartTimer()
 				}
-				g.Insert(writes[i%cycle])
+				g.Insert(row.writes[i%cycle])
 			}
 		})
 	}

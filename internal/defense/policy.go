@@ -30,6 +30,12 @@ import (
 	"cdfpoison/internal/regression"
 )
 
+// reach is the rank reach R of the one window a screen reads around its
+// key: the stored keys within R ranks either side of it. It covers every
+// shipped chain (density:8, dupmass count 3); a wider policy reads its far
+// ends with At instead (DESIGN.md §10).
+const reach = 8
+
 // Content is what a Guard's policies read: the screened backend's current
 // keys, by rank, and the exact-moment loss kernel the lossspike policy
 // consults. A Guard builds one Content on its first screened insert and
@@ -51,14 +57,24 @@ type Content struct {
 	// own: on the rank path, where there is no mirror to build it over.
 	keysOf func() keys.Set
 
-	// oracle is the lossspike kernel over oracleKeys: the mirror on the
-	// fallback, a copy of its own on the rank path. It is built on first
-	// use and then fed each accepted key (add), so no offer rebuilds it;
-	// its keys grow as Prefix.Insert appends once their reserve runs out.
+	// The screen's one window read, taken by the first rank policy that
+	// asks (window): readK's position pos (how many stored keys lie below
+	// it) and near, the stored keys of ranks [first, first+len(near)). A
+	// Guard clears read at the start of every screen; near's storage is
+	// reused from screen to screen.
+	read  bool
+	readK int64
+	pos   int
+	first int
+	near  []int64
+
+	// oracle is the lossspike kernel, over the mirror on the fallback and
+	// over a copy of its own on the rank path. It is built on first use
+	// and then fed each accepted key (add), so no offer rebuilds it; its
+	// keys grow as Prefix.Insert appends once their reserve runs out.
 	// oracleInit marks a build attempt since the last accepted insert; a
 	// failed one leaves oracle nil and the loss policies abstain.
 	oracle     *regression.Prefix
-	oracleKeys *keys.MutableSet
 	oracleInit bool
 }
 
@@ -66,11 +82,12 @@ type Content struct {
 // index.Ranker, else a mirror of b.Keys(). The mirror must copy: backends
 // may return their live storage from Keys.
 func newContent(b index.Backend) *Content {
+	near := make([]int64, 0, 2*reach)
 	if r, ok := b.(index.Ranker); ok {
-		return &Content{ranks: r, keysOf: b.Keys}
+		return &Content{ranks: r, keysOf: b.Keys, near: near}
 	}
 	m := keys.NewMutable(b.Keys(), copyReserve(b.Len()))
-	return &Content{ranks: m, mirror: m}
+	return &Content{ranks: m, mirror: m, near: near}
 }
 
 // copyReserve is the spare capacity a private copy of n keys starts with:
@@ -81,12 +98,30 @@ func copyReserve(n int) int { return n/32 + 8 }
 // Len returns the number of stored keys.
 func (c *Content) Len() int { return c.ranks.Len() }
 
-// CountLess returns how many stored keys are below k, the 0-based
-// insertion index of an absent k.
-func (c *Content) CountLess(k int64) int { return c.ranks.CountLess(k) }
-
 // At returns the stored key of 0-based rank i.
 func (c *Content) At(i int) int64 { return c.ranks.At(i) }
+
+// window reads, once per screen, the stored keys within reach ranks of k,
+// and returns pos, how many stored keys lie below k (the 0-based insertion
+// index of an absent k).
+func (c *Content) window(k int64) (pos int) {
+	if !c.read || c.readK != k {
+		c.pos, c.near = c.ranks.Window(k, reach, c.near[:0])
+		c.first = max(c.pos-reach, 0)
+		c.read, c.readK = true, k
+	}
+	return c.pos
+}
+
+// key returns the stored key of 0-based rank i: from the screen's window
+// when it holds rank i, else from At. It reads the window of the last
+// window call, so a policy calls window first.
+func (c *Content) key(i int) int64 {
+	if j := i - c.first; j >= 0 && j < len(c.near) {
+		return c.near[j]
+	}
+	return c.ranks.At(i)
+}
 
 // Min returns the smallest stored key.
 func (c *Content) Min() int64 { return c.ranks.At(0) }
@@ -94,25 +129,19 @@ func (c *Content) Min() int64 { return c.ranks.At(0) }
 // Max returns the largest stored key.
 func (c *Content) Max() int64 { return c.ranks.At(c.ranks.Len() - 1) }
 
-// add records an accepted insert of k. A built kernel absorbs k (on the
-// fallback its Insert places k in the mirror too); otherwise k joins the
-// mirror directly. It reports false, leaving the content unchanged, when
-// the mirror refuses k (negative or already present).
+// add records an accepted insert of k. A built kernel absorbs k in O(1)
+// moment updates, a new minimum included (on the fallback its Insert
+// places k in the mirror too); otherwise k joins the mirror directly. It
+// reports false, leaving the content unchanged, when the mirror refuses k
+// (negative or already present).
 func (c *Content) add(k int64) bool {
 	if c.oracle != nil {
 		if _, err := c.oracle.Insert(k); err == nil {
 			return true
 		}
-		// Insert refuses a key at or below the kernel's origin (a new
-		// minimum), and ErrRange. Place k in the kernel's keys and rebuild
-		// the moments over them in place: one O(n) pass, no fresh copy.
-		if _, ok := c.oracleKeys.Insert(k); ok {
-			if c.oracle.Reset(c.oracleKeys) != nil {
-				c.oracle, c.oracleInit = nil, false
-			}
-			return true
-		}
-		c.oracle = nil // a duplicate: the kernel disagrees with the backend
+		// ErrRange, or a duplicate: the kernel disagrees with the backend.
+		// Drop it; the next LossOracle call rebuilds it, or abstains.
+		c.oracle = nil
 	}
 	c.oracleInit = false
 	if c.mirror == nil {
@@ -143,7 +172,7 @@ func (c *Content) LossOracle() *regression.Prefix {
 			m = keys.NewMutable(c.keysOf(), copyReserve(c.ranks.Len()))
 		}
 		if p, err := regression.NewPrefixMutable(m); err == nil {
-			c.oracle, c.oracleKeys = p, m
+			c.oracle = p
 		}
 	}
 	return c.oracle
@@ -188,7 +217,9 @@ func (p DensityPolicy) Suspicious(c *Content, k int64) bool {
 		return false
 	}
 	global := float64(n) / float64(span)
-	pos := c.CountLess(k) // 0-based insertion index
+	pos := c.window(k) // 0-based insertion index
+	// Each side's two rank ends come from the window; a Window above
+	// reach reads its far ends with At.
 	side := func(lo, hi int) float64 {
 		if lo < 0 {
 			lo = 0
@@ -199,7 +230,7 @@ func (p DensityPolicy) Suspicious(c *Content, k int64) bool {
 		if hi <= lo {
 			return 0
 		}
-		width := c.At(hi) - c.At(lo)
+		width := c.key(hi) - c.key(lo)
 		if width <= 0 {
 			width = 1
 		}
@@ -233,7 +264,12 @@ type DupMassPolicy struct {
 // Name returns the canonical spec "dupmass:W:C".
 func (p DupMassPolicy) Name() string { return fmt.Sprintf("dupmass:%d:%d", p.Window, p.Count) }
 
-// Suspicious counts stored keys in [k−Window, k+Window].
+// Suspicious decides whether [k−Window, k+Window] holds Count or more
+// stored keys. Those keys hold consecutive ranks around k's position pos,
+// so if there are at least Count of them, at least Count lie within Count
+// ranks of pos: with Count ≤ reach, the keys of the screen's window that
+// fall in the range decide exactly. A larger Count finds the range's
+// lowest rank a and asks At whether rank a+Count−1 still lies in it.
 func (p DupMassPolicy) Suspicious(c *Content, k int64) bool {
 	lo, hi := k-p.Window, k+p.Window
 	if k < math.MinInt64+p.Window {
@@ -242,7 +278,17 @@ func (p DupMassPolicy) Suspicious(c *Content, k int64) bool {
 	if k > math.MaxInt64-p.Window-1 {
 		hi = math.MaxInt64 - 1
 	}
-	neighbours := c.CountLess(hi+1) - c.CountLess(lo)
+	if p.Count > reach {
+		a, _ := c.ranks.Window(lo, 0, nil)
+		return c.Len()-a >= p.Count && c.At(a+p.Count-1) <= hi
+	}
+	c.window(k)
+	neighbours := 0
+	for _, x := range c.near {
+		if lo <= x && x <= hi {
+			neighbours++
+		}
+	}
 	return neighbours >= p.Count
 }
 
@@ -264,12 +310,12 @@ func (p GapOutlierPolicy) Name() string { return fmt.Sprintf("gapout:%g", p.Rati
 // Suspicious measures the candidate's two gap sides.
 func (p GapOutlierPolicy) Suspicious(c *Content, k int64) bool {
 	n := c.Len()
-	pos := c.CountLess(k)
+	pos := c.window(k)
 	if pos == 0 || pos == n {
 		return false // at most one side exists; nothing to compare
 	}
-	lo := k - c.At(pos-1)
-	hi := c.At(pos) - k
+	lo := k - c.key(pos-1)
+	hi := c.key(pos) - k
 	if lo <= 0 || hi <= 0 {
 		return false // duplicate; the backend rejects it anyway
 	}

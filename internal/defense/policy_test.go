@@ -17,11 +17,11 @@ func policySet(t *testing.T, ks []int64) keys.Set {
 	return s
 }
 
-// contentOf is the policies' content over a fixed key set, read through
-// the set's own rank methods: the from-scratch content the reference
-// guard (guard_mirror_test.go) builds on every offer.
+// contentOf is the policies' content over a fixed key set, read through a
+// fresh sorted copy of it: the from-scratch content the reference guard
+// (guard_mirror_test.go) builds on every offer.
 func contentOf(ks keys.Set) *Content {
-	return &Content{ranks: ks, keysOf: func() keys.Set { return ks }}
+	return &Content{ranks: keys.NewMutable(ks, 0), keysOf: func() keys.Set { return ks }}
 }
 
 // sparse builds the honest fixture: keys spaced widely and evenly.

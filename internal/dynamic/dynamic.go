@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cdfpoison/internal/index"
@@ -315,22 +316,8 @@ func (x *Index) contains(k int64) bool {
 // does on an idle index.
 func (x *Index) Retrain() {
 	if len(x.v.buffer) > 0 {
-		merged := x.v.base.Keys()
-		out := make([]int64, 0, len(merged)+len(x.v.buffer))
-		i, j := 0, 0
-		for i < len(merged) && j < len(x.v.buffer) {
-			if merged[i] < x.v.buffer[j] {
-				out = append(out, merged[i])
-				i++
-			} else {
-				out = append(out, x.v.buffer[j])
-				j++
-			}
-		}
-		out = append(out, merged[i:]...)
-		out = append(out, x.v.buffer[j:]...)
 		// fit cannot fail here: the merged set has >= 2 keys by construction.
-		if err := x.fit(keys.FromSorted(out)); err != nil {
+		if err := x.fit(x.v.Keys()); err != nil {
 			panic(fmt.Sprintf("dynamic: refit after merge: %v", err))
 		}
 		x.v.buffer = nil
@@ -361,11 +348,41 @@ func (x *Index) Snapshot() index.Snapshot {
 // Len returns the total number of stored keys (base + buffer).
 func (x *Index) Len() int { return x.v.Len() }
 
-// CountLess returns how many stored keys (base and buffer) are below k
-// (index.Ranker): one binary search over each sorted array.
-func (x *Index) CountLess(k int64) int {
-	buf := x.v.buffer
-	return x.v.base.CountLess(k) + sort.Search(len(buf), func(i int) bool { return buf[i] >= k })
+// Window returns how many stored keys (base and buffer) are below k, and
+// dst with the stored keys of ranks [pos−w, pos+w), clipped to the
+// content, appended in order (index.Ranker): one binary search in each
+// sorted array. When no buffer key falls among them, the window is one
+// run of the base; otherwise a walk back over the w keys below k finds
+// where the window starts in each array, and a merge walk forward of at
+// most 2w keys reads it.
+func (x *Index) Window(k int64, w int, dst []int64) (pos int, near []int64) {
+	a, b := x.v.base.Keys(), x.v.buffer
+	i, _ := slices.BinarySearch(a, k)
+	j, _ := slices.BinarySearch(b, k)
+	pos = i + j
+	w = min(w, len(a)+len(b))
+	l, r := min(w, pos), min(w, len(a)+len(b)-pos)
+	if (l == 0 || i >= l && (j == 0 || b[j-1] < a[i-l])) &&
+		(r == 0 || i+r <= len(a) && (j == len(b) || b[j] > a[i+r-1])) {
+		return pos, append(dst, a[i-l:i+r]...)
+	}
+	for t := 0; t < w && i+j > 0; t++ {
+		if j > 0 && (i == 0 || b[j-1] > a[i-1]) {
+			j--
+		} else {
+			i--
+		}
+	}
+	for t := pos - (i + j) + w; t > 0 && i+j < len(a)+len(b); t-- {
+		if j == len(b) || (i < len(a) && a[i] < b[j]) {
+			dst = append(dst, a[i])
+			i++
+		} else {
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	return pos, dst
 }
 
 // At returns the stored key of 0-based rank i (index.Ranker): a select over
@@ -404,6 +421,12 @@ func (x *Index) BufferLen() int { return len(x.v.buffer) }
 // Keys materializes the full current content (base ∪ buffer) as a fresh
 // key set. O(n); used by evaluation code, not by lookups.
 func (x *Index) Keys() keys.Set { return x.v.Keys() }
+
+// AppendKeys appends the full current content (base ∪ buffer) to dst in
+// order and returns the extended slice: the merge Keys materializes,
+// written where the caller says, so a sharded index builds its whole
+// content in one allocation.
+func (x *Index) AppendKeys(dst []int64) []int64 { return x.v.appendKeys(dst) }
 
 // LookupResult reports a point query against the dynamic index: Probes
 // counts key comparisons across the base window plus the buffer search,
@@ -495,8 +518,42 @@ func (v *view) Keys() keys.Set {
 	if len(v.buffer) == 0 {
 		return v.base
 	}
-	bufSet := keys.FromSorted(v.buffer)
-	return v.base.Union(bufSet)
+	return keys.FromSorted(v.appendKeys(make([]int64, 0, v.Len())))
+}
+
+// appendKeys merges base and buffer onto dst. Base and buffer are sorted
+// and disjoint, so each buffer key follows the run of base keys below it:
+// one binary search and one block copy per buffer key.
+func (v *view) appendKeys(dst []int64) []int64 {
+	a := v.base.Keys()
+	for _, k := range v.buffer {
+		i, _ := slices.BinarySearch(a, k)
+		dst = append(append(dst, a[:i]...), k)
+		a = a[i:]
+	}
+	return append(dst, a...)
+}
+
+// contentLoss is regression.EvaluateCDF(v.model.Line, v.Keys()) without
+// materializing the union: the same squared residuals, added in the same
+// rank order, over a merge walk of base and buffer, so the bits match.
+func (v *view) contentLoss() float64 {
+	l := v.model.Line
+	a, b := v.base.Keys(), v.buffer
+	var sum float64
+	for i, j := 0, 0; i+j < len(a)+len(b); {
+		var k int64
+		if j == len(b) || (i < len(a) && a[i] < b[j]) {
+			k = a[i]
+			i++
+		} else {
+			k = b[j]
+			j++
+		}
+		d := l.Predict(k) - float64(i+j)
+		sum += d * d
+	}
+	return sum / float64(len(a)+len(b))
 }
 
 // Stats is the uniform backend summary (index.Stats).
@@ -510,14 +567,12 @@ func (x *Index) Stats() Stats {
 	if w < 1 {
 		w = 1
 	}
-	// EvaluateCDF cannot fail here: the index always holds >= 2 keys.
-	content, _ := regression.EvaluateCDF(x.v.model.Line, x.Keys())
 	return Stats{
 		Keys:        x.Len(),
 		Buffered:    len(x.v.buffer),
 		Retrains:    x.retrains,
 		ModelLoss:   x.v.model.Loss,
-		ContentLoss: content,
+		ContentLoss: x.v.contentLoss(),
 		Window:      w,
 	}
 }

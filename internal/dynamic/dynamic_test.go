@@ -1,12 +1,26 @@
 package dynamic
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"cdfpoison/internal/keys"
+	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
 )
+
+// copyOf returns an independent copy of ks, durable while the storage ks
+// reads moves on.
+func copyOf(t testing.TB, ks keys.Set) keys.Set {
+	t.Helper()
+	c, err := keys.New(ks.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func mustSet(t *testing.T, ks []int64) keys.Set {
 	t.Helper()
@@ -328,7 +342,7 @@ func TestSnapshotReuse(t *testing.T) {
 	for i, k := range queries {
 		want[i] = held.Lookup(k)
 	}
-	wantKeys := held.Keys().Clone()
+	wantKeys := copyOf(t, held.Keys())
 
 	if accepted, _ := x.Insert(35); accepted {
 		t.Fatal("duplicate accepted")
@@ -367,5 +381,38 @@ func TestSnapshotReuse(t *testing.T) {
 	}
 	if got := prev.Len(); got != 10 {
 		t.Fatalf("view after the retrains holds %d keys, want 10", got)
+	}
+}
+
+// TestContentLossMatchesEvaluate: Stats' merge walk over base and buffer
+// returns regression.EvaluateCDF over the materialized Keys() bit for bit,
+// with the buffer empty, partly filled, filled to one below its retrain
+// trigger, and holding keys below the base minimum and above its maximum.
+func TestContentLossMatchesEvaluate(t *testing.T) {
+	base := mustSet(t, []int64{100, 130, 170, 260, 300, 420, 430, 500, 710, 900})
+	x, err := New(base, BufferLimit(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, buffered int) {
+		t.Helper()
+		want, err := regression.EvaluateCDF(x.v.model.Line, x.Keys())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := x.Stats()
+		if st.Buffered != buffered {
+			t.Fatalf("%s: %d keys buffered, want %d", when, st.Buffered, buffered)
+		}
+		if math.Float64bits(st.ContentLoss) != math.Float64bits(want) {
+			t.Fatalf("%s: ContentLoss %v, EvaluateCDF over Keys() %v", when, st.ContentLoss, want)
+		}
+	}
+	check("empty buffer", 0)
+	for i, k := range []int64{7, 3, 950, 5, 131, 1_000_000, 299} {
+		if ok, _ := x.Insert(k); !ok {
+			t.Fatalf("Insert(%d) refused", k)
+		}
+		check(fmt.Sprintf("after %d buffered", i+1), i+1)
 	}
 }

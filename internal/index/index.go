@@ -161,15 +161,19 @@ type Backend interface {
 
 // Ranker is the optional order-statistics face a Backend may implement:
 // rank queries against the CURRENT content without materializing Keys().
-// For every k, CountLess(k) equals Keys().CountLess(k), and for every i in
-// [0, Len()), At(i) equals Keys().At(i) (TestRankerConformance pins both).
-// A defense.Guard screens writes through it instead of keeping a private
-// copy of the keys.
+// Window reads the neighbourhood of one key in a single descent: pos is
+// Keys().CountLess(k), and near is dst with the stored keys of ranks
+// [max(pos−w, 0), min(pos+w, Len())) appended in order, w ≥ 0 being
+// clamped to Len() first. For every i in [0, Len()), At(i) equals
+// Keys().At(i). TestRankerConformance and FuzzRankerWindow pin both
+// against Keys(). A defense.Guard screens each write with one Window read
+// instead of keeping a private copy of the keys (DESIGN.md §10).
 type Ranker interface {
 	// Len returns the total number of stored keys.
 	Len() int
-	// CountLess returns how many stored keys are below k.
-	CountLess(k int64) int
+	// Window returns how many stored keys are below k, and dst with the
+	// stored keys within w ranks of that position appended.
+	Window(k int64, w int, dst []int64) (pos int, near []int64)
 	// At returns the stored key of 0-based rank i.
 	At(i int) int64
 }

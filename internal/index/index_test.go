@@ -73,6 +73,17 @@ func backendFactories() map[string]func(keys.Set) (index.Backend, error) {
 	}
 }
 
+// copyOf returns an independent copy of ks, durable while the storage ks
+// reads moves on.
+func copyOf(t testing.TB, ks keys.Set) keys.Set {
+	t.Helper()
+	c, err := keys.New(ks.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func fixture(t *testing.T, n int) keys.Set {
 	t.Helper()
 	ks, err := dataset.Uniform(xrand.New(11), n, int64(n)*50)
@@ -152,35 +163,124 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
-// TestRankerConformance pins the optional rank face against Keys() for
-// every factory whose backend implements index.Ranker, plus a sharded one
-// whose buffer policy retrains mid-stream. A seeded stream of base and
-// buffer inserts, duplicates, negative keys, retrains, and snapshots each
-// followed by an insert (the copy-on-write step) runs through each; after
-// every op At(i) must equal Keys().At(i) for every i, and CountLess must
-// equal Keys().CountLess at the int64 extremes, −1, Min−1, every key and
-// key+1, and Max+1.
-func TestRankerConformance(t *testing.T) {
-	initial := fixture(t, 300)
+// rankSubject is one index.Ranker under test with the op stream that
+// changes it: a backend's planes, or a keys.MutableSet (the guard's mirror),
+// whose Retrain and Snapshot do nothing.
+type rankSubject struct {
+	r       index.Ranker
+	keys    func() keys.Set
+	insert  func(k int64)
+	retrain func()
+	snap    func()
+}
+
+func backendSubject(b index.Backend) rankSubject {
+	return rankSubject{
+		r: b.(index.Ranker), keys: b.Keys, retrain: b.Retrain,
+		insert: func(k int64) { b.Insert(k) },
+		snap:   func() { b.Snapshot() },
+	}
+}
+
+func mutableSubject(ks keys.Set) rankSubject {
+	m := keys.NewMutable(ks, 0)
+	return rankSubject{
+		r: m, keys: m.View,
+		insert:  func(k int64) { m.Insert(k) },
+		retrain: func() {}, snap: func() {},
+	}
+}
+
+// rankSubjects enumerates every index.Ranker: each backend factory with the
+// face (dynamic, rmi-single, shard-4), 1 and 8 shards, a sharded index
+// whose buffer policy retrains mid-stream, and the guard's mirror.
+func rankSubjects(t testing.TB, initial keys.Set) map[string]rankSubject {
+	t.Helper()
 	factories := backendFactories()
+	factories["shard-1"] = func(ks keys.Set) (index.Backend, error) {
+		return shard.New(ks, 1, dynamic.ManualPolicy())
+	}
+	factories["shard-8"] = func(ks keys.Set) (index.Backend, error) {
+		return shard.New(ks, 8, dynamic.ManualPolicy())
+	}
 	factories["shard-buffer"] = func(ks keys.Set) (index.Backend, error) {
 		return shard.New(ks, 4, dynamic.BufferLimit(5))
 	}
-	covered := 0
+	out := map[string]rankSubject{"mutable": mutableSubject(initial)}
 	for name, build := range factories {
 		b, err := build(initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, ok := b.(index.Ranker)
-		if !ok {
-			continue
+		if _, ok := b.(index.Ranker); ok {
+			out[name] = backendSubject(b)
 		}
-		covered++
+	}
+	return out
+}
+
+// checkWindow compares r.Window(q, w, dst) with the same window cut from
+// ks, for a dst that already holds a key: pos must be ks.CountLess(q), dst
+// must survive, and the appended keys must be those of ranks
+// [pos−w, pos+w) clipped to the content, w first clamped to Len().
+func checkWindow(t testing.TB, r index.Ranker, ks keys.Set, q int64, w int) {
+	pos, near := r.Window(q, w, []int64{-7})
+	if want := ks.CountLess(q); pos != want {
+		t.Fatalf("Window(%d, %d): pos %d, Keys().CountLess %d", q, w, pos, want)
+	}
+	all, cw := ks.Keys(), min(w, ks.Len())
+	want := all[max(pos-cw, 0):min(pos+cw, len(all))]
+	if len(near) != 1+len(want) || near[0] != -7 {
+		t.Fatalf("Window(%d, %d): %d keys after dst %v, want %d after [-7]", q, w, len(near)-1, near[:min(len(near), 1)], len(want))
+	}
+	for i, k := range want {
+		if near[1+i] != k {
+			t.Fatalf("Window(%d, %d): key %d of the window is %d, Keys() has %d", q, w, i, near[1+i], k)
+		}
+	}
+}
+
+// rankStride thins the window checks between ops: a query is read at
+// width w after every rankStride(w, n)-th op, rotating through the
+// queries, so every query meets every width within a few ops. Widths of n
+// and more return the whole content and are read more sparsely.
+func rankStride(w, n int) int {
+	if w >= n {
+		return 512
+	}
+	return 16
+}
+
+// final marks the full check before and after a stream: every query at
+// every width.
+const final = -1
+
+// rankWidths are the window widths a conformance check reads at content
+// size n: none, narrow ones, the guard's reach R (8) and twice it, and the
+// widths that cover everything, up to math.MaxInt, which must not overflow.
+func rankWidths(n int) []int { return []int{0, 1, 3, 8, 16, n, n + 1, math.MaxInt} }
+
+// TestRankerConformance pins the optional rank face against Keys() for
+// every index.Ranker (rankSubjects). A seeded stream of base and buffer
+// inserts, duplicates, negative keys, retrains, and snapshots each followed
+// by an insert (the copy-on-write step) runs through each; after every op
+// At(i) must equal Keys().At(i) for every i, and Window(q, w) must equal
+// the window cut from Keys() at every width of rankWidths, for q at the
+// int64 extremes, −1, Min−1, every key and key±1, and Max+1. The keys ±1 of
+// a sharded index include both sides of every gap between shards, so
+// windows that cross a cut are read from either shard; the shard package
+// pins the cut keys themselves (TestWindowAtCuts). Between the first and
+// the last check the windows are thinned (rankStride).
+func TestRankerConformance(t *testing.T) {
+	initial := fixture(t, 300)
+	subjects := rankSubjects(t, initial)
+	for name, sub := range subjects {
 		t.Run(name, func(t *testing.T) {
+			r := sub.r
+			buffered, empty := false, false
 			check := func(op int) {
 				t.Helper()
-				ks := b.Keys()
+				ks := sub.keys()
 				if r.Len() != ks.Len() {
 					t.Fatalf("op %d: Len = %d, Keys().Len() = %d", op, r.Len(), ks.Len())
 				}
@@ -189,44 +289,122 @@ func TestRankerConformance(t *testing.T) {
 						t.Fatalf("op %d: At(%d) = %d, Keys().At = %d", op, i, got, ks.At(i))
 					}
 				}
-				queries := []int64{math.MinInt64, -1, ks.Min() - 1, ks.Max() + 1, math.MaxInt64}
+				queries := []int64{math.MinInt64, math.MaxInt64, -1, ks.Min() - 1, ks.Max() + 1}
 				for _, k := range ks.Keys() {
-					queries = append(queries, k, k+1)
+					queries = append(queries, k-1, k, k+1)
 				}
-				for _, q := range queries {
-					if got, want := r.CountLess(q), ks.CountLess(q); got != want {
-						t.Fatalf("op %d: CountLess(%d) = %d, Keys().CountLess = %d", op, q, got, want)
+				for qi, q := range queries {
+					for _, w := range rankWidths(ks.Len()) {
+						if every := rankStride(w, ks.Len()); op == final || (qi+op)%every == 0 {
+							checkWindow(t, r, ks, q, w)
+						}
 					}
 				}
+				if d, ok := r.(*dynamic.Index); ok {
+					buffered = buffered || d.BufferLen() > 0
+					empty = empty || d.BufferLen() == 0
+				}
 			}
-			check(-1)
+			check(final)
 			rng := xrand.New(31)
 			domain := 2 * (initial.Max() + 1)
-			var snaps []index.Snapshot
 			for op := 0; op < 300; op++ {
 				switch c := rng.Intn(100); {
 				case c < 55:
-					b.Insert(rng.Int63n(domain))
+					sub.insert(rng.Int63n(domain))
 				case c < 70:
-					b.Insert(b.Keys().At(rng.Intn(b.Len())))
+					ks := sub.keys()
+					sub.insert(ks.At(rng.Intn(ks.Len())))
 				case c < 78:
-					b.Insert(-1 - rng.Int63n(domain))
+					sub.insert(-1 - rng.Int63n(domain))
 				case c < 88:
-					b.Retrain()
+					sub.retrain()
 				default:
-					snaps = append(snaps, b.Snapshot())
-					b.Insert(rng.Int63n(domain))
+					sub.snap()
+					sub.insert(rng.Int63n(domain))
 				}
 				check(op)
 			}
-			if len(snaps) == 0 || b.Len() == initial.Len() {
-				t.Fatalf("vacuous stream: %d snapshots, %d keys added", len(snaps), b.Len()-initial.Len())
+			check(final)
+			if r.Len() <= initial.Len()+50 {
+				t.Fatalf("vacuous stream: %d keys added", r.Len()-initial.Len())
+			}
+			if _, ok := r.(*dynamic.Index); ok && !(buffered && empty) {
+				t.Fatalf("dynamic stream never read both with a buffer (%v) and without one (%v)", buffered, empty)
 			}
 		})
 	}
-	if covered < 4 {
-		t.Fatalf("only %d factories implement index.Ranker, want dynamic, rmi-single and two shards", covered)
+	for _, want := range []string{"dynamic", "rmi-single", "shard-1", "shard-4", "shard-8", "shard-buffer", "mutable"} {
+		if _, ok := subjects[want]; !ok {
+			t.Fatalf("no %s subject implements index.Ranker", want)
+		}
 	}
+}
+
+// FuzzRankerWindow drives a fuzzed op stream into a dynamic and an
+// 8-shard index over the same seeded keys, then checks Window against
+// Keys() on both, at every width of rankWidths, for fuzzed queries plus
+// every stored key and its neighbours. Each script byte is one op: a
+// retrain, a duplicate, or an insert near a stored key or anywhere.
+func FuzzRankerWindow(f *testing.F) {
+	f.Add(uint64(3), []byte{})
+	f.Add(uint64(9), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(uint64(27), []byte{0xff, 0x80, 0x7f, 0x40, 0x3f, 0x00, 0xc0, 0xe0})
+	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
+		n := 32 + int(seed%200)
+		initial, err := dataset.Uniform(xrand.New(1+seed%(1<<32)), n, int64(n)*20)
+		if err != nil {
+			t.Skip()
+		}
+		d, err := dynamic.New(initial, dynamic.ManualPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := shard.New(initial, 8, dynamic.BufferLimit(1+int(seed%7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var queries []int64
+		for _, op := range script {
+			ks := d.Keys()
+			near := ks.At(int(op) % ks.Len())
+			var k int64
+			switch op % 4 {
+			case 0:
+				d.Retrain()
+				s.Retrain()
+				queries = append(queries, near)
+				continue
+			case 1:
+				k = near
+			case 2:
+				k = near + 1 + int64(op/4)%3
+			default:
+				k = int64(op) * ks.Max() / 255
+			}
+			d.Insert(k)
+			s.Insert(k)
+			queries = append(queries, k-1, k)
+		}
+		for name, r := range map[string]interface {
+			index.Ranker
+			Keys() keys.Set
+		}{"dynamic": d, "shard-8": s} {
+			ks := r.Keys()
+			qs := append([]int64{math.MinInt64, -1, math.MaxInt64}, queries...)
+			for _, k := range ks.Keys() {
+				qs = append(qs, k-1, k, k+1)
+			}
+			for _, q := range qs {
+				for _, w := range rankWidths(ks.Len()) {
+					checkWindow(t, r, ks, q, w)
+				}
+			}
+			if name == "shard-8" && !ks.Equal(d.Keys()) {
+				t.Fatal("dynamic and shard-8 contents diverged")
+			}
+		}
+	})
 }
 
 // TestBackendPlanes pins the three-plane split: every backend's Snapshot()
@@ -302,7 +480,7 @@ func TestSnapshotImmutability(t *testing.T) {
 			}
 			snap := b.Snapshot()
 			wantLen := snap.Len()
-			wantKeys := snap.Keys().Clone()
+			wantKeys := copyOf(t, snap.Keys())
 			type answer struct {
 				r index.LookupResult
 				k int64

@@ -105,13 +105,6 @@ func (s Set) Max() int64 { return s.ks[len(s.ks)-1] }
 // Keys returns the backing sorted slice. Callers must treat it as read-only.
 func (s Set) Keys() []int64 { return s.ks }
 
-// Clone returns a Set backed by a fresh copy of the keys.
-func (s Set) Clone() Set {
-	ks := make([]int64, len(s.ks))
-	copy(ks, s.ks)
-	return Set{ks: ks}
-}
-
 // Contains reports whether k is stored in the set.
 func (s Set) Contains(k int64) bool {
 	i := sort.Search(len(s.ks), func(i int) bool { return s.ks[i] >= k })

@@ -261,6 +261,14 @@ func TestGapsCoverAllFreeSlots(t *testing.T) {
 	}
 }
 
+// Clone returns a Set backed by a fresh copy of the keys: the tests'
+// durable copy of a set whose storage moves on.
+func (s Set) Clone() Set {
+	ks := make([]int64, len(s.ks))
+	copy(ks, s.ks)
+	return Set{ks: ks}
+}
+
 func TestCloneAndEqual(t *testing.T) {
 	s := mustNew(t, []int64{1, 2, 3})
 	c := s.Clone()

@@ -71,13 +71,20 @@ func (m *MutableSet) Cap() int { return cap(m.ks) }
 func (m *MutableSet) At(i int) int64 { return m.ks[i] }
 
 // View returns the current content as a Set WITHOUT copying. The view
-// shares the backing array: it is valid only until the next Insert, which
-// shifts keys underneath it. Callers that need a durable snapshot must use
-// Freeze.
+// shares the backing array: it is valid only until the next Insert or
+// Reset, which move keys underneath it. A caller that needs a durable
+// snapshot while the set lives on must copy the view (New copies); a view
+// that outlives the set's last mutation is durable as it is.
 func (m *MutableSet) View() Set { return Set{ks: m.ks} }
 
-// Freeze returns an independent immutable copy of the current content.
-func (m *MutableSet) Freeze() Set { return m.View().Clone() }
+// Window returns how many stored keys are below k, and dst with the keys
+// of ranks [pos−w, pos+w), clipped to the set, appended in order: the rank
+// face (index.Ranker) a defense guard's mirror serves through.
+func (m *MutableSet) Window(k int64, w int, dst []int64) (pos int, near []int64) {
+	pos = m.CountLess(k)
+	w = min(w, len(m.ks))
+	return pos, append(dst, m.ks[max(pos-w, 0):min(pos+w, len(m.ks))]...)
+}
 
 // CountLess returns |{x : x < k}|, the 0-based insertion index of k.
 // Rank arithmetic delegates through the zero-cost View so the mutable and

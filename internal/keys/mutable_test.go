@@ -153,15 +153,18 @@ func TestMutableSetGrowthBeyondReserve(t *testing.T) {
 	}
 }
 
-func TestMutableSetFreezeIsIndependent(t *testing.T) {
+// TestMutableSetViewCloneIsIndependent: a cloned view is the durable copy
+// of a set that lives on; the next Insert moves keys under the view but
+// not under the clone.
+func TestMutableSetViewCloneIsIndependent(t *testing.T) {
 	m := NewMutable(mustNew(t, []int64{1, 5}), 2)
-	snap := m.Freeze()
+	snap := m.View().Clone()
 	m.Insert(3)
 	if !snap.Equal(mustNew(t, []int64{1, 5})) {
-		t.Fatalf("Freeze aliased the mutable storage: %v", snap)
+		t.Fatalf("View().Clone() aliased the mutable storage: %v", snap)
 	}
-	if !m.Freeze().Equal(mustNew(t, []int64{1, 3, 5})) {
-		t.Fatal("post-insert freeze wrong")
+	if !m.View().Clone().Equal(mustNew(t, []int64{1, 3, 5})) {
+		t.Fatal("post-insert clone wrong")
 	}
 }
 

@@ -59,17 +59,22 @@ func (a u128) float() float64 {
 // no allocation as long as the reserve NewMutable set aside has room. It
 // returns the 0-based position kp took.
 //
+// A key below the set minimum moves the centering origin down to it
+// (insertBelow); the paper's attacks only ever insert strictly interior
+// keys, so their kernels never take that path.
+//
 // Requirements (all returned as errors, never silently mis-accounted):
-// the Prefix must come from NewPrefixMutable or Reset; kp must be absent;
-// kp must be greater than the set minimum so the centering origin is
-// stable — the paper's attacks only ever insert strictly interior keys, so
-// the constraint is free; and the new Σx must still fit int64 (ErrRange).
+// the Prefix must come from NewPrefixMutable or Reset; kp must be absent
+// and non-negative; and the new Σx must still fit int64 (ErrRange).
 func (p *Prefix) Insert(kp int64) (pos int, err error) {
 	if p.mut == nil {
 		return 0, fmt.Errorf("regression: Insert on an immutable Prefix (build with NewPrefixMutable or Reset)")
 	}
-	if kp <= p.origin {
-		return 0, fmt.Errorf("regression: Insert key %d not above the origin %d", kp, p.origin)
+	if kp < 0 {
+		return 0, fmt.Errorf("regression: Insert of negative key %d", kp)
+	}
+	if kp < p.origin {
+		return 0, p.insertBelow(kp)
 	}
 	rank, free := p.mut.InsertedRank(kp)
 	if !free {
@@ -101,15 +106,63 @@ func (p *Prefix) Insert(kp int64) (pos int, err error) {
 	for b := split; b < len(p.sufB); b++ {
 		p.sufB[b] += ks[b*sufStride] - p.origin
 	}
-	n := p.n + 1
-	if n%sufStride == 0 {
-		p.sufB = append(p.sufB, 0) // new stored position n: the empty suffix
-	}
+	p.growSuffixes()
 
 	uxp := uint64(xp)
 	p.sumX += xp
 	p.sumXX = p.sumXX.add(u128Mul(uxp, uxp))
 	p.sumXR = p.sumXR.add(u128Mul(uxp, uint64(pos+1))).addU64(uint64(shifted))
-	p.n = n
+	p.n++
 	return pos, nil
+}
+
+// insertBelow inserts kp, below the current origin, at position 0 and
+// makes it the origin. With d = origin − kp, every old key's centred value
+// x gains d and its rank gains one, and kp's own centred value is 0, so
+// over the n old keys:
+//
+//	Σx   gains n·d
+//	Σx²  gains 2d·Σx + n·d²
+//	Σx·r gains Σx + d·n(n+3)/2        (Σ(x+d)(r+1) − Σx·r, Σr = n(n+1)/2)
+//
+// and the stored suffix at new position 16b ≥ 16 covers old positions
+// 16b−1 onwards, so it gains the old key at 16b−1 plus d for each of its
+// n+1−16b keys. All in exact integers: the result is the from-scratch
+// build over the new set. The moments are exact integers bounded by the
+// new Σx, so checking Σx for int64 overflow guards them all.
+func (p *Prefix) insertBelow(kp int64) error {
+	n, d := int64(p.n), p.origin-kp
+	if d > (math.MaxInt64-p.sumX)/n {
+		return ErrRange
+	}
+	if _, ok := p.mut.Insert(kp); !ok {
+		return fmt.Errorf("regression: mutable set rejected key %d", kp)
+	}
+	p.ks = p.mut.View()
+	ks := p.ks.Keys() // old position i is now at i+1
+	for b := 1; b < len(p.sufB); b++ {
+		p.sufB[b] += ks[b*sufStride] - p.origin + d*(n+1-int64(b*sufStride))
+	}
+	p.growSuffixes()
+
+	ud, un, usum := uint64(d), uint64(n), uint64(p.sumX)
+	p.sumXX = p.sumXX.add(u128Mul(ud, 2*usum)).add(u128Mul(un*ud, ud))
+	half := un * ((un + 3) / 2) // n(n+3)/2: one of n, n+3 is even
+	if un%2 == 0 {
+		half = (un / 2) * (un + 3)
+	}
+	p.sumXR = p.sumXR.addU64(usum).add(u128Mul(ud, half))
+	p.sumX += int64(un * ud)
+	p.sufB[0] = p.sumX
+	p.origin = kp
+	p.n++
+	return nil
+}
+
+// growSuffixes appends the empty suffix's stored sum, 0, when the key
+// count about to be reached, n+1, is a multiple of the stride.
+func (p *Prefix) growSuffixes() {
+	if (p.n+1)%sufStride == 0 {
+		p.sufB = append(p.sufB, 0)
+	}
 }

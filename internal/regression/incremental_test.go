@@ -8,12 +8,23 @@ import (
 	"cdfpoison/internal/xrand"
 )
 
+// copyOf returns an independent copy of ks, durable while the storage ks
+// reads moves on.
+func copyOf(t testing.TB, ks keys.Set) keys.Set {
+	t.Helper()
+	c, err := keys.New(ks.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // freshPrefix rebuilds a Prefix from scratch on an independent copy of the
 // mutable set's current content — the reference the incremental kernel must
 // match bit-for-bit.
 func freshPrefix(t testing.TB, m *keys.MutableSet) *Prefix {
 	t.Helper()
-	p, err := NewPrefix(m.Freeze())
+	p, err := NewPrefix(copyOf(t, m.View()))
 	if err != nil {
 		t.Fatalf("fresh NewPrefix: %v", err)
 	}
@@ -265,6 +276,9 @@ func TestPrefixInsertZeroAllocSteadyState(t *testing.T) {
 		for inserted := 0; inserted < batch; {
 			view := m.View()
 			kp := view.Min() + 1 + rng.Int63n(view.Max()-view.Min()-1)
+			if inserted%10 == 9 && view.Min() > 0 {
+				kp = view.Min() - 1 // a new minimum moves the origin
+			}
 			if _, free := view.InsertedRank(kp); !free {
 				continue
 			}
@@ -292,8 +306,8 @@ func TestPrefixInsertRejections(t *testing.T) {
 	if _, err := inc.Insert(10); err == nil {
 		t.Fatal("origin key accepted")
 	}
-	if _, err := inc.Insert(5); err == nil {
-		t.Fatal("below-origin key accepted (origin would shift)")
+	if _, err := inc.Insert(-5); err == nil {
+		t.Fatal("negative key accepted")
 	}
 	imm, err := NewPrefix(s)
 	if err != nil {
@@ -307,6 +321,77 @@ func TestPrefixInsertRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPrefixBitIdentical(t, inc, freshPrefix(t, m))
+}
+
+// TestPrefixInsertBelowOrigin: a key below the set minimum moves the
+// centering origin in place. Descending runs of new minimums, interleaved
+// with interior keys, from sets whose length starts around multiples of
+// the suffix stride and runs past the reserve, must leave the moments
+// equal to a naive forward sum, every suffix equal to a naive sum, and
+// every loss bit-identical to a from-scratch NewPrefix, after every step.
+func TestPrefixInsertBelowOrigin(t *testing.T) {
+	rng := xrand.New(4242)
+	for _, n := range []int{2, 3, sufStride - 2, sufStride - 1, sufStride, 2*sufStride - 1, 3*sufStride + 5} {
+		raw := xrand.SampleInt64s(rng, n, 40*int64(n))
+		for i := range raw {
+			raw[i] += 1_000 // room below for a run of new minimums
+		}
+		s, err := keys.New(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := keys.NewMutable(s, 4)
+		p, err := NewPrefixMutable(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 2*sufStride+3; step++ {
+			view := m.View()
+			kp := view.Min() - 1 - rng.Int63n(30)
+			if step%5 == 4 { // an interior key between the new minimums
+				kp = view.Min() + 1 + rng.Int63n(view.Max()-view.Min()-1)
+				if _, free := view.InsertedRank(kp); !free {
+					continue
+				}
+			}
+			want := view.CountLess(kp)
+			pos, err := p.Insert(kp)
+			if err != nil {
+				t.Fatalf("n=%d step %d: Insert(%d): %v", n, step, kp, err)
+			}
+			if pos != want {
+				t.Fatalf("n=%d: Insert(%d) at %d, want %d", n, kp, pos, want)
+			}
+			assertMomentsNaive(t, p)
+			assertSuffixNaive(t, p)
+			assertPrefixBitIdentical(t, p, freshPrefix(t, m))
+		}
+	}
+}
+
+// TestPrefixInsertBelowOriginRange: a new minimum that would push Σx past
+// int64 returns ErrRange and leaves the kernel as it was.
+func TestPrefixInsertBelowOriginRange(t *testing.T) {
+	huge := int64(math.MaxInt64) / 2
+	s, _ := keys.New([]int64{huge, huge + 10, huge + 20})
+	m := keys.NewMutable(s, 2)
+	p, err := NewPrefixMutable(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Insert(0); err != ErrRange {
+		t.Fatalf("Insert(0) under a huge origin: want ErrRange, got %v", err)
+	}
+	if m.Len() != 3 {
+		t.Fatalf("failed Insert changed the set: %d keys", m.Len())
+	}
+	assertMomentsNaive(t, p)
+	assertPrefixBitIdentical(t, p, freshPrefix(t, m))
+	if _, err := p.Insert(huge - 7); err != nil {
+		t.Fatal(err)
+	}
+	assertMomentsNaive(t, p)
+	assertPrefixBitIdentical(t, p, freshPrefix(t, m))
 }
 
 // TestPrefixInsertBeyondReserve: exhausting the reserve degrades to growth,
@@ -353,8 +438,10 @@ func TestNewPrefixRangeGuard(t *testing.T) {
 }
 
 // FuzzPrefixInsert feeds arbitrary byte strings as insert sequences: each
-// pair of bytes selects a candidate key; valid inserts must keep the
-// incremental kernel bit-identical to the from-scratch rebuild.
+// pair of bytes selects a candidate key, interior or, when the first byte
+// is 0xF0 or above, below the set minimum (which moves the origin); valid
+// inserts must keep the incremental kernel bit-identical to the
+// from-scratch rebuild.
 func FuzzPrefixInsert(f *testing.F) {
 	f.Add(uint64(1), []byte{0x00, 0x10, 0x80, 0xFF, 0x42, 0x07})
 	f.Add(uint64(42), []byte{0xAA, 0xBB, 0xCC})
@@ -372,15 +459,21 @@ func FuzzPrefixInsert(f *testing.F) {
 			if span <= 1 {
 				break
 			}
-			off := (int64(script[i])<<8 | int64(script[i+1])) % (span - 1)
-			kp := view.Min() + 1 + off
+			sel := int64(script[i])<<8 | int64(script[i+1])
+			kp := view.Min() + 1 + sel%(span-1)
+			if script[i] >= 0xF0 {
+				if view.Min() == 0 {
+					continue
+				}
+				kp = sel % view.Min()
+			}
 			if _, free := view.InsertedRank(kp); !free {
 				continue
 			}
 			if _, err := inc.Insert(kp); err != nil {
 				t.Fatalf("Insert(%d): %v", kp, err)
 			}
-			fresh, err := NewPrefix(m.Freeze())
+			fresh, err := NewPrefix(copyOf(t, m.View()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,6 +487,7 @@ func FuzzPrefixInsert(f *testing.F) {
 					t.Fatalf("PoisonedLossAuto diverged: %v != %v", l, lf)
 				}
 			}
+			assertMomentsNaive(t, inc)
 		}
 	})
 }

@@ -291,7 +291,7 @@ func (p *Prefix) N() int { return p.n }
 
 // Set returns the key set backing the prefix. For a mutable Prefix this is
 // a live view: it reflects Inserts and shares their backing array, so it is
-// only valid until the next Insert (snapshot with Clone if needed longer).
+// only valid until the next Insert (copy it with keys.New if needed longer).
 func (p *Prefix) Set() keys.Set { return p.ks }
 
 // Suffix returns Σ_{j >= pos} x_j over the centered keys, 0 <= pos <= n:

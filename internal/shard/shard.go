@@ -33,6 +33,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"cdfpoison/internal/dynamic"
@@ -300,16 +301,47 @@ func (x *Index) Len() int {
 	return n
 }
 
-// CountLess returns how many stored keys are below k (index.Ranker): the
-// router names k's shard, every key of a shard below it is below k, and no
-// key of a shard above it is.
-func (x *Index) CountLess(k int64) int {
+// Window returns how many stored keys are below k, and dst with the
+// stored keys of ranks [pos−w, pos+w), clipped to the content, appended in
+// order (index.Ranker). The router names k's shard, which reads its own
+// window in one descent. Every key of a shard below it is below k and no
+// key of a shard above it is, so ranks a window needs past the owning
+// shard's edges are the top keys of the shards below and the bottom keys
+// of the shards above: the same Window call on those shards returns
+// exactly them.
+func (x *Index) Window(k int64, w int, dst []int64) (pos int, near []int64) {
 	s, _ := x.route(k)
-	n := x.shards[s].CountLess(k)
-	for _, below := range x.shards[:s] {
-		n += below.Len()
+	below, n := 0, 0
+	for i, sh := range x.shards {
+		if i < s {
+			below += sh.Len()
+		}
+		n += sh.Len()
 	}
-	return n
+	w = min(w, n)
+	own := x.shards[s]
+	pos, near = own.Window(k, w, dst)
+	if lack := min(w, below+pos) - min(w, pos); lack > 0 {
+		// The window starts below the owning shard: append the lack keys
+		// under its range first, lowest shard first, then read the owning
+		// shard's part again after them.
+		t, c := s-1, lack
+		for c > x.shards[t].Len() {
+			c -= x.shards[t].Len()
+			t--
+		}
+		near = near[:len(dst)]
+		for ; t < s; t++ {
+			_, near = x.shards[t].Window(k, c, near)
+			c = math.MaxInt // every later shard below contributes all its keys
+		}
+		_, near = own.Window(k, w, near)
+	}
+	for t, lack := s+1, min(w, n-below-pos)-min(w, own.Len()-pos); lack > 0; t++ {
+		_, near = x.shards[t].Window(k, lack, near)
+		lack -= x.shards[t].Len()
+	}
+	return below + pos, near
 }
 
 // At returns the stored key of 0-based rank i (index.Ranker): shard
@@ -322,12 +354,14 @@ func (x *Index) At(i int) int64 {
 	return x.shards[s].At(i)
 }
 
-// Keys materializes the full content. Shard ranges are disjoint and
-// ordered, so the concatenation of shard contents is already sorted.
+// Keys materializes the full content in one allocation: each shard merges
+// its base and buffer straight into it (dynamic.Index.AppendKeys). Shard
+// ranges are disjoint and ordered, so the concatenation of shard contents
+// is already sorted.
 func (x *Index) Keys() keys.Set {
 	out := make([]int64, 0, x.Len())
 	for _, s := range x.shards {
-		out = append(out, s.Keys().Keys()...)
+		out = s.AppendKeys(out)
 	}
 	return keys.FromSorted(out)
 }

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"cdfpoison/internal/dataset"
@@ -213,4 +216,75 @@ func TestSnapshotAllocsPerChangedShard(t *testing.T) {
 	if eight > one {
 		t.Fatalf("capture after one insert: 8 shards allocate %.2f objects, 1 shard %.2f", eight, one)
 	}
+}
+
+// TestWindowAtCuts reads windows at both sides of every router cut, where a
+// window crosses from the owning shard into its neighbours, against the
+// window cut from Keys(): keys cut−1, cut and cut+1 route to different
+// shards but read one content. Buffered keys pile up at the shards' edges
+// first, and some widths reach past a whole neighbouring shard.
+func TestWindowAtCuts(t *testing.T) {
+	ks := fixture(t, 200)
+	x, err := New(ks, 8, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range x.cuts {
+		for d := int64(1); d <= 3; d++ {
+			x.Insert(cut - d)
+			x.Insert(cut + d)
+		}
+	}
+	all := x.Keys().Keys()
+	n := len(all)
+	for _, cut := range x.cuts {
+		for _, q := range []int64{cut - 1, cut, cut + 1} {
+			for _, w := range []int{0, 1, 3, 8, 16, 40, n, n + 1, math.MaxInt} {
+				pos, near := x.Window(q, w, nil)
+				want := sort.Search(n, func(i int) bool { return all[i] >= q })
+				cw := min(w, n)
+				if pos != want || !slices.Equal(near, all[max(pos-cw, 0):min(pos+cw, n)]) {
+					t.Fatalf("Window(%d, %d) = %d, %v; Keys() gives %d, %v",
+						q, w, pos, near, want, all[max(want-cw, 0):min(want+cw, n)])
+				}
+			}
+		}
+	}
+}
+
+// TestKeysConcatenatesShards: the one-allocation Keys equals the shard-order
+// concatenation of every shard's own Keys, and both hold exactly the
+// initial keys plus the accepted inserts, with buffered keys in several
+// shards, and after a retrain empties the buffers.
+func TestKeysConcatenatesShards(t *testing.T) {
+	ks := fixture(t, 400)
+	x, err := New(ks, 8, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := slices.Clone(ks.Keys())
+	rng := xrand.New(13)
+	check := func(when string) {
+		t.Helper()
+		var concat []int64
+		for i := 0; i < x.NumShards(); i++ {
+			concat = append(concat, x.Shard(i).Keys().Keys()...)
+		}
+		want := slices.Clone(held)
+		slices.Sort(want)
+		if got := x.Keys().Keys(); !slices.Equal(got, concat) || !slices.Equal(got, want) {
+			t.Fatalf("%s: Keys() holds %d keys, the shard concatenation %d, the keys written %d, or they differ",
+				when, len(got), len(concat), len(want))
+		}
+	}
+	check("fresh")
+	for i := 0; i < 60; i++ {
+		k := rng.Int63n(int64(ks.Len()) * 40)
+		if ok, _ := x.Insert(k); ok {
+			held = append(held, k)
+		}
+	}
+	check("buffered")
+	x.Retrain()
+	check("retrained")
 }
