@@ -8,17 +8,6 @@ import (
 	"cdfpoison/internal/xrand"
 )
 
-// copyOf returns an independent copy of ks, durable while the storage ks
-// reads moves on.
-func copyOf(t testing.TB, ks keys.Set) keys.Set {
-	t.Helper()
-	c, err := keys.New(ks.Keys())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func fixture(t testing.TB, n int, seed uint64) keys.Set {
 	t.Helper()
 	ks, err := dataset.Uniform(xrand.New(seed), n, int64(n)*50)

@@ -9,6 +9,7 @@ package alex
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"cdfpoison/internal/keys"
@@ -88,7 +89,7 @@ func FuzzAlexOps(f *testing.F) {
 				}
 			case 3: // maintenance + snapshot capture
 				s := x.Snapshot()
-				snapKeys = append(snapKeys, copyOf(t, s.Keys()))
+				snapKeys = append(snapKeys, keys.FromSorted(slices.Clone(s.Keys().Keys())))
 				snapViews = append(snapViews, s)
 				x.Retrain()
 			}

@@ -351,21 +351,15 @@ func (x *Index) Len() int { return x.v.Len() }
 // Window returns how many stored keys (base and buffer) are below k, and
 // dst with the stored keys of ranks [pos−w, pos+w), clipped to the
 // content, appended in order (index.Ranker): one binary search in each
-// sorted array. When no buffer key falls among them, the window is one
-// run of the base; otherwise a walk back over the w keys below k finds
-// where the window starts in each array, and a merge walk forward of at
-// most 2w keys reads it.
+// sorted array, a walk back over the w keys below k to find where the
+// window starts in each array, and a merge walk forward of at most 2w keys
+// to read it.
 func (x *Index) Window(k int64, w int, dst []int64) (pos int, near []int64) {
 	a, b := x.v.base.Keys(), x.v.buffer
 	i, _ := slices.BinarySearch(a, k)
 	j, _ := slices.BinarySearch(b, k)
 	pos = i + j
 	w = min(w, len(a)+len(b))
-	l, r := min(w, pos), min(w, len(a)+len(b)-pos)
-	if (l == 0 || i >= l && (j == 0 || b[j-1] < a[i-l])) &&
-		(r == 0 || i+r <= len(a) && (j == len(b) || b[j] > a[i+r-1])) {
-		return pos, append(dst, a[i-l:i+r]...)
-	}
 	for t := 0; t < w && i+j > 0; t++ {
 		if j > 0 && (i == 0 || b[j-1] > a[i-1]) {
 			j--

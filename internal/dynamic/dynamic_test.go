@@ -4,23 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
 )
-
-// copyOf returns an independent copy of ks, durable while the storage ks
-// reads moves on.
-func copyOf(t testing.TB, ks keys.Set) keys.Set {
-	t.Helper()
-	c, err := keys.New(ks.Keys())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 func mustSet(t *testing.T, ks []int64) keys.Set {
 	t.Helper()
@@ -342,7 +332,7 @@ func TestSnapshotReuse(t *testing.T) {
 	for i, k := range queries {
 		want[i] = held.Lookup(k)
 	}
-	wantKeys := copyOf(t, held.Keys())
+	wantKeys := keys.FromSorted(slices.Clone(held.Keys().Keys()))
 
 	if accepted, _ := x.Insert(35); accepted {
 		t.Fatal("duplicate accepted")

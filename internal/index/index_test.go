@@ -7,6 +7,7 @@ package index_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cdfpoison/internal/alex"
@@ -71,17 +72,6 @@ func backendFactories() map[string]func(keys.Set) (index.Backend, error) {
 			return defense.NewGuard(b, defense.GuardOptions{}), nil
 		},
 	}
-}
-
-// copyOf returns an independent copy of ks, durable while the storage ks
-// reads moves on.
-func copyOf(t testing.TB, ks keys.Set) keys.Set {
-	t.Helper()
-	c, err := keys.New(ks.Keys())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 func fixture(t *testing.T, n int) keys.Set {
@@ -224,11 +214,12 @@ func rankSubjects(t testing.TB, initial keys.Set) map[string]rankSubject {
 // must survive, and the appended keys must be those of ranks
 // [pos−w, pos+w) clipped to the content, w first clamped to Len().
 func checkWindow(t testing.TB, r index.Ranker, ks keys.Set, q int64, w int) {
-	pos, near := r.Window(q, w, []int64{-7})
+	all, cw := ks.Keys(), min(w, ks.Len())
+	dst := append(make([]int64, 0, 1+2*cw), -7)
+	pos, near := r.Window(q, w, dst)
 	if want := ks.CountLess(q); pos != want {
 		t.Fatalf("Window(%d, %d): pos %d, Keys().CountLess %d", q, w, pos, want)
 	}
-	all, cw := ks.Keys(), min(w, ks.Len())
 	want := all[max(pos-cw, 0):min(pos+cw, len(all))]
 	if len(near) != 1+len(want) || near[0] != -7 {
 		t.Fatalf("Window(%d, %d): %d keys after dst %v, want %d after [-7]", q, w, len(near)-1, near[:min(len(near), 1)], len(want))
@@ -240,15 +231,15 @@ func checkWindow(t testing.TB, r index.Ranker, ks keys.Set, q int64, w int) {
 	}
 }
 
-// rankStride thins the window checks between ops: a query is read at
-// width w after every rankStride(w, n)-th op, rotating through the
-// queries, so every query meets every width within a few ops. Widths of n
-// and more return the whole content and are read more sparsely.
+// rankStride thins the window checks between ops at the widths that
+// return the whole content: a query is read at a width of n or more after
+// every rankStride(w, n)-th op, rotating through the queries. Every
+// narrower width reads every query after every op.
 func rankStride(w, n int) int {
 	if w >= n {
 		return 512
 	}
-	return 16
+	return 1
 }
 
 // final marks the full check before and after a stream: every query at
@@ -270,7 +261,8 @@ func rankWidths(n int) []int { return []int{0, 1, 3, 8, 16, n, n + 1, math.MaxIn
 // a sharded index include both sides of every gap between shards, so
 // windows that cross a cut are read from either shard; the shard package
 // pins the cut keys themselves (TestWindowAtCuts). Between the first and
-// the last check the windows are thinned (rankStride).
+// the last check the widths that return everything are thinned
+// (rankStride).
 func TestRankerConformance(t *testing.T) {
 	initial := fixture(t, 300)
 	subjects := rankSubjects(t, initial)
@@ -308,6 +300,7 @@ func TestRankerConformance(t *testing.T) {
 			check(final)
 			rng := xrand.New(31)
 			domain := 2 * (initial.Max() + 1)
+			snaps := 0
 			for op := 0; op < 300; op++ {
 				switch c := rng.Intn(100); {
 				case c < 55:
@@ -321,13 +314,14 @@ func TestRankerConformance(t *testing.T) {
 					sub.retrain()
 				default:
 					sub.snap()
+					snaps++
 					sub.insert(rng.Int63n(domain))
 				}
 				check(op)
 			}
 			check(final)
-			if r.Len() <= initial.Len()+50 {
-				t.Fatalf("vacuous stream: %d keys added", r.Len()-initial.Len())
+			if snaps == 0 || r.Len() <= initial.Len()+50 {
+				t.Fatalf("vacuous stream: %d snapshots, %d keys added", snaps, r.Len()-initial.Len())
 			}
 			if _, ok := r.(*dynamic.Index); ok && !(buffered && empty) {
 				t.Fatalf("dynamic stream never read both with a buffer (%v) and without one (%v)", buffered, empty)
@@ -480,7 +474,7 @@ func TestSnapshotImmutability(t *testing.T) {
 			}
 			snap := b.Snapshot()
 			wantLen := snap.Len()
-			wantKeys := copyOf(t, snap.Keys())
+			wantKeys := keys.FromSorted(slices.Clone(snap.Keys().Keys()))
 			type answer struct {
 				r index.LookupResult
 				k int64

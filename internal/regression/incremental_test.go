@@ -2,29 +2,19 @@ package regression
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
 
-// copyOf returns an independent copy of ks, durable while the storage ks
-// reads moves on.
-func copyOf(t testing.TB, ks keys.Set) keys.Set {
-	t.Helper()
-	c, err := keys.New(ks.Keys())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // freshPrefix rebuilds a Prefix from scratch on an independent copy of the
 // mutable set's current content — the reference the incremental kernel must
 // match bit-for-bit.
 func freshPrefix(t testing.TB, m *keys.MutableSet) *Prefix {
 	t.Helper()
-	p, err := NewPrefix(copyOf(t, m.View()))
+	p, err := NewPrefix(keys.FromSorted(slices.Clone(m.View().Keys())))
 	if err != nil {
 		t.Fatalf("fresh NewPrefix: %v", err)
 	}
@@ -473,7 +463,7 @@ func FuzzPrefixInsert(f *testing.F) {
 			if _, err := inc.Insert(kp); err != nil {
 				t.Fatalf("Insert(%d): %v", kp, err)
 			}
-			fresh, err := NewPrefix(copyOf(t, m.View()))
+			fresh, err := NewPrefix(keys.FromSorted(slices.Clone(m.View().Keys())))
 			if err != nil {
 				t.Fatal(err)
 			}
