@@ -528,7 +528,8 @@ type ServingEpochMetrics = serve.EpochMetrics
 type ProbeHistogram = serve.Histogram
 
 // PoisonOracle computes a poison key sequence against the currently
-// visible content; the scenario calls it once per epoch.
+// visible content; the scenario calls it once per epoch. The visible set
+// is read-only: the concurrent plane reads it at the same time.
 type PoisonOracle = serve.Oracle
 
 // GreedyPoisonOracle adapts GreedyMultiPoint (Algorithm 1) to the serving
@@ -543,7 +544,8 @@ func ServeScenarioTick(b IndexBackend, o ServingScenarioOptions) ([]ServingEpoch
 
 // ServeScenarioConcurrent runs the serving scenario on the goroutine-
 // concurrent plane: lock-free lookups, each served from the immutable
-// snapshot it was queued with, a single writer, and true background
+// snapshot it was queued with, a single writer whose honest stream is
+// drawn one epoch ahead on a helper goroutine, and true background
 // retrains. Deterministic metrics are identical to ServeScenarioTick.
 func ServeScenarioConcurrent(ctx context.Context, b IndexBackend, o ServingScenarioOptions, p ServingPlaneOptions) ([]ServingEpochMetrics, error) {
 	return serve.RunConcurrent(ctx, b, o, p)

@@ -3,7 +3,8 @@
 // read carrying the snapshot it was queued with, while the single writer —
 // the goroutine that called RunConcurrent — ingests the workload stream,
 // injects poison, and drives index.Pipeline retrains in a true background
-// goroutine.
+// goroutine. The writer's honest stream is drawn one epoch ahead, on a
+// helper goroutine, while the writer serves the epoch before.
 //
 // The package's contract is SCHEDULER EQUIVALENCE. The same scenario runs
 // under two schedulers:
@@ -13,7 +14,9 @@
 //     golden reference, byte-compatible with the historical scenarios;
 //   - the concurrent plane (RunConcurrent): reads batched to reader
 //     goroutines against captured snapshots, epoch-end retrains running on
-//     a background goroutine while the read backlog drains.
+//     a background goroutine while the read backlog drains, and each
+//     epoch's honest ops drawn on a helper goroutine during the epoch
+//     before.
 //
 // Both must produce IDENTICAL per-epoch metrics — loss, probe totals,
 // stale windows, full latency-histogram state — because the two executors
@@ -47,7 +50,9 @@ import (
 // Oracle computes a poison key sequence against the currently visible
 // content. The scenario calls it once per epoch with the live key set and
 // the epoch's budget; internal/bench injects the paper's greedy multi-point
-// attack, tests inject cheap deterministic stand-ins.
+// attack, tests inject cheap deterministic stand-ins. visible is read-only:
+// epoch 0's set is the one the honest stream draws its read keys from, and
+// under RunConcurrent that draw runs while the oracle does.
 type Oracle func(visible keys.Set, budget int) ([]int64, error)
 
 // Options are the concurrent plane's knobs. The zero value is valid:
@@ -154,11 +159,16 @@ type EpochMetrics struct {
 	MaxLatencyTicks int64
 }
 
-// executor abstracts the scheduler: how reads are served and how the
-// epoch-end retrain runs. The driver loop is shared verbatim between the
-// two implementations — that sharing IS the equivalence argument.
+// executor abstracts the scheduler: how reads are served, how the
+// epoch-end retrain runs, and where the honest stream is drawn. The
+// scenario loop is shared verbatim between the two implementations — that
+// sharing IS the equivalence argument.
 type executor interface {
 	bind(p *index.Pipeline)
+	// drawsAhead reports whether the honest stream is drawn one epoch
+	// ahead on a helper goroutine (concurrent) rather than inline when the
+	// epoch needs its ops (tick).
+	drawsAhead() bool
 	// read serves one lookup from the read plane.
 	read(key int64)
 	// retrain runs (tick) or starts in the background (concurrent) the
@@ -174,7 +184,7 @@ type executor interface {
 // plans poison against the visible content, drip-feeds it through the
 // honest stream (one pipeline tick per honest op), closes with an optional
 // explicit retrain, and snapshots the metrics. Executors only decide WHERE
-// reads and retrains run, never WHAT runs.
+// reads, retrains and the stream's draws run, never WHAT runs.
 func runScenario(ctx context.Context, b index.Backend, o ScenarioOptions, ex executor) ([]EpochMetrics, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -186,10 +196,12 @@ func runScenario(ctx context.Context, b index.Backend, o ScenarioOptions, ex exe
 	}
 	pipe := index.NewPipeline(b, o.Cost)
 	ex.bind(pipe)
+	st := newStream(gen, o.OpsPerEpoch, o.Epochs, ex.drawsAhead())
+	// Every return below joins a draw still in flight.
+	defer st.join()
 
 	var (
 		out          = make([]EpochMetrics, 0, o.Epochs)
-		ops          []workload.Op
 		hist         Histogram
 		prev         index.ChurnStats
 		prevRetrains int
@@ -200,15 +212,20 @@ func runScenario(ctx context.Context, b index.Backend, o ScenarioOptions, ex exe
 		}
 		var poison []int64
 		if o.EpochBudget > 0 {
-			poison, err = o.Oracle(pipe.Keys(), o.EpochBudget)
+			// Nothing is written before epoch 0's oracle call, so it plans
+			// against the content the generator was built from.
+			visible := initial
+			if e > 0 {
+				visible = pipe.Keys()
+			}
+			poison, err = o.Oracle(visible, o.EpochBudget)
 			if err != nil {
 				return out, fmt.Errorf("serve: poison oracle: %w", err)
 			}
 		}
 		m := EpochMetrics{Epoch: e}
 		inj := 0
-		ops = gen.OpsInto(ops, o.OpsPerEpoch)
-		for i, op := range ops {
+		for i, op := range st.next() {
 			if i&63 == 0 && ctx.Err() != nil {
 				ex.flush(&hist)
 				return out, ctx.Err()
@@ -262,6 +279,62 @@ func runScenario(ctx context.Context, b index.Backend, o ScenarioOptions, ex exe
 	return out, nil
 }
 
+// stream hands runScenario each epoch's honest ops, in epoch order. Inline,
+// next draws an epoch's ops on the writer when the epoch needs them.
+// Ahead, a helper goroutine draws them one epoch early into the buffer the
+// writer does not hold: epoch 0's while the writer runs epoch 0's oracle
+// call, epoch e+1's while it serves epoch e, and none past the last epoch.
+// One goroutine owns the generator at a time: the writer hands it over by
+// starting a draw and takes it back only through drawing.Wait, in next or
+// join.
+type stream struct {
+	gen   *workload.Generator
+	n     int // ops per epoch
+	ahead bool
+	left  int // epochs whose draw has not started (ahead only)
+	bufs  [2][]workload.Op
+	fill  int // the buffer the draw in flight fills, and next returns
+
+	drawing sync.WaitGroup
+}
+
+func newStream(gen *workload.Generator, n, epochs int, ahead bool) *stream {
+	s := &stream{gen: gen, n: n, ahead: ahead, left: epochs}
+	s.start()
+	return s
+}
+
+// start draws the next epoch's ops on a helper goroutine, if the stream
+// draws ahead and an epoch is left to draw.
+func (s *stream) start() {
+	if !s.ahead || s.left == 0 {
+		return
+	}
+	s.left--
+	buf := &s.bufs[s.fill]
+	s.drawing.Add(1)
+	go func() {
+		defer s.drawing.Done()
+		*buf = s.gen.OpsInto(*buf, s.n)
+	}()
+}
+
+// next returns the next epoch's ops, valid until the following call.
+func (s *stream) next() []workload.Op {
+	if !s.ahead {
+		s.bufs[0] = s.gen.OpsInto(s.bufs[0], s.n)
+		return s.bufs[0]
+	}
+	s.drawing.Wait()
+	ops := s.bufs[s.fill]
+	s.fill ^= 1
+	s.start()
+	return ops
+}
+
+// join waits for the draw in flight, if any.
+func (s *stream) join() { s.drawing.Wait() }
+
 // RunTick runs the scenario under the tick oracle: fully inline,
 // sequential, deterministic — the golden reference the concurrent plane is
 // pinned against.
@@ -277,6 +350,9 @@ type tickExec struct {
 }
 
 func (e *tickExec) bind(p *index.Pipeline) { e.pipe = p }
+
+// drawsAhead is false: the reference draws each epoch's ops inline.
+func (e *tickExec) drawsAhead() bool { return false }
 
 func (e *tickExec) read(key int64) {
 	r := e.pipe.Lookup(key)
@@ -297,13 +373,15 @@ func (e *tickExec) flush(h *Histogram) int64 {
 // RunConcurrent runs the scenario on the concurrent plane: the calling
 // goroutine is the writer — it drives the scenario, queueing each read with
 // the snapshot it must be served from for the plane's reader goroutines,
-// and runs each epoch-end retrain on a background goroutine. Metrics are
-// identical to RunTick's for the same backend and options. The knobs in
-// popts are first bounded by what one epoch can use: a batch holds at most
+// and runs each epoch-end retrain on a background goroutine. A helper
+// goroutine draws each epoch's honest ops while the writer serves the
+// epoch before (epoch 0's during its oracle call). Metrics are identical
+// to RunTick's for the same backend and options. The knobs in popts are
+// first bounded by what one epoch can use: a batch holds at most
 // OpsPerEpoch reads, and readers never outnumber the epoch's batches.
 // Cancellation via ctx returns the epochs completed so far with ctx's
-// error; every goroutine the plane started is drained and joined before
-// return.
+// error; every goroutine the plane started, the stream's helper included,
+// is drained and joined before return.
 func RunConcurrent(ctx context.Context, b index.Backend, o ScenarioOptions, popts Options) ([]EpochMetrics, error) {
 	plane := NewPlane(popts.ForEpoch(o.OpsPerEpoch))
 	defer plane.Close()
@@ -436,6 +514,9 @@ func (e *concExec) bind(p *index.Pipeline) {
 	e.pipe = p
 	e.batch = e.plane.getBuf()
 }
+
+// drawsAhead is true: the stream's draw leaves the writer's critical path.
+func (e *concExec) drawsAhead() bool { return true }
 
 // read queues the lookup with the current read-plane snapshot, re-captured
 // only when the pipeline's ReadRevision moved.

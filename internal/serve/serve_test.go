@@ -10,6 +10,7 @@ package serve_test
 // synchronization only (the no-sleep lint test enforces that).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -159,6 +160,23 @@ func TestConcurrentMatchesTickOracle(t *testing.T) {
 		t.Run("dynamic-buffer/"+mix.String(), func(t *testing.T) {
 			assertSchedulerEquivalence(t, backendFactories()["dynamic-buffer"], n, opts)
 		})
+	}
+	// The edges of the epoch shape: one epoch, so nothing is drawn past
+	// epoch 0, and one op per epoch, so every epoch's draw is a single op.
+	for shape, mut := range map[string]func(*serve.ScenarioOptions){
+		"epochs=1": func(o *serve.ScenarioOptions) { o.Epochs = 1 },
+		"ops=1":    func(o *serve.ScenarioOptions) { o.OpsPerEpoch = 1 },
+	} {
+		for fname, f := range backendFactories() {
+			opts := base
+			opts.Cost = costs["fixed"]
+			opts.EpochBudget = 5
+			opts.ManualRetrain = f.manual
+			mut(&opts)
+			t.Run(shape+"/"+fname, func(t *testing.T) {
+				assertSchedulerEquivalence(t, f, n, opts)
+			})
+		}
 	}
 }
 
@@ -323,6 +341,128 @@ func TestRunConcurrentCancellation(t *testing.T) {
 	m, err = serve.RunConcurrent(done, b, opts, serve.Options{Readers: 2})
 	if !errors.Is(err, context.Canceled) || len(m) != 0 {
 		t.Fatalf("pre-cancelled run returned (%d epochs, %v)", len(m), err)
+	}
+}
+
+// TestNoDrawOutlivesRunConcurrent: RunConcurrent joins the stream's helper
+// on every exit path. Each case returns while a draw of 1<<18 Zipf ops is
+// in flight, long enough that an unjoined draw is still running when the
+// test reads every goroutine's stack right after the call; no stack may
+// hold a generator frame. With one processor an unjoined helper may not
+// have started by then, so a missing join fails this test only with two
+// or more.
+func TestNoDrawOutlivesRunConcurrent(t *testing.T) {
+	initial := fixture(t, 300)
+	errOracle := errors.New("oracle failed")
+	cases := []struct {
+		name string
+		// run returns the context and oracle for one call.
+		run  func() (context.Context, serve.Oracle)
+		want error
+	}{
+		// The oracle fails in epoch 0, with epoch 0's draw in flight.
+		{name: "oracle-error", want: errOracle, run: func() (context.Context, serve.Oracle) {
+			return context.Background(), func(keys.Set, int) ([]int64, error) {
+				return nil, errOracle
+			}
+		}},
+		// A cancel from inside epoch 0's oracle, caught at the first
+		// in-loop check, with epoch 1's draw in flight.
+		{name: "cancel-in-oracle", want: context.Canceled, run: func() (context.Context, serve.Oracle) {
+			ctx, cancel := context.WithCancel(context.Background())
+			return ctx, func(ks keys.Set, budget int) ([]int64, error) {
+				cancel()
+				return gapOracle(ks, budget)
+			}
+		}},
+		// A context cancelled before the call.
+		{name: "pre-cancelled", want: context.Canceled, run: func() (context.Context, serve.Oracle) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, gapOracle
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, oracle := c.run()
+			opts := serve.ScenarioOptions{
+				Epochs: 3, OpsPerEpoch: 1 << 18, EpochBudget: 4,
+				Workload: workload.NewZipf(1.1, 95), Domain: 12_000, Seed: 5,
+				Cost: index.CostModel{Fixed: 25}, Oracle: oracle,
+			}
+			b, err := dynamic.New(initial, dynamic.ManualPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := serve.RunConcurrent(ctx, b, opts, serve.Options{Readers: 2})
+			stacks := allStacks()
+			if !errors.Is(err, c.want) || len(m) != 0 {
+				t.Fatalf("returned (%d epochs, %v), want (0 epochs, %v)", len(m), err, c.want)
+			}
+			if bytes.Contains(stacks, []byte("workload.(*Generator)")) {
+				t.Fatalf("a draw outlived RunConcurrent:\n%s", stacks)
+			}
+		})
+	}
+}
+
+// allStacks returns every goroutine's stack trace.
+func allStacks() []byte {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return buf[:n]
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// keysCounter counts the Keys calls that reach the backend it wraps.
+type keysCounter struct {
+	index.Backend
+	calls int
+}
+
+func (c *keysCounter) Keys() keys.Set {
+	c.calls++
+	return c.Backend.Keys()
+}
+
+// TestKeysOncePerEpoch: the scenario materializes the content once per
+// oracle call and no more. Epoch 0's oracle plans against the set the
+// generator was built from, so a run with a budget calls Keys exactly
+// Epochs times, and a clean run only once, for the generator.
+func TestKeysOncePerEpoch(t *testing.T) {
+	initial := fixture(t, 300)
+	for _, budget := range []int{0, 4} {
+		opts := serve.ScenarioOptions{
+			Epochs: 3, OpsPerEpoch: 60, EpochBudget: budget,
+			Workload: workload.NewZipf(1.1, 85), Domain: 12_000, Seed: 9,
+			Cost: index.CostModel{Fixed: 25}, ManualRetrain: true, Oracle: gapOracle,
+		}
+		want := 1
+		if budget > 0 {
+			want = opts.Epochs
+		}
+		for sched, run := range map[string]func(index.Backend) ([]serve.EpochMetrics, error){
+			"tick": func(b index.Backend) ([]serve.EpochMetrics, error) { return serve.RunTick(b, opts) },
+			"concurrent": func(b index.Backend) ([]serve.EpochMetrics, error) {
+				return serve.RunConcurrent(context.Background(), b, opts, serve.Options{Readers: 2})
+			},
+		} {
+			b, err := shard.New(initial, 4, dynamic.ManualPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &keysCounter{Backend: b}
+			if _, err := run(c); err != nil {
+				t.Fatal(err)
+			}
+			if c.calls != want {
+				t.Errorf("%s, budget %d: Keys called %d times, want %d", sched, budget, c.calls, want)
+			}
+		}
 	}
 }
 

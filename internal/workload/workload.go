@@ -133,7 +133,12 @@ type Op struct {
 	Source int
 }
 
-// Generator produces the deterministic operation stream for one spec.
+// Generator produces the deterministic operation stream for one spec. It
+// is not safe for concurrent use. A caller may draw on more than one
+// goroutine only by handing the generator from one to the next through a
+// join (a channel receive or a WaitGroup.Wait), so that one goroutine
+// draws at a time and the RNG is consumed in order: internal/serve's
+// concurrent plane draws each epoch on a helper goroutine that way.
 type Generator struct {
 	spec    Spec
 	initial keys.Set
@@ -322,9 +327,9 @@ func (g *Generator) Ops(n int) []Op {
 }
 
 // OpsInto draws the next n operations into dst, reusing its backing array
-// when it is large enough — the allocation-free path the epoch loop of the
-// concurrent serving scenario uses to re-draw each epoch's stream into one
-// buffer. The stream is identical to n calls of Next.
+// when it is large enough — the allocation-free path the serving
+// scenario's epoch loop uses to re-draw each epoch's stream into a buffer
+// it reuses. The stream is identical to n calls of Next.
 func (g *Generator) OpsInto(dst []Op, n int) []Op {
 	if cap(dst) < n {
 		dst = make([]Op, n)
