@@ -196,9 +196,9 @@ func runScenario(ctx context.Context, b index.Backend, o ScenarioOptions, ex exe
 	}
 	pipe := index.NewPipeline(b, o.Cost)
 	ex.bind(pipe)
-	st := newStream(gen, o.OpsPerEpoch, o.Epochs, ex.drawsAhead())
+	honest := newStream(gen, o.OpsPerEpoch, o.Epochs, ex.drawsAhead())
 	// Every return below joins a draw still in flight.
-	defer st.join()
+	defer honest.join()
 
 	var (
 		out          = make([]EpochMetrics, 0, o.Epochs)
@@ -225,7 +225,7 @@ func runScenario(ctx context.Context, b index.Backend, o ScenarioOptions, ex exe
 		}
 		m := EpochMetrics{Epoch: e}
 		inj := 0
-		for i, op := range st.next() {
+		for i, op := range honest.next() {
 			if i&63 == 0 && ctx.Err() != nil {
 				ex.flush(&hist)
 				return out, ctx.Err()
